@@ -23,10 +23,9 @@ exact product laws, which the checks in this module verify numerically.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -34,9 +33,9 @@ from .boolfn import BooleanFunction, CompositionSpec, compose_functions, split_i
 from .specmat import (
     SpectralResult,
     SymMatrix,
+    block_norm,
     difference_mask,
     hadamard,
-    principal_eigenvector,
     spectral_norm,
 )
 
@@ -149,23 +148,37 @@ def zero_gamma(f: BooleanFunction) -> AdversaryMatrix:
     return AdversaryMatrix(f, SymMatrix(f.domain, np.zeros((d, d))))
 
 
+def _bit_matrix(f: BooleanFunction) -> np.ndarray:
+    """Boolean (rows, arity) array: entry [r, i] is bit i+1 of domain row r."""
+    return np.array([[c == "1" for c in x] for x in f.domain])
+
+
 def adv_value(gamma: AdversaryMatrix, alpha) -> float:
     """min_i alpha_i ||G|| / ||G o D_i||; masked-out bits contribute +inf.
 
-    The all-zero matrix has value 0 (the only choice for constants).
+    A valid G vanishes on pairs with equal outputs, so G = [[0, B], [B^T, 0]]
+    with B its f^-1(0) x f^-1(1) block, and ||G o D_i|| is the top singular
+    value of B masked to the pairs that differ at bit i.  Every norm is taken
+    on the block.  The all-zero matrix has value 0 (the only choice for
+    constants).
     """
     f = gamma.function
     alpha = as_costs(alpha, f.arity)
     require_valid(gamma, allow_zero=True)
     if not np.any(gamma.matrix.entries):
         return 0.0
-    whole = spectral_norm(gamma.matrix).norm
+    vals = np.array(f.values)
+    zeros, ones = np.flatnonzero(vals == 0), np.flatnonzero(vals == 1)
+    block = gamma.matrix.entries[np.ix_(zeros, ones)]
+    bits = _bit_matrix(f)
+    whole = block_norm(block).norm
     best = math.inf
-    for i in range(1, f.arity + 1):
-        masked = spectral_norm(hadamard(gamma.matrix, difference_mask(f.domain, i))).norm
+    for i in range(f.arity):
+        crossing = bits[zeros, i][:, None] != bits[ones, i][None, :]
+        masked = block_norm(block * crossing).norm
         if masked == 0.0:
             continue
-        best = min(best, alpha.costs[i - 1] * whole / masked)
+        best = min(best, alpha.costs[i] * whole / masked)
     return best
 
 
@@ -215,7 +228,7 @@ def mm_value(witness: MinimaxWitness, alpha) -> float:
     if xs.size == 0:
         return 0.0
     rows = witness.matrix_rows()
-    bits = np.array([[c == "1" for c in x] for x in f.domain])
+    bits = _bit_matrix(f)
     a = alpha.as_array()
     best = 0.0
     for lo in range(0, xs.size, 65536):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Union
 
 #: Default cap on total arity; dense downstream kernels stop at 4096 rows.
 MAX_ARITY = 12

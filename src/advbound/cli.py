@@ -19,7 +19,6 @@ from .adversary import (
     CostVector,
     gamma_from_dict,
     gamma_to_dict,
-    mm_value,
     validate,
     witness_to_dict,
 )

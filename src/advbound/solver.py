@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,7 +40,6 @@ from .boolfn import (
     FormulaAst,
     Leaf,
     Not,
-    Or,
     compose_functions,
     is_read_once,
     iterate_function,
@@ -80,8 +78,8 @@ class SolverOptions:
         for x in (self.temp_start, self.temp_end, self.step_start, self.step_end):
             if not (math.isfinite(x) and x > 0):
                 raise ValueError("schedules must be positive and finite")
-        if self.target_gap <= 0:
-            raise ValueError("target gap must be positive")
+        if not (math.isfinite(self.target_gap) and self.target_gap > 0):
+            raise ValueError("target gap must be positive and finite")
 
 
 def _geometric(start: float, end: float, t: int, total: int) -> float:

@@ -28,13 +28,24 @@ from advbound.adversary import (
     zero_gamma,
 )
 from advbound.boolfn import (
+    And,
     BooleanFunction,
     CompositionSpec,
+    Leaf,
     compose_functions,
+    formula_to_function,
     make_family,
+    parse_formula,
     split_input,
 )
-from advbound.specmat import SymMatrix, principal_eigenvector, spectral_norm
+from advbound.solver import gadget_cost_adv, readonce_bound
+from advbound.specmat import (
+    SymMatrix,
+    difference_mask,
+    hadamard,
+    principal_eigenvector,
+    spectral_norm,
+)
 from conftest import (
     random_composition_case,
     random_costs,
@@ -168,6 +179,80 @@ def test_adv_value_rejects_invalid_matrix():
     e[0, 1] = e[1, 0] = 1.0  # same-output pair
     with pytest.raises(ValueError):
         adv_value(AdversaryMatrix(AND2, SymMatrix(AND2.domain, e)), (1.0, 1.0))
+
+
+def dense_adv_value(gamma, alpha):
+    """Reference: every norm from a dense eigensolve on the full matrix."""
+    whole = spectral_norm(gamma.matrix).norm
+    best = math.inf
+    for i in range(1, gamma.function.arity + 1):
+        masked = spectral_norm(hadamard(gamma.matrix, difference_mask(gamma.function.domain, i)))
+        if masked.norm > 0.0:
+            best = min(best, alpha[i - 1] * whole / masked.norm)
+    return best
+
+
+def uniform_gamma(f):
+    vals = np.array(f.values)
+    e = (vals[:, None] != vals[None, :]).astype(float)
+    return AdversaryMatrix(f, SymMatrix(f.domain, e))
+
+
+def sparse_random_case():
+    rng = np.random.default_rng(11)
+    f = random_function(rng, 5)
+    e = random_gamma(f, rng).matrix.entries
+    keep = np.triu(rng.random(e.shape) < 0.3)
+    e = np.where(keep | keep.T, e, 0.0)
+    return AdversaryMatrix(f, SymMatrix(f.domain, e)), random_costs(rng, 5)
+
+
+def block_cases():
+    rng = np.random.default_rng(7)
+    and3, or3 = make_family("and", 3), make_family("or", 3)
+    skip = BooleanFunction(2, ("00", "01", "10", "11"), (0, 0, 1, 1))
+    e = np.zeros((4, 4))
+    e[0, 2] = e[2, 0] = e[1, 3] = e[3, 1] = 1.0
+    return {
+        "tall_and3": (random_gamma(and3, rng), random_costs(rng, 3)),
+        "wide_or3": (random_gamma(or3, rng), random_costs(rng, 3)),
+        "masked_out_bit": (AdversaryMatrix(skip, SymMatrix(skip.domain, e)), (5.0, 7.0)),
+        "parity3_degenerate": (uniform_gamma(make_family("parity", 3)), (1.0, 1.0, 1.0)),
+        "sparse_random5": sparse_random_case(),
+    }
+
+
+BLOCK_CASES = block_cases()
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+def test_adv_value_matches_dense_reference(name):
+    gamma, alpha = BLOCK_CASES[name]
+    got, want = adv_value(gamma, alpha), dense_adv_value(gamma, alpha)
+    assert math.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def compose_tree(ast, costs):
+    """Gadget certificates composed up an AND/OR tree of leaves."""
+    if isinstance(ast, Leaf):
+        gamma = AdversaryMatrix(ID1, SymMatrix(ID1.domain, np.array([[0.0, 1.0], [1.0, 0.0]])))
+        return gamma, costs[ast.index - 1]
+    left, lv = compose_tree(ast.left, costs)
+    right, rv = compose_tree(ast.right, costs)
+    value, gamma_f, _ = gadget_cost_adv("and" if isinstance(ast, And) else "or", (lv, rv))
+    spec = CompositionSpec(gamma_f.function, (left.function, right.function))
+    return compose_gamma(gamma_f, [left, right], spec), value
+
+
+def test_adv_value_composed_read_once_arity8():
+    ast = parse_formula("((x1&x2)|(x3&(x4|x5)))&((x6|x7)&x8)")
+    costs = (0.7, 1.3, 2.0, 0.5, 1.1, 1.9, 0.8, 1.4)
+    gamma, value = compose_tree(ast, costs)
+    want, _ = readonce_bound(ast, costs)
+    assert gamma.function.values == formula_to_function(ast, 8).values
+    assert value == pytest.approx(want, rel=1e-12)
+    assert adv_value(gamma, costs) == pytest.approx(want, rel=1e-9)
 
 
 # --------------------------------------------------------------------------

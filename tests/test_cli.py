@@ -69,6 +69,14 @@ def test_bound_input_validation(capsys):
     assert invoke(capsys, ["bound", "--family", "or", "--n", "2", "--alpha", "1"])[0] == 2
 
 
+@pytest.mark.parametrize("gap", ["nan", "inf", "0"])
+def test_bound_rejects_bad_target_gap(capsys, gap):
+    code, report, err = invoke(capsys, ["bound", "--family", "or", "--n", "2", "--gap", gap])
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_bound_from_table_file(capsys, tmp_path):
     path = tmp_path / "parity.json"
     path.write_text(json.dumps(function_to_dict(make_family("parity", 2))))

@@ -42,8 +42,9 @@ def test_options_validation():
         SolverOptions(temp_start=0.0)
     with pytest.raises(ValueError):
         SolverOptions(step_end=-1.0)
-    with pytest.raises(ValueError):
-        SolverOptions(target_gap=0.0)
+    for gap in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SolverOptions(target_gap=gap)
 
 
 def test_certify_id_is_exact():

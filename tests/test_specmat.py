@@ -10,6 +10,7 @@ from advbound.specmat import (
     RESIDUAL_TOL,
     EigensolverError,
     SymMatrix,
+    block_norm,
     difference_mask,
     hadamard,
     matrix_from_dict,
@@ -194,6 +195,49 @@ def test_tensor_product_norm_law():
         lhs = spectral_norm(big).norm
         rhs = spectral_norm(ma).norm * spectral_norm(mb).norm
         assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def bipartite(b):
+    """[[0, B], [B^T, 0]] as a labelled symmetric matrix."""
+    r, c = b.shape
+    full = np.zeros((r + c, r + c))
+    full[:r, r:] = b
+    full[r:, :r] = b.T
+    return SymMatrix(tuple(f"{i:05b}" for i in range(r + c)), full)
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5), (1, 6), (6, 1)])
+def test_block_norm_matches_assembled_operator(shape):
+    rng = np.random.default_rng(sum(shape) * 10 + shape[0])
+    b = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.6)
+    b[0, 0] = 1.0  # never the zero block
+    full = bipartite(b)
+    res = block_norm(b)
+    assert res.norm == pytest.approx(spectral_norm(full).norm, rel=1e-12)
+    assert res.norm == pytest.approx(np.linalg.svd(b, compute_uv=False)[0], rel=1e-12)
+    assert res.vector.shape == (sum(shape),)
+    assert np.linalg.norm(res.vector) == pytest.approx(1.0, abs=1e-12)
+    # the reported residual is the full operator's, and within the contract
+    v = res.vector
+    direct = np.linalg.norm(full.entries @ v - res.norm * v)
+    assert abs(res.residual - direct) <= 1e-12 * max(1.0, res.norm)
+    assert res.residual <= RESIDUAL_TOL * max(1.0, res.norm)
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (2, 4), (0, 3), (3, 0)])
+def test_block_norm_zero_block(shape):
+    res = block_norm(np.zeros(shape))
+    assert res.norm == 0.0 and res.residual == 0.0
+    assert res.vector.shape == (sum(shape),)
+    if all(shape):
+        assert spectral_norm(bipartite(np.zeros(shape))).norm == 0.0
+
+
+def test_block_norm_contract_enforced():
+    b = np.random.default_rng(4).uniform(0.0, 1.0, (6, 4))
+    with pytest.raises(EigensolverError) as err:
+        block_norm(b, tol=0.0)
+    assert err.value.residual > 0.0
 
 
 def test_matrix_json_roundtrip():
