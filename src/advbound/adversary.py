@@ -14,6 +14,12 @@ positions; its value is the worst pair's
 Every feasible primal value lower-bounds every feasible dual value, and the
 two sides meet, so matching certificate pairs pin the bound down.
 
+Both values live on the f^-1(0) x f^-1(1) block: a valid weight matrix is
+zero on every pair with equal outputs, and the dual maximizes over crossing
+pairs only.  ``adv_value`` takes its norms on that block, ``mm_value`` gets
+every pair's overlap sum from one matrix product on it, and ``validate``
+inspects only the two same-output blocks for the zero pattern.
+
 Composition lifts certificates from an outer function and per-block inner
 functions to the composed function: weight matrices multiply entrywise
 through the blocks, eigenvectors multiply through the block outputs, and
@@ -93,7 +99,8 @@ def as_costs(alpha, n: int) -> CostVector:
 class AdversaryMatrix:
     """A symmetric weight matrix over the domain of a Boolean function.
 
-    Construction only ties the labels to the domain; use :func:`validate`
+    Construction ties the labels to the domain and requires a
+    :class:`SymMatrix`, which guarantees exact symmetry; use :func:`validate`
     for the sign and zero-pattern requirements, which deserialized or
     hand-built matrices may break.
     """
@@ -102,6 +109,8 @@ class AdversaryMatrix:
     matrix: SymMatrix
 
     def __post_init__(self):
+        if not isinstance(self.matrix, SymMatrix):
+            raise TypeError(f"matrix must be a SymMatrix, got {type(self.matrix).__name__}")
         if self.matrix.labels != self.function.domain:
             raise ValueError("matrix labels must equal the function domain, in order")
 
@@ -115,21 +124,31 @@ class ValidationReport:
 
 
 def validate(gamma: AdversaryMatrix) -> ValidationReport:
-    """Check symmetry, nonnegativity, and the same-output zero pattern."""
+    """Check nonnegativity and the same-output zero pattern.
+
+    Symmetry needs no check: ``SymMatrix`` enforces it at construction.  The
+    zero pattern is read from the two same-output blocks
+    G[f^-1(b), f^-1(b)]; each offending pair is reported once (row <= column),
+    in row-major order.
+    """
     f = gamma.function
     a = gamma.matrix.entries
     violations = []
-    if not np.array_equal(a, a.T):
-        violations.append("matrix is not symmetric")
     for r, c in zip(*np.where(a < 0)):
         violations.append(f"negative entry at ({f.domain[r]}, {f.domain[c]})")
     vals = np.array(f.values)
-    same = vals[:, None] == vals[None, :]
-    for r, c in zip(*np.where(same & (a != 0))):
-        if r <= c:
-            violations.append(
-                f"nonzero entry at ({f.domain[r]}, {f.domain[c]}) but both outputs are {f.values[r]}"
-            )
+    rows, cols = [], []
+    for b in (0, 1):
+        idx = np.flatnonzero(vals == b)
+        r, c = np.nonzero(np.triu(a[np.ix_(idx, idx)] != 0))
+        rows.append(idx[r])
+        cols.append(idx[c])
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    for k in np.lexsort((cols, rows)):
+        r, c = rows[k], cols[k]
+        violations.append(
+            f"nonzero entry at ({f.domain[r]}, {f.domain[c]}) but both outputs are {f.values[r]}"
+        )
     zero = not np.any(a)
     if zero and not f.is_constant:
         violations.append("matrix is all zeros but the function is not constant")
@@ -214,31 +233,32 @@ def uniform_witness(f: BooleanFunction) -> MinimaxWitness:
     return MinimaxWitness(f, {x: row for x in f.domain})
 
 
-def _pair_indices(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
-    vals = np.array(f.values)
-    xs, ys = np.where(vals[:, None] < vals[None, :])
-    return xs, ys
-
-
 def mm_value(witness: MinimaxWitness, alpha) -> float:
-    """Worst pair value of the witness; a pair with zero overlap gives +inf."""
+    """Worst pair value of the witness; a pair with zero overlap gives +inf.
+
+    With Q = sqrt(P), B0/B1 the input bits of f^-1(0)/f^-1(1) and z/o their
+    rows, every pair's overlap sum S[x, y] = sum_{i: x_i != y_i}
+    Q[x, i] Q[y, i] / alpha_i comes from one product on the block:
+
+        S = [Q_z o B0 / alpha, Q_z o (1 - B0) / alpha] . [Q_o o (1 - B1), Q_o o B1]^T
+
+    The value is 1 / min S (+inf when some pair has no overlap).  A function
+    without a crossing pair, such as a constant, has value 0.
+    """
     f = witness.function
     alpha = as_costs(alpha, f.arity)
-    xs, ys = _pair_indices(f)
-    if xs.size == 0:
+    vals = np.array(f.values)
+    zeros, ones = np.flatnonzero(vals == 0), np.flatnonzero(vals == 1)
+    if zeros.size == 0 or ones.size == 0:
         return 0.0
-    rows = witness.matrix_rows()
+    q = np.sqrt(witness.matrix_rows())
     bits = _bit_matrix(f)
-    a = alpha.as_array()
-    best = 0.0
-    for lo in range(0, xs.size, 65536):
-        sl = slice(lo, lo + 65536)
-        diff = bits[xs[sl]] != bits[ys[sl]]
-        s = (np.sqrt(rows[xs[sl]] * rows[ys[sl]]) / a * diff).sum(axis=1)
-        with np.errstate(divide="ignore"):
-            vals = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), math.inf)
-        best = max(best, float(vals.max()))
-    return best
+    qz, b0 = q[zeros] / alpha.as_array(), bits[zeros]
+    qo, b1 = q[ones], bits[ones]
+    left = np.hstack([qz * b0, qz * ~b0])
+    right = np.hstack([qo * ~b1, qo * b1])
+    least = float((left @ right.T).min())
+    return math.inf if least == 0.0 else 1.0 / least
 
 
 # --------------------------------------------------------------------------
@@ -257,6 +277,12 @@ def _block_indexers(spec: CompositionSpec, h: BooleanFunction):
             per_block[i][r] = g.index(b)
         tilde_bits[r] = [int(c) for c in tilde]
     return tf, per_block, tilde_bits
+
+
+def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """a[np.ix_(idx, idx)] as two takes, rows then columns: the same array
+    in about half the time at 4096 rows."""
+    return np.take(np.take(a, idx, axis=0), idx, axis=1)
 
 
 def compose_gamma(
@@ -283,11 +309,11 @@ def compose_gamma(
         require_valid(gam, allow_zero=True)
     h = compose_functions(spec)
     tf, per_block, _ = _block_indexers(spec, h)
-    out = gamma_f.matrix.entries[np.ix_(tf, tf)].copy()
+    out = _gather(gamma_f.matrix.entries, tf)
     for i, gam in enumerate(gammas_g):
         norm = spectral_norm(gam.matrix).norm
         factor = gam.matrix.entries + norm * np.eye(gam.matrix.dim)
-        out *= factor[np.ix_(per_block[i], per_block[i])]
+        out *= _gather(factor, per_block[i])
     return AdversaryMatrix(h, SymMatrix(h.domain, out))
 
 
@@ -402,21 +428,17 @@ def masked_compose_check(
     h = gamma_h.function
     lhs = hadamard(gamma_h.matrix, difference_mask(h.domain, ell))
 
-    tf, per_block, _ = _block_indexers(spec, h)
+    # The right-hand side composes the masked outer matrix with the masked
+    # p-th inner matrix in place of the original.
     masked_f = hadamard(gamma_f.matrix, difference_mask(spec.outer.domain, p))
     masked_p = hadamard(gammas_g[p - 1].matrix, difference_mask(spec.inner[p - 1].domain, q))
-    rhs = masked_f.entries[np.ix_(tf, tf)].copy()
-    factor_p = masked_p.entries + spectral_norm(masked_p).norm * np.eye(masked_p.dim)
-    rhs *= factor_p[np.ix_(per_block[p - 1], per_block[p - 1])]
-    inner_norms = []
-    for i, gam in enumerate(gammas_g):
-        if i == p - 1:
-            continue
-        norm = spectral_norm(gam.matrix).norm
-        inner_norms.append(norm)
-        factor = gam.matrix.entries + norm * np.eye(gam.matrix.dim)
-        rhs *= factor[np.ix_(per_block[i], per_block[i])]
-    rhs_matrix = SymMatrix(h.domain, rhs)
+    masked_gammas = list(gammas_g)
+    masked_gammas[p - 1] = AdversaryMatrix(spec.inner[p - 1], masked_p)
+    rhs_matrix = compose_gamma(AdversaryMatrix(spec.outer, masked_f), masked_gammas, spec).matrix
+    rhs = rhs_matrix.entries
+    inner_norms = [
+        spectral_norm(gam.matrix).norm for i, gam in enumerate(gammas_g) if i != p - 1
+    ]
 
     if lhs.dim:
         scale = max(float(np.abs(lhs.entries).max()), float(np.abs(rhs).max()))
@@ -500,6 +522,8 @@ def gamma_from_dict(data: Mapping, function: BooleanFunction | None = None) -> A
     from .boolfn import function_from_dict
     from .specmat import matrix_from_dict
 
+    if not isinstance(data, Mapping):
+        raise ValueError(f"matrix JSON must be an object, got {type(data).__name__}")
     if function is None:
         if "function" not in data:
             raise ValueError("matrix JSON has no embedded function and none was given")

@@ -15,6 +15,13 @@ from typing import Mapping, Union
 #: Default cap on total arity; dense downstream kernels stop at 4096 rows.
 MAX_ARITY = 12
 
+#: Deepest formula the parser accepts: the cap bounds both the nesting of '~'
+#: and parentheses and the height of the AST (a chain x1&x2&...&xk is k-1
+#: levels high).  The parser recurses per nesting level and the AST walkers
+#: per level of height, so the cap keeps both well inside Python's recursion
+#: limit.
+MAX_NESTING = 100
+
 FAMILY_NAMES = ("AND", "OR", "PARITY", "NAND", "ID")
 
 
@@ -104,6 +111,8 @@ def make_family(name: str, n: int) -> BooleanFunction:
     """Named total functions: AND, OR, PARITY, NAND on n bits; ID on one bit."""
     if n < 1:
         raise ValueError("arity must be at least 1")
+    if n > MAX_ARITY:
+        raise ValueError(f"arity {n} exceeds the cap {MAX_ARITY}")
     key = name.strip().upper()
     if key == "AND":
         return BooleanFunction.total(n, lambda x: "0" not in x)
@@ -182,10 +191,13 @@ def _tokenize(text: str) -> list[tuple[str, int, int]]:
 
 
 class _Parser:
+    """Recursive descent; each parse method returns (node, height of node)."""
+
     def __init__(self, tokens: list[tuple[str, int, int]], length: int):
         self.tokens = tokens
         self.pos = 0
         self.end = length + 1
+        self.depth = 0
 
     def _peek(self) -> str | None:
         return self.tokens[self.pos][0] if self.pos < len(self.tokens) else None
@@ -197,43 +209,66 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse_or(self) -> FormulaAst:
-        node = self.parse_and()
+    def _nested(self, parse, pos: int) -> tuple[FormulaAst, int]:
+        """Run ``parse`` one nesting level deeper; ``pos`` opened the level."""
+        if self.depth >= MAX_NESTING:
+            raise FormulaError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+        self.depth += 1
+        parsed = parse()
+        self.depth -= 1
+        return parsed
+
+    @staticmethod
+    def _node(node: FormulaAst, height: int, pos: int) -> tuple[FormulaAst, int]:
+        """Accept an operator node of the given height; ``pos`` is its operator."""
+        if height > MAX_NESTING:
+            raise FormulaError(f"formula nests deeper than {MAX_NESTING} levels", pos)
+        return node, height
+
+    def parse_or(self) -> tuple[FormulaAst, int]:
+        node, height = self.parse_and()
         while self._peek() == "|":
-            self._take()
-            node = Or(node, self.parse_and())
-        return node
+            _, _, pos = self._take()
+            right, h = self.parse_and()
+            node, height = self._node(Or(node, right), 1 + max(height, h), pos)
+        return node, height
 
-    def parse_and(self) -> FormulaAst:
-        node = self.parse_unary()
+    def parse_and(self) -> tuple[FormulaAst, int]:
+        node, height = self.parse_unary()
         while self._peek() == "&":
-            self._take()
-            node = And(node, self.parse_unary())
-        return node
+            _, _, pos = self._take()
+            right, h = self.parse_unary()
+            node, height = self._node(And(node, right), 1 + max(height, h), pos)
+        return node, height
 
-    def parse_unary(self) -> FormulaAst:
+    def parse_unary(self) -> tuple[FormulaAst, int]:
         if self._peek() == "~":
-            self._take()
-            return Not(self.parse_unary())
+            _, _, pos = self._take()
+            child, h = self._nested(self.parse_unary, pos)
+            return self._node(Not(child), 1 + h, pos)
         return self.parse_atom()
 
-    def parse_atom(self) -> FormulaAst:
+    def parse_atom(self) -> tuple[FormulaAst, int]:
         kind, value, pos = self._take()
         if kind == "VAR":
-            return Leaf(value)
+            return Leaf(value), 0
         if kind == "(":
-            node = self.parse_or()
+            parsed = self._nested(self.parse_or, pos)
             kind2, _, pos2 = self._take()
             if kind2 != ")":
                 raise FormulaError("expected ')'", pos2)
-            return node
+            return parsed
         raise FormulaError(f"unexpected token {kind!r}", pos)
 
 
 def parse_formula(text: str) -> FormulaAst:
-    """Parse formula text into an AST, with 1-based error positions."""
+    """Parse formula text into an AST, with 1-based error positions.
+
+    Formulas deeper than ``MAX_NESTING`` are rejected at the token that
+    passes the cap.
+    """
     parser = _Parser(_tokenize(text), len(text))
-    node = parser.parse_or()
+    node, _ = parser.parse_or()
     if parser.pos != len(parser.tokens):
         kind, _, pos = parser.tokens[parser.pos]
         raise FormulaError(f"unexpected token {kind!r} after formula", pos)

@@ -116,6 +116,12 @@ def test_adversary_matrix_requires_domain_labels():
         AdversaryMatrix(AND2, SymMatrix(("a0", "a1", "b0", "b1"), np.zeros((4, 4))))
 
 
+def test_adversary_matrix_requires_symmatrix():
+    # validate relies on SymMatrix having checked symmetry
+    with pytest.raises(TypeError):
+        AdversaryMatrix(AND2, np.zeros((4, 4)))
+
+
 def test_validate_flags_problems():
     e = np.zeros((4, 4))
     e[1, 3] = e[3, 1] = -1.0  # negative, on a legal pair
@@ -133,6 +139,56 @@ def test_validate_zero_matrix():
     assert not nonconst.ok and nonconst.zero_matrix and not nonconst.constant_function
     const = validate(zero_gamma(BooleanFunction(1, ("0", "1"), (1, 1))))
     assert const.ok and const.zero_matrix and const.constant_function
+
+
+def full_mask_violations(gamma):
+    """Reference: validate's checks on full m x m masks, symmetry aside."""
+    f = gamma.function
+    a = gamma.matrix.entries
+    violations = []
+    for r, c in zip(*np.where(a < 0)):
+        violations.append(f"negative entry at ({f.domain[r]}, {f.domain[c]})")
+    vals = np.array(f.values)
+    same = vals[:, None] == vals[None, :]
+    for r, c in zip(*np.where(same & (a != 0))):
+        if r <= c:
+            violations.append(
+                f"nonzero entry at ({f.domain[r]}, {f.domain[c]}) but both outputs are {f.values[r]}"
+            )
+    if not np.any(a) and not f.is_constant:
+        violations.append("matrix is all zeros but the function is not constant")
+    return tuple(violations)
+
+
+def random_partial(rng, f):
+    """A random subset of f's rows that keeps both outputs."""
+    while True:
+        keep = rng.random(len(f.domain)) < 0.6
+        vals = tuple(v for v, k in zip(f.values, keep) if k)
+        if 0 in vals and 1 in vals:
+            dom = tuple(x for x, k in zip(f.domain, keep) if k)
+            return BooleanFunction(f.arity, dom, vals)
+
+
+def test_validate_matches_full_mask_reference():
+    rng = np.random.default_rng(11)
+    bad = 0
+    for case in range(60):
+        f = random_function(rng, int(rng.integers(1, 6)), nonconstant=case % 7 != 0)
+        if case % 2 and not f.is_constant:
+            f = random_partial(rng, f)
+        m = len(f.domain)
+        a = rng.uniform(-0.3, 1.0, size=(m, m)) * (rng.random((m, m)) < 0.3)
+        a = np.triu(a) + np.triu(a, 1).T
+        if case % 5 == 0:
+            a[:] = 0.0
+        gamma = AdversaryMatrix(f, SymMatrix(f.domain, a))
+        report = validate(gamma)
+        want = full_mask_violations(gamma)
+        assert report.violations == want, case
+        assert report.ok == (not want)
+        bad += not report.ok
+    assert bad > 40
 
 
 def test_require_valid_allow_zero():
@@ -257,6 +313,67 @@ def test_adv_value_composed_read_once_arity8():
 
 # --------------------------------------------------------------------------
 # dual value
+
+
+def pairwise_mm_value(witness, alpha):
+    """Reference: the per-pair loop over f^-1(0) x f^-1(1), in chunks."""
+    f = witness.function
+    vals = np.array(f.values)
+    xs, ys = np.where(vals[:, None] < vals[None, :])
+    if xs.size == 0:
+        return 0.0
+    rows = witness.matrix_rows()
+    bits = np.array([[c == "1" for c in x] for x in f.domain])
+    a = np.array(alpha, dtype=float)
+    best = 0.0
+    for lo in range(0, xs.size, 65536):
+        sl = slice(lo, lo + 65536)
+        diff = bits[xs[sl]] != bits[ys[sl]]
+        s = (np.sqrt(rows[xs[sl]] * rows[ys[sl]]) / a * diff).sum(axis=1)
+        with np.errstate(divide="ignore"):
+            pair = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), math.inf)
+        best = max(best, float(pair.max()))
+    return best
+
+
+def sparse_witness(f, rng, one_hot):
+    """Rows with exact zeros: one bit each, or random bits zeroed."""
+    rows = {}
+    for x in f.domain:
+        if one_hot:
+            p = np.zeros(f.arity)
+            p[rng.integers(f.arity)] = 1.0
+        else:
+            p = rng.uniform(0.05, 1.0, size=f.arity) * (rng.random(f.arity) < 0.5)
+            if not p.any():
+                p[rng.integers(f.arity)] = 1.0
+            p /= p.sum()
+        rows[x] = tuple(float(q) for q in p)
+    return MinimaxWitness(f, rows)
+
+
+def test_mm_value_matches_pairwise_reference():
+    rng = np.random.default_rng(5)
+    infinite = 0
+    for n in range(1, 7):
+        for _ in range(4):
+            total = random_function(rng, n)
+            costs = random_costs(rng, n)
+            for f in (total, random_partial(rng, total)):
+                witnesses = [random_witness(f, rng)]
+                witnesses += [sparse_witness(f, rng, one_hot) for one_hot in (False, True)]
+                for w in witnesses:
+                    want = pairwise_mm_value(w, costs)
+                    got = mm_value(w, costs)
+                    if math.isinf(want):
+                        infinite += 1
+                        assert got == math.inf
+                    else:
+                        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert infinite > 10
+    const = BooleanFunction(3, ("000", "011", "101"), (0, 0, 0))
+    assert pairwise_mm_value(random_witness(const, rng), (1.0,) * 3) == 0.0
+    assert mm_value(random_witness(const, rng), (1.0,) * 3) == 0.0
 
 
 def test_mm_value_or_witness():

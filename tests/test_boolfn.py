@@ -9,6 +9,8 @@ from advbound.boolfn import (
     And,
     BooleanFunction,
     CompositionSpec,
+    MAX_ARITY,
+    MAX_NESTING,
     FormulaError,
     Leaf,
     Not,
@@ -45,6 +47,8 @@ def test_family_rejects_bad_names_and_arities():
         make_family("id", 2)
     with pytest.raises(ValueError):
         make_family("and", 0)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        make_family("or", MAX_ARITY + 1)
 
 
 def test_function_validation():
@@ -96,12 +100,29 @@ def test_read_once_flag():
         ("x1 x2", 4),
         ("y1", 1),
         ("x", 1),
+        # nesting past MAX_NESTING = 100: the 101st '~' or '(' is rejected
+        pytest.param("~" * 101 + "x1", 101, id="deep-not"),
+        pytest.param("(" * 101 + "x1" + ")" * 101, 101, id="deep-parens"),
+        pytest.param("~(" * 60 + "x1" + ")" * 60, 101, id="deep-mixed"),
+        # a 102-operand chain is 101 levels high; its 101st '&' is at 303
+        pytest.param("&".join(["x1"] * 102), 303, id="long-chain"),
+        pytest.param("~(" + "|".join(["x1"] * 101) + ")", 1, id="not-over-chain"),
     ],
 )
 def test_parse_errors_carry_positions(text, position):
     with pytest.raises(FormulaError) as err:
         parse_formula(text)
     assert err.value.position == position
+
+
+def test_parse_accepts_nesting_at_the_cap():
+    deep = parse_formula("~" * MAX_NESTING + "x1")
+    for _ in range(MAX_NESTING):
+        deep = deep.child
+    assert deep == Leaf(1)
+    assert parse_formula("(" * MAX_NESTING + "x1" + ")" * MAX_NESTING) == Leaf(1)
+    chain = ["x1"] * (MAX_NESTING + 1)
+    assert leaf_indices(parse_formula("&".join(chain))) == [1] * len(chain)
 
 
 def test_formula_truth_table_matches_direct_evaluation():

@@ -212,6 +212,53 @@ def test_check_gamma_bad_files(capsys, tmp_path):
     assert invoke(capsys, ["check-gamma", "--matrix", str(tmp_path / "missing.json")])[0] == 2
 
 
+@pytest.mark.parametrize("text", ["5", "null", "[1, 2]"], ids=["int", "null", "list"])
+def test_check_gamma_non_object_json(capsys, tmp_path, text):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, report, err = invoke(capsys, ["check-gamma", "--matrix", str(path)])
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "formula",
+    ["~" * 3000 + "x1", "(" * 3000 + "x1" + ")" * 3000, "&".join(["x1"] * 3000)],
+    ids=["not", "parens", "chain"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda t: ["parse", t],
+        lambda t: ["bound", "--formula", t],
+        lambda t: ["readonce", t],
+    ],
+    ids=["parse", "bound", "readonce"],
+)
+def test_deep_formula_is_usage_error(capsys, argv, formula):
+    code, report, err = invoke(capsys, argv(formula))
+    assert code == 2
+    assert report is None
+    assert "nests deeper" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--family", "or", "--n", "64"],
+        ["compose", "--outer", "family:or:64", "--inner", "family:id:1"],
+        ["verify-composition", "--outer", "family:id:1", "--inner", "family:and:64"],
+    ],
+    ids=["bound", "compose", "verify-composition"],
+)
+def test_family_arity_cap(capsys, argv):
+    code, report, err = invoke(capsys, argv)
+    assert code == 2
+    assert report is None
+    assert "exceeds the cap" in err
+
+
 def test_reports_identical_except_timing(capsys):
     _, first, _ = invoke(capsys, ["gadget", "--gate", "or", "--beta", "1,1"])
     _, second, _ = invoke(capsys, ["gadget", "--gate", "or", "--beta", "1,1"])

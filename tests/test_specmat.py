@@ -43,6 +43,34 @@ def test_symmatrix_validation():
         SymMatrix(("0", "1"), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize(
+    "dim,row,col",
+    [
+        (130, 3, 70),  # off-diagonal full tile
+        (130, 5, 129),  # partial last tile
+        (130, 128, 129),  # inside the partial diagonal tile
+        (200, 10, 199),
+        (200, 100, 150),
+        (200, 64, 128),  # first entry of an off-diagonal tile
+    ],
+)
+def test_symmatrix_rejects_one_asymmetric_pair(dim, row, col):
+    labels = tuple(format(i, "08b") for i in range(dim))
+    a = np.random.default_rng(dim).uniform(size=(dim, dim))
+    a = a + a.T
+    SymMatrix(labels, a)
+    for r, c in ((row, col), (col, row)):
+        bad = a.copy()
+        bad[r, c] += 1.0
+        with pytest.raises(ValueError, match="symmetric"):
+            SymMatrix(labels, bad)
+    for r, c in ((row, col), (row, row)):
+        bad = a.copy()
+        bad[r, c] = bad[c, r] = np.nan
+        with pytest.raises(ValueError):
+            SymMatrix(labels, bad)
+
+
 def test_symmatrix_entries_are_frozen():
     m = SymMatrix(("0", "1"), np.zeros((2, 2)))
     with pytest.raises(ValueError):
