@@ -30,6 +30,7 @@ exact product laws, which the checks in this module verify numerically.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -66,8 +67,9 @@ class CostVector:
         if not self.costs:
             raise ValueError("cost vector must be nonempty")
         for c in self.costs:
-            if not (math.isfinite(c) and c > 0):
-                raise ValueError(f"costs must be positive and finite, got {c!r}")
+            # A subnormal cost's reciprocal overflows, and inf * 0 turns MM into NaN.
+            if not (math.isfinite(c) and c >= sys.float_info.min):
+                raise ValueError(f"costs must be positive, normal and finite, got {c!r}")
 
     def __len__(self) -> int:
         return len(self.costs)

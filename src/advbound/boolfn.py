@@ -404,6 +404,10 @@ def iterate_function(f: BooleanFunction, d: int, max_arity: int = MAX_ARITY) -> 
     """d-fold self-composition f(f(...), ..., f(...)) on n**d bits."""
     if d < 1:
         raise ValueError("depth must be at least 1")
+    if d > MAX_ARITY:
+        # Checked before any power or loop: n >= 2 already forces d <= 3, and n = 1
+        # would pass the arity cap and compose d - 1 times.
+        raise ValueError(f"depth {d} exceeds the cap {MAX_ARITY}")
     if not f.is_total:
         raise ValueError("iteration requires a total function")
     if f.arity**d > max_arity:

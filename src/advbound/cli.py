@@ -98,8 +98,6 @@ def _options_from_args(args) -> SolverOptions:
         kwargs["restarts"] = args.restarts
     if getattr(args, "gap", None) is not None:
         kwargs["target_gap"] = args.gap
-    if getattr(args, "jobs", None) is not None:
-        kwargs["jobs"] = args.jobs
     return SolverOptions(**kwargs)
 
 
@@ -136,7 +134,6 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--restarts", type=int)
     sp.add_argument("--gap", type=float, help="target certificate gap")
-    sp.add_argument("--jobs", type=int, help="concurrent solver restarts")
 
 
 def _cmd_parse(args, argv, started) -> int:

@@ -1,11 +1,17 @@
 """Certified brackets on the cost-weighted adversary bound.
 
 ``maximize_adv`` climbs the primal side (weight matrices) and
-``minimize_mm`` descends the dual side (per-row distributions); both smooth
-the inner min/max with an annealed temperature, parametrize their simplex
-variables through soft-max logits, and take moment-rescaled (sub)gradient
-steps.  Any primal value is a true lower bound and any dual value a true
-upper bound, so ``certify`` always returns a valid bracket; the optimizers
+``minimize_mm`` descends the dual side (per-row distributions).  Both run
+the same driver: the inner min/max is smoothed with an annealed
+temperature, the simplex variables live through soft-max logits, and steps
+are moment-rescaled (Adam-style); restarts run one after another.  Both
+sides work on the f^-1(0) x f^-1(1) block only: the primal variables are
+the block B of Gamma = [[0, B], [B^T, 0]], whose norms are the top singular
+values of B and of its bit-masked copies, taken in one batched Gram
+eigensolve per step, and the dual sums its pair terms over the axes of the
+same block.  Any primal value is a true lower bound and any dual value a
+true upper bound, and the reported values are re-evaluated on the returned
+certificates, so ``certify`` always returns a valid bracket; the optimizers
 only control how tight it is.
 
 The module also carries the exact two-bit gate certificates, the read-once
@@ -16,7 +22,7 @@ and iterated functions.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +31,7 @@ from .adversary import (
     AdversaryMatrix,
     CostVector,
     MinimaxWitness,
+    _bit_matrix,
     adv_value,
     as_costs,
     compose_gamma,
@@ -34,6 +41,7 @@ from .adversary import (
     zero_gamma,
 )
 from .boolfn import (
+    MAX_ARITY,
     And,
     BooleanFunction,
     CompositionSpec,
@@ -46,7 +54,7 @@ from .boolfn import (
     leaf_indices,
     make_family,
 )
-from .specmat import SymMatrix, difference_mask
+from .specmat import SymMatrix, top_singular
 
 #: Default slack added on top of certificate gaps in verification reports.
 VERIFY_SLACK = 1e-2
@@ -56,9 +64,8 @@ VERIFY_SLACK = 1e-2
 class SolverOptions:
     """Knobs shared by both optimizers.
 
-    Restarts are independent given the seed (restart r draws from
-    ``seed + r``), so runs are reproducible and may execute in parallel
-    when ``jobs > 1`` without changing the result.
+    Restarts run in order and are independent given the seed (restart r
+    draws from ``seed + r``), so runs are reproducible.
     """
 
     restarts: int = 8
@@ -70,11 +77,10 @@ class SolverOptions:
     seed: int = 0
     target_gap: float = 1e-3
     arity_cap: int = 5
-    jobs: int = 1
 
     def __post_init__(self):
-        if self.restarts < 1 or self.iterations < 1 or self.jobs < 1:
-            raise ValueError("restarts, iterations, and jobs must be positive")
+        if self.restarts < 1 or self.iterations < 1:
+            raise ValueError("restarts and iterations must be positive")
         for x in (self.temp_start, self.temp_end, self.step_start, self.step_end):
             if not (math.isfinite(x) and x > 0):
                 raise ValueError("schedules must be positive and finite")
@@ -93,18 +99,108 @@ def _check_arity(f: BooleanFunction, opts: SolverOptions) -> None:
         raise ValueError(f"arity {f.arity} exceeds the optimizer cap {opts.arity_cap}")
 
 
-def _run_restarts(run, opts: SolverOptions, better):
-    """Execute restarts 0..restarts-1; keep the best result, earliest wins ties."""
-    if opts.jobs > 1:
-        with ThreadPoolExecutor(max_workers=opts.jobs) as pool:
-            results = list(pool.map(run, range(opts.restarts)))
-    else:
-        results = [run(r) for r in range(opts.restarts)]
-    best = results[0]
-    for cand in results[1:]:
-        if better(cand[0], best[0]):
-            best = cand
-    return best
+def _search(
+    step,
+    shape,
+    opts: SolverOptions,
+    stop_at: float | None,
+    *,
+    ascent: bool,
+    floor: float,
+    decay: tuple[float, float],
+):
+    """Annealed soft-max/Adam search; the best (value, probabilities) found.
+
+    The variables are logits whose soft-max along the last axis gives the
+    probabilities ``p``; after the shift by their maximum they are clipped
+    below at ``floor``.  ``step(p)`` returns the objective value at ``p``
+    and a function that maps the temperature to the gradient with respect
+    to the logits.  ``decay`` is the second-moment decay and its complement,
+    as each side writes it (1 - 0.99 != 0.01 in floating point).  Restarts
+    run in order, restart r drawing from ``seed + r``; the best value wins,
+    the earliest on ties.
+    """
+    better, reached = (operator.gt, operator.ge) if ascent else (operator.lt, operator.le)
+    beta2, rate2 = decay
+    best_val, best_p = None, None
+    for r in range(opts.restarts):
+        rng = np.random.default_rng(opts.seed + r)
+        z = 0.3 * rng.standard_normal(shape)
+        mom = np.zeros(shape)
+        sq = np.zeros(shape)
+        run_val, run_p = (-math.inf if ascent else math.inf), None
+        for t in range(opts.iterations):
+            z -= z.max(axis=-1, keepdims=True)
+            np.maximum(z, floor, out=z)  # the upper clip at 0 is a no-op after the shift
+            p = np.exp(z)
+            p /= p.sum(axis=-1, keepdims=True)
+            val, gradient = step(p)
+            if better(val, run_val):
+                run_val, run_p = val, p  # p is fresh each step and never written to
+            elif run_p is None:
+                # Values that are all inf or NaN (costs near the float limits)
+                # still return a certificate; the caller's evaluation rejects it.
+                run_p = p
+            if stop_at is not None and reached(run_val, stop_at):
+                break
+
+            gz = gradient(_geometric(opts.temp_start, opts.temp_end, t, opts.iterations))
+            rate = _geometric(opts.step_start, opts.step_end, t, opts.iterations)
+            mom = 0.9 * mom + 0.1 * gz
+            sq = beta2 * sq + rate2 * gz * gz
+            mhat = mom / (1.0 - 0.9 ** (t + 1))
+            shat = sq / (1.0 - beta2 ** (t + 1))
+            z += (rate if ascent else -rate) * mhat / (np.sqrt(shat) + 1e-12)
+        if r == 0 or better(run_val, best_val):
+            best_val, best_p = run_val, run_p
+    return best_val, best_p
+
+
+def _classes(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of f^-1(0) and of f^-1(1)."""
+    vals = np.array(f.values)
+    return np.flatnonzero(vals == 0), np.flatnonzero(vals == 1)
+
+
+def _adv_step(f: BooleanFunction, a: np.ndarray):
+    """The primal objective on the f^-1(0) x f^-1(1) block B, and its gradient.
+
+    The free weights are B in row-major order, w = sqrt(q/2) for the
+    soft-max probabilities q, so Gamma = [[0, B], [B^T, 0]] has unit
+    Frobenius norm.  Each step takes the top singular triples of
+    [B, B o M_1, ..., B o M_n] in one batched solve, where M_i marks the
+    pairs that differ at bit i; a bit whose M_i is empty never enters the
+    min, and is dropped up front.  With the min over bits smoothed by an
+    annealed soft-min, the gradient in B is sum_k c_k (x_k y_k^T) o M_k.
+    """
+    zeros, ones = _classes(f)
+    bits = _bit_matrix(f)
+    masks = bits[zeros].T[:, :, None] != bits[ones].T[:, None, :]  # (n, m0, m1)
+    shape = masks.shape[1:]
+    live = masks.any(axis=(1, 2))
+    a = a[live]
+    stack_masks = np.concatenate([np.ones((1,) + shape), masks[live]])
+
+    def step(q: np.ndarray):
+        w = np.sqrt(q / 2.0)  # ||Gamma||_F = 1 exactly
+        sigma, x, y = top_singular(w.reshape(shape) * stack_masks)
+        whole, masked = sigma[0], sigma[1:]
+        terms = a * whole / masked
+        low = terms.min()
+
+        def gradient(temp: float) -> np.ndarray:
+            soft = np.exp(-(terms - low) / temp)
+            soft /= soft.sum()
+            coef = np.empty(sigma.size)
+            coef[0] = float((soft * a / masked).sum())
+            coef[1:] = -soft * a * whole / masked**2
+            gb = (coef[:, None, None] * x[:, :, None] * y[:, None, :] * stack_masks).sum(axis=0)
+            gq = gb.ravel() / np.maximum(4.0 * w, 1e-150)
+            return q * (gq - float((q * gq).sum()))
+
+        return float(low), gradient
+
+    return step
 
 
 def maximize_adv(
@@ -128,80 +224,52 @@ def maximize_adv(
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
     _check_arity(f, opts)
-    vals = np.array(f.values)
-    xs, ys = np.where(vals[:, None] < vals[None, :])
-    if xs.size == 0:
+    zeros, ones = _classes(f)
+    if zeros.size == 0 or ones.size == 0:
         return zero_gamma(f), 0.0
 
-    m = len(f.domain)
-    n = f.arity
-    a = alpha.as_array()
-    masks = np.stack([difference_mask(f.domain, i).entries for i in range(1, n + 1)])
-    diff_pairs = masks[:, xs, ys] != 0  # (n, npairs)
-
-    def build(w: np.ndarray) -> np.ndarray:
-        g = np.zeros((m, m))
-        g[xs, ys] = w
-        g[ys, xs] = w
-        return g
-
-    def run(r: int) -> tuple[float, np.ndarray]:
-        rng = np.random.default_rng(opts.seed + r)
-        z = 0.3 * rng.standard_normal(xs.size)
-        mom = np.zeros(xs.size)
-        sq = np.zeros(xs.size)
-        best_val, best_w = -math.inf, None
-        for t in range(opts.iterations):
-            z -= z.max()
-            np.clip(z, -30.0, 0.0, out=z)
-            q = np.exp(z)
-            q /= q.sum()
-            w = np.sqrt(q / 2.0)  # ||Gamma||_F = 1 exactly
-
-            g = build(w)
-            stack = np.concatenate([g[None], g[None] * masks])
-            eigvals, eigvecs = np.linalg.eigh(stack)
-            whole = eigvals[0, -1]
-            u = eigvecs[0, :, -1]
-            masked = eigvals[1:, -1]
-            vs = eigvecs[1:, :, -1]
-
-            finite = masked > 0
-            terms = np.where(finite, a * whole / np.where(finite, masked, 1.0), math.inf)
-            val = float(terms[finite].min())
-            if val > best_val:
-                best_val, best_w = val, w.copy()
-            if stop_at is not None and best_val >= stop_at:
-                break
-
-            temp = _geometric(opts.temp_start, opts.temp_end, t, opts.iterations)
-            weights = np.zeros(n)
-            ft = terms[finite]
-            wf = np.exp(-(ft - ft.min()) / temp)
-            weights[finite] = wf / wf.sum()
-
-            pair_u = u[xs] * u[ys]
-            coef_whole = float((weights[finite] * a[finite] / masked[finite]).sum())
-            gw = 2.0 * coef_whole * pair_u
-            coef_mask = np.zeros(n)
-            coef_mask[finite] = weights[finite] * a[finite] * whole / masked[finite] ** 2
-            pair_v = vs[:, xs] * vs[:, ys] * diff_pairs
-            gw -= 2.0 * (coef_mask[:, None] * pair_v).sum(axis=0)
-
-            gq = gw / np.maximum(4.0 * w, 1e-150)
-            gz = q * (gq - float((q * gq).sum()))
-
-            step = _geometric(opts.step_start, opts.step_end, t, opts.iterations)
-            mom = 0.9 * mom + 0.1 * gz
-            sq = 0.99 * sq + 0.01 * gz * gz
-            mhat = mom / (1.0 - 0.9 ** (t + 1))
-            shat = sq / (1.0 - 0.99 ** (t + 1))
-            z += step * mhat / (np.sqrt(shat) + 1e-12)
-        return best_val, best_w
-
-    best_val, best_w = _run_restarts(run, opts, lambda new, old: new > old)
-    gamma = AdversaryMatrix(f, SymMatrix(f.domain, build(best_w)))
+    step = _adv_step(f, alpha.as_array())
+    _, best_q = _search(
+        step, zeros.size * ones.size, opts, stop_at, ascent=True, floor=-30.0, decay=(0.99, 0.01)
+    )
+    g = np.zeros((len(f.domain),) * 2)
+    g[np.ix_(zeros, ones)] = np.sqrt(best_q / 2.0).reshape(zeros.size, ones.size)
+    g[np.ix_(ones, zeros)] = g[np.ix_(zeros, ones)].T
+    gamma = AdversaryMatrix(f, SymMatrix(f.domain, g))
     return gamma, adv_value(gamma, alpha)
+
+
+def _mm_step(f: BooleanFunction, a: np.ndarray):
+    """The dual objective on the per-row distributions p, and its gradient.
+
+    Every f^-1(0) x f^-1(1) pair (x, y) has value 1 / sum_i [x_i != y_i]
+    sqrt(p_x(i) p_y(i)) / alpha_i; the max over pairs is smoothed by an
+    annealed soft-max.  Pair arrays are laid out as the (m0, m1) block, so
+    each row's gradient is a sum over one axis of it.
+    """
+    zeros, ones = _classes(f)
+    m0, m1 = zeros.size, ones.size
+    bits = _bit_matrix(f)
+    diff = (bits[zeros][:, None, :] != bits[ones][None, :, :]).reshape(m0 * m1, -1)
+
+    def step(p: np.ndarray):
+        pz, po = p[zeros], p[ones]
+        r_pair = np.sqrt((pz[:, None, :] * po[None, :, :]).reshape(m0 * m1, -1)) * diff
+        v = 1.0 / (r_pair / a).sum(axis=1)
+        top = v.max()
+
+        def gradient(temp: float) -> np.ndarray:
+            sw = np.exp((v - top) / temp)
+            sw /= sw.sum()
+            contrib = (sw[:, None] * (v**2)[:, None] * r_pair / a / 2.0).reshape(m0, m1, -1)
+            gp = np.empty_like(p)
+            gp[zeros] = (-contrib / np.maximum(pz, 1e-300)[:, None, :]).sum(axis=1)
+            gp[ones] = (-contrib / np.maximum(po, 1e-300)[None, :, :]).sum(axis=0)
+            return p * (gp - (p * gp).sum(axis=1, keepdims=True))
+
+        return float(top), gradient
+
+    return step
 
 
 def minimize_mm(
@@ -220,75 +288,17 @@ def minimize_mm(
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
     _check_arity(f, opts)
-    vals = np.array(f.values)
-    xs, ys = np.where(vals[:, None] < vals[None, :])
-    if xs.size == 0:
+    zeros, ones = _classes(f)
+    if zeros.size == 0 or ones.size == 0:
         return uniform_witness(f), 0.0
 
-    m = len(f.domain)
-    n = f.arity
-    a = alpha.as_array()
-    bits = np.array([[c == "1" for c in x] for x in f.domain])
-    diff = bits[xs] != bits[ys]  # (npairs, n)
-
-    def run(r: int) -> tuple[float, np.ndarray]:
-        rng = np.random.default_rng(opts.seed + r)
-        z = 0.3 * rng.standard_normal((m, n))
-        mom = np.zeros((m, n))
-        sq = np.zeros((m, n))
-        best_val, best_p = math.inf, None
-        for t in range(opts.iterations):
-            z -= z.max(axis=1, keepdims=True)
-            np.clip(z, -60.0, 0.0, out=z)
-            p = np.exp(z)
-            p /= p.sum(axis=1, keepdims=True)
-
-            r_pair = np.sqrt(p[xs] * p[ys]) * diff
-            s = (r_pair / a).sum(axis=1)
-            v = 1.0 / s
-            val = float(v.max())
-            if val < best_val:
-                best_val, best_p = val, p.copy()
-            if stop_at is not None and best_val <= stop_at:
-                break
-
-            temp = _geometric(opts.temp_start, opts.temp_end, t, opts.iterations)
-            sw = np.exp((v - v.max()) / temp)
-            sw /= sw.sum()
-            contrib = sw[:, None] * (v**2)[:, None] * r_pair / a / 2.0
-            gp = np.zeros((m, n))
-            np.add.at(gp, xs, -contrib / np.maximum(p[xs], 1e-300))
-            np.add.at(gp, ys, -contrib / np.maximum(p[ys], 1e-300))
-            gz = p * (gp - (p * gp).sum(axis=1, keepdims=True))
-
-            step = _geometric(opts.step_start, opts.step_end, t, opts.iterations)
-            mom = 0.9 * mom + 0.1 * gz
-            sq = 0.999 * sq + 0.001 * gz * gz
-            mhat = mom / (1.0 - 0.9 ** (t + 1))
-            shat = sq / (1.0 - 0.999 ** (t + 1))
-            z -= step * mhat / (np.sqrt(shat) + 1e-12)
-        return best_val, best_p
-
-    _, best_p = _run_restarts(run, opts, lambda new, old: new < old)
+    step = _mm_step(f, alpha.as_array())
+    _, best_p = _search(
+        step, (len(f.domain), f.arity), opts, stop_at, ascent=False, floor=-60.0, decay=(0.999, 0.001)
+    )
     rows = {x: tuple(best_p[i] / best_p[i].sum()) for i, x in enumerate(f.domain)}
     witness = MinimaxWitness(f, rows)
     return witness, mm_value(witness, alpha)
-
-
-@dataclass(frozen=True)
-class SolverMetadata:
-    seed: int
-    restarts: int
-    iterations: int
-    target_gap: float
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "restarts": self.restarts,
-            "iterations": self.iterations,
-            "target_gap": self.target_gap,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,9 +311,13 @@ class BoundCertificate:
     lower_value: float
     upper_witness: MinimaxWitness
     upper_value: float
-    metadata: SolverMetadata
+    options: SolverOptions
 
     def __post_init__(self):
+        if not (math.isfinite(self.lower_value) and math.isfinite(self.upper_value)):
+            raise ValueError(
+                f"bracket not finite: lower {self.lower_value!r}, upper {self.upper_value!r}"
+            )
         if self.lower_value > self.upper_value + 1e-9:
             raise ValueError(
                 f"bracket inverted: lower {self.lower_value!r} > upper {self.upper_value!r}"
@@ -319,7 +333,7 @@ class BoundCertificate:
 
     @property
     def tight(self) -> bool:
-        return self.gap <= self.metadata.target_gap
+        return self.gap <= self.options.target_gap
 
     def to_dict(self) -> dict:
         from .adversary import gamma_to_dict, witness_to_dict
@@ -332,7 +346,12 @@ class BoundCertificate:
             "upper": {"value": self.upper_value, "witness": witness_to_dict(self.upper_witness)},
             "gap": self.gap,
             "tight": self.tight,
-            "solver": self.metadata.to_dict(),
+            "solver": {
+                "seed": self.options.seed,
+                "restarts": self.options.restarts,
+                "iterations": self.options.iterations,
+                "target_gap": self.options.target_gap,
+            },
         }
 
 
@@ -353,7 +372,7 @@ def certify(f: BooleanFunction, alpha, opts: SolverOptions | None = None) -> Bou
         lower_value=lower,
         upper_witness=witness,
         upper_value=upper,
-        metadata=SolverMetadata(opts.seed, opts.restarts, opts.iterations, opts.target_gap),
+        options=opts,
     )
 
 
@@ -517,9 +536,15 @@ def verify_composition(
     alpha = as_costs(alpha, spec.total_arity)
     h = compose_functions(spec)
 
+    # certify is deterministic, so a repeated (inner function, cost block)
+    # pair is certified once and its certificate reused.
+    certs: dict[tuple[BooleanFunction, CostVector], BoundCertificate] = {}
     inner_certs = []
     for off, g in zip(spec.offsets, spec.inner):
-        inner_certs.append(certify(g, alpha.block(off, g.arity), opts))
+        key = (g, alpha.block(off, g.arity))
+        if key not in certs:
+            certs[key] = certify(*key, opts)
+        inner_certs.append(certs[key])
     beta = CostVector(tuple(c.midpoint for c in inner_certs), alpha.unit)
     outer_cert = certify(spec.outer, beta, opts)
 
@@ -609,6 +634,8 @@ def verify_iteration(
     opts = opts or SolverOptions()
     if d < 1:
         raise ValueError("depth must be at least 1")
+    if d > MAX_ARITY:
+        raise ValueError(f"depth {d} exceeds the cap {MAX_ARITY}")
     if f.arity**d > opts.arity_cap:
         raise ValueError(
             f"iterated arity {f.arity ** d} exceeds the optimizer cap {opts.arity_cap}"

@@ -9,11 +9,13 @@ tiles with their mirror tiles (a whole-matrix ``a == a.T`` reads the
 transpose column by column, which is slow at thousands of rows); code that
 holds a ``SymMatrix`` may rely on symmetry without checking it again.
 
-``block_norm`` takes the norm of a bipartite matrix [[0, B], [B^T, 0]] from
-its off-diagonal block alone, by one eigensolve on the Gram matrix of the
-block's smaller side.  Adversary matrices are exactly of this form (zero on
-every pair with equal outputs), so the norms of ADV evaluation need no solve
-on the full matrix.
+``top_singular`` takes the top singular triple of every block in a stack
+from one batched eigensolve on the Gram matrices of the blocks' smaller
+side; ``block_norm`` is its single-block form, with the norm of the bipartite
+matrix [[0, B], [B^T, 0]] checked under the residual contract.  Adversary
+matrices are exactly of this form (zero on every pair with equal outputs), so
+neither ADV evaluation nor the primal search needs a solve on the full
+matrix.
 """
 
 from __future__ import annotations
@@ -156,29 +158,41 @@ def principal_eigenvector(a: SymMatrix, tol: float = RESIDUAL_TOL) -> SpectralRe
     return _checked(a.entries @ v, float(w[-1]), v, tol)
 
 
+def top_singular(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Top singular triple (sigma, x, y) of every block in a (k, m0, m1) stack.
+
+    One batched eigensolve runs on the Gram matrices of the smaller side
+    (B B^T, or B^T B for tall blocks); the other singular vector is rebuilt
+    as B^T x (or B y) and normalized.  Returns sigma of shape (k,), x of
+    shape (k, m0) and y of shape (k, m1).  Every block must be nonzero.
+    """
+    flip = stack.transpose(0, 2, 1)
+    tall = stack.shape[1] > stack.shape[2]
+    w, vecs = np.linalg.eigh(flip @ stack if tall else stack @ flip)
+    small = vecs[:, :, -1]
+    other = ((stack if tall else flip) @ small[:, :, None])[:, :, 0]
+    other /= np.sqrt(np.einsum("ki,ki->k", other, other))[:, None]
+    x, y = (other, small) if tall else (small, other)
+    return np.sqrt(w[:, -1]), x, y
+
+
 def block_norm(b: np.ndarray, tol: float = RESIDUAL_TOL) -> SpectralResult:
     """Largest singular value of a rectangular block B, as an eigenpair.
 
     The pair is that of the symmetric operator G = [[0, B], [B^T, 0]]:
     ``norm`` is sigma_max(B) = ||G|| and ``vector`` is (x, y)/sqrt(2) for the
-    top singular pair (x, y).  One eigensolve runs on the Gram matrix of the
-    smaller side (B B^T or B^T B); the other half of the pair is rebuilt as
-    B^T x (or B y) and normalized.  The residual contract is checked on G,
-    with G v computed blockwise as (B y, B^T x).  An all-zero block has
-    norm 0 and no solve.
+    top singular pair (x, y), taken from ``top_singular`` on a stack of one.
+    The residual contract is checked on G, with G v computed blockwise as
+    (B y, B^T x).  An all-zero block has norm 0 and no solve.
     """
     b = np.asarray(b, dtype=float)
     if not np.any(b):
         return SpectralResult(0.0, np.zeros(sum(b.shape)), 0.0)
-    tall = b.shape[0] > b.shape[1]
-    w, vecs = np.linalg.eigh(b.T @ b if tall else b @ b.T)
-    small = vecs[:, -1]
-    other = b @ small if tall else b.T @ small
-    other = other / np.linalg.norm(other)
-    x, y = (other, small) if tall else (small, other)
+    sigma, x, y = top_singular(b[None])
+    x, y = x[0], y[0]
     v = np.concatenate([x, y]) / math.sqrt(2.0)
     gv = np.concatenate([b @ y, b.T @ x]) / math.sqrt(2.0)
-    return _checked(gv, math.sqrt(float(w[-1])), v, tol)
+    return _checked(gv, float(sigma[0]), v, tol)
 
 
 # --------------------------------------------------------------------------

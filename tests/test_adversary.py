@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -93,6 +94,9 @@ def test_cost_vector_validation():
         CostVector((1.0, -2.0))
     with pytest.raises(ValueError):
         CostVector((1.0, math.inf))
+    with pytest.raises(ValueError):
+        CostVector((1.0, 1e-320))  # subnormal: 1/c overflows
+    assert CostVector((sys.float_info.min,)).costs == (sys.float_info.min,)
 
 
 def test_cost_vector_helpers():

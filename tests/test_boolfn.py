@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from advbound import boolfn
 from advbound.boolfn import (
     And,
     BooleanFunction,
@@ -226,6 +227,17 @@ def test_iterate_validation():
         iterate_function(make_family("and", 2), 0)
     with pytest.raises(ValueError):
         iterate_function(BooleanFunction(2, ("00",), (1,)), 2)  # partial
+
+
+def test_iterate_depth_checked_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the depth cap must hold before any composition")
+
+    monkeypatch.setattr(boolfn, "compose_functions", no_work)
+    with pytest.raises(ValueError, match="depth 13 exceeds the cap 12"):
+        iterate_function(make_family("id", 1), 13)
+    with pytest.raises(ValueError, match="depth 100000 exceeds the cap 12"):
+        iterate_function(make_family("nand", 2), 100000)
 
 
 def test_iterate_agrees_with_explicit_composition():

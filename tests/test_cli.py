@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from advbound import boolfn, solver
 from advbound.adversary import gamma_to_dict
 from advbound.boolfn import function_to_dict, make_family
 from advbound.cli import SCHEMA, load_function, run
@@ -167,6 +168,42 @@ def test_verify_iteration_depth_cap(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-iteration", "--family", "nand", "--n", "2", "--d", "100000"],
+        ["verify-iteration", "--family", "id", "--n", "1", "--d", "1000000000"],
+    ],
+    ids=["nand", "id"],
+)
+def test_verify_iteration_depth_checked_before_any_work(capsys, monkeypatch, argv):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the depth cap must hold before any certify or composition")
+
+    monkeypatch.setattr(solver, "certify", no_work)
+    monkeypatch.setattr(boolfn, "compose_functions", no_work)
+    code, report, err = invoke(capsys, argv)
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:") and f"depth {argv[-1]} exceeds the cap 12" in err
+
+
+@pytest.mark.parametrize(
+    "alpha,message",
+    [("1e-320,1", "normal"), ("1e308,1e308", "bracket not finite")],
+    ids=["subnormal", "near_max"],
+)
+def test_cost_extremes_are_usage_errors(capsys, alpha, message):
+    # 1e-320: 1/alpha overflowed and the bracket came out as NaN with exit code 0.
+    # 1e308: every dual value is inf, and the upper bound with it.
+    code, report, err = invoke(
+        capsys, ["bound", "--family", "or", "--n", "2", "--alpha", alpha, "--restarts", "1"]
+    )
+    assert code == 2
+    assert report is None
+    assert "error:" in err and message in err and "Traceback" not in err
+
+
 def test_check_gamma_valid(capsys, tmp_path):
     _, gamma, _ = gadget_cost_adv("and", (3.0, 4.0))
     path = tmp_path / "gamma.json"
@@ -268,7 +305,7 @@ def test_reports_identical_except_timing(capsys):
 
 
 def test_bound_deterministic_across_runs(capsys):
-    argv = ["bound", "--family", "or", "--n", "2", "--restarts", "2", "--jobs", "2"]
+    argv = ["bound", "--family", "or", "--n", "2", "--restarts", "2"]
     _, first, _ = invoke(capsys, argv)
     _, second, _ = invoke(capsys, argv)
     first.pop("timing")

@@ -6,12 +6,19 @@ import math
 import numpy as np
 import pytest
 
+from advbound import solver
 from advbound.adversary import adv_value, mm_value, uniform_witness, validate
-from advbound.boolfn import BooleanFunction, CompositionSpec, make_family, parse_formula
+from advbound.boolfn import (
+    BooleanFunction,
+    CompositionSpec,
+    compose_functions,
+    make_family,
+    parse_formula,
+)
 from advbound.solver import (
     BoundCertificate,
-    SolverMetadata,
     SolverOptions,
+    _adv_step,
     certify,
     gadget_cost_adv,
     maximize_adv,
@@ -36,8 +43,6 @@ def test_options_validation():
         SolverOptions(restarts=0)
     with pytest.raises(ValueError):
         SolverOptions(iterations=0)
-    with pytest.raises(ValueError):
-        SolverOptions(jobs=0)
     with pytest.raises(ValueError):
         SolverOptions(temp_start=0.0)
     with pytest.raises(ValueError):
@@ -96,15 +101,116 @@ def test_stop_at_short_circuits():
     assert math.sqrt(2.0) - 1e-9 <= up < math.inf
 
 
-def test_certify_deterministic_and_thread_invariant():
+def test_certify_deterministic():
     a = certify(OR2, (1.0, 1.0), FAST)
     b = certify(OR2, (1.0, 1.0), FAST)
-    c = certify(OR2, (1.0, 1.0), SolverOptions(restarts=2, jobs=2))
-    for other in (b, c):
-        assert other.lower_value == a.lower_value
-        assert other.upper_value == a.upper_value
-        assert np.array_equal(other.lower_matrix.matrix.entries, a.lower_matrix.matrix.entries)
-        assert other.upper_witness.p == a.upper_witness.p
+    assert b.lower_value == a.lower_value
+    assert b.upper_value == a.upper_value
+    assert np.array_equal(b.lower_matrix.matrix.entries, a.lower_matrix.matrix.entries)
+    assert b.upper_witness.p == a.upper_witness.p
+
+
+def dense_primal_step(f, a, q, temp):
+    """The ascent's value and logit gradient from full m x m eigenvectors.
+
+    The weights sit on every pair (x, y) with f(x) = 0 < f(y) = 1, in
+    row-major order, and on the mirrored pair; u and v_i are the top
+    eigenvectors of Gamma and Gamma o D_i.
+    """
+    vals = np.array(f.values)
+    xs, ys = np.where(vals[:, None] < vals[None, :])
+    m, n = len(f.domain), f.arity
+    masks = np.stack([difference_mask(f.domain, i).entries for i in range(1, n + 1)])
+    w = np.sqrt(q / 2.0)
+    g = np.zeros((m, m))
+    g[xs, ys] = w
+    g[ys, xs] = w
+    eigvals, eigvecs = np.linalg.eigh(np.concatenate([g[None], g[None] * masks]))
+    live = eigvals[:, -1] > 0
+    assert np.all(eigvals[live, -1] - eigvals[live, -2] > 1e-3)  # simple top eigenvalues
+    whole, u = eigvals[0, -1], eigvecs[0, :, -1]
+    masked, vs = eigvals[1:, -1], eigvecs[1:, :, -1]
+    finite = masked > 0
+    terms = a[finite] * whole / masked[finite]
+    soft = np.exp(-(terms - terms.min()) / temp)
+    soft /= soft.sum()
+    gw = 2.0 * float((soft * a[finite] / masked[finite]).sum()) * u[xs] * u[ys]
+    coef_mask = soft * a[finite] * whole / masked[finite] ** 2
+    pair_v = vs[finite][:, xs] * vs[finite][:, ys] * (masks[finite][:, xs, ys] != 0)
+    gw -= 2.0 * (coef_mask[:, None] * pair_v).sum(axis=0)
+    gq = gw / np.maximum(4.0 * w, 1e-150)
+    return terms.min(), q * (gq - float((q * gq).sum()))
+
+
+def random_table5(seed):
+    values = np.random.default_rng(seed).integers(0, 2, 32)
+    return BooleanFunction(5, tuple(format(k, "05b") for k in range(32)), tuple(int(v) for v in values))
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        make_family("and", 3),  # tall block, 7 x 1
+        make_family("or", 3),  # wide block, 1 x 7
+        make_family("parity", 3),
+        compose_functions(CompositionSpec(AND2, (OR2, OR2))),
+        random_table5(11),
+        BooleanFunction(2, ("00", "10", "01"), (0, 1, 1)),  # partial, 1 x 2 block
+        BooleanFunction(2, ("00", "10"), (0, 1)),  # no crossing pair differs at bit 2
+    ],
+    ids=["and3", "or3", "parity3", "and_or_or", "random5", "partial", "dead_bit"],
+)
+def test_block_primal_step_matches_dense(f):
+    rng = np.random.default_rng(len(f.domain))
+    a = rng.uniform(0.5, 2.0, f.arity)
+    step = _adv_step(f, a)
+    npairs = sum(f.values) * (len(f.values) - sum(f.values))
+    for _ in range(3):
+        q = rng.uniform(0.2, 1.0, npairs)
+        q /= q.sum()
+        value, gradient = step(q)
+        for temp in (1.0, 0.05):
+            want_value, want = dense_primal_step(f, a, q, temp)
+            assert value == pytest.approx(want_value, rel=1e-10)
+            got = gradient(temp)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_restarts_keep_the_best_run_earliest_on_ties(seed):
+    f = make_family("and", 3)
+    alpha = (1.0, 2.0, 3.0)
+
+    def opts(restarts, s):
+        return SolverOptions(restarts=restarts, iterations=40, seed=s)
+
+    runs = [maximize_adv(f, alpha, opts(1, s)) for s in (seed, seed + 1)]
+    gamma, value = maximize_adv(f, alpha, opts(2, seed))
+    best = runs[1] if runs[1][1] > runs[0][1] else runs[0]
+    assert value == best[1]
+    assert np.array_equal(gamma.matrix.entries, best[0].matrix.entries)
+
+    stop = math.sqrt(14.0) + 0.5
+    runs = [minimize_mm(f, alpha, opts(1, s), stop_at=stop) for s in (seed, seed + 1)]
+    witness, value = minimize_mm(f, alpha, opts(2, seed), stop_at=stop)
+    best = runs[1] if runs[1][1] < runs[0][1] else runs[0]
+    assert value == best[1]
+    assert witness.p == best[0].p
+
+
+@pytest.mark.parametrize("ascent", [True, False], ids=["ascent", "descent"])
+def test_restart_ties_go_to_the_earliest(ascent):
+    # a flat objective ties every restart; restart 0 draws from the seed itself
+    def flat(p):
+        return 1.0, lambda temp: np.zeros_like(p)
+
+    opts = SolverOptions(restarts=3, iterations=2, seed=5)
+    value, p = solver._search(flat, (3, 4), opts, None, ascent=ascent, floor=-30.0, decay=(0.99, 0.01))
+    z = 0.3 * np.random.default_rng(5).standard_normal((3, 4))
+    z -= z.max(axis=1, keepdims=True)
+    want = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    assert value == 1.0
+    assert np.allclose(p, want, rtol=0.0, atol=1e-15)
 
 
 def test_seed_changes_search_but_not_validity():
@@ -131,8 +237,24 @@ def test_certificate_rejects_inverted_bracket():
             lower_value=2.0,
             upper_witness=cert.upper_witness,
             upper_value=1.0,
-            metadata=cert.metadata,
+            options=cert.options,
         )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_certificate_rejects_non_finite_values(bad):
+    cert = certify(ID1, (1.0,), FAST)
+    for lower, upper in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(ValueError, match="not finite"):
+            BoundCertificate(
+                function=cert.function,
+                alpha=cert.alpha,
+                lower_matrix=cert.lower_matrix,
+                lower_value=lower,
+                upper_witness=cert.upper_witness,
+                upper_value=upper,
+                options=cert.options,
+            )
 
 
 def test_certificate_to_dict_shape():
@@ -141,7 +263,8 @@ def test_certificate_to_dict_shape():
     assert set(data) == {"function", "alpha", "lower", "upper", "gap", "tight", "solver"}
     assert data["lower"]["value"] == 1.0
     assert data["upper"]["witness"]["rows"][0]["p"] == [1.0]
-    assert data["solver"] == SolverMetadata(0, 2, 5000, 1e-3).to_dict()
+    assert data["solver"] == {"seed": 0, "restarts": 2, "iterations": 5000, "target_gap": 1e-3}
+    assert list(data["solver"]) == ["seed", "restarts", "iterations", "target_gap"]
 
 
 # --------------------------------------------------------------------------
@@ -248,6 +371,28 @@ def test_verify_composition_and_of_ors():
     assert set(data["checks"]) == {"main", "chain_lower", "chain_upper", "scaled"}
 
 
+@pytest.mark.parametrize(
+    "alpha,calls", [((1.0, 1.0, 1.0, 1.0), 4), ((1.0, 1.0, 2.0, 2.0), 5)], ids=["repeat", "distinct"]
+)
+def test_verify_composition_certifies_repeated_inner_once(monkeypatch, alpha, calls):
+    spec = CompositionSpec(AND2, (OR2, OR2))
+    opts = SolverOptions(restarts=1, iterations=300)
+    seen = []
+    real = solver.certify
+
+    def counting(f, costs, o):
+        seen.append((f, costs))
+        return real(f, costs, o)
+
+    monkeypatch.setattr(solver, "certify", counting)
+    report = verify_composition(spec, alpha, opts)
+    assert len(seen) == calls  # inner (once per distinct block), outer, direct, unit outer
+    assert (report.inner_certs[0] is report.inner_certs[1]) == (calls == 4)
+    monkeypatch.setattr(solver, "certify", real)
+    inner = [certify(OR2, alpha[:2], opts), certify(OR2, alpha[2:], opts)]
+    assert [c.to_dict() for c in report.inner_certs] == [c.to_dict() for c in inner]
+
+
 def test_verify_composition_mixed_arity():
     spec = CompositionSpec(AND2, (AND2, ID1))
     report = verify_composition(spec, (1.0,) * 3, FAST)
@@ -296,3 +441,13 @@ def test_verify_iteration_rejects_bad_depth():
         verify_iteration(NAND2, 0, FAST)
     with pytest.raises(ValueError):
         verify_iteration(NAND2, 3, FAST)  # arity 8 exceeds the optimizer cap
+
+
+def test_verify_iteration_depth_checked_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the depth cap must hold before any certify")
+
+    monkeypatch.setattr(solver, "certify", no_work)
+    for f, d in ((ID1, 10**9), (NAND2, 100000)):
+        with pytest.raises(ValueError, match=f"depth {d} exceeds the cap 12"):
+            verify_iteration(f, d, FAST)

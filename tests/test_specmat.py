@@ -17,6 +17,7 @@ from advbound.specmat import (
     matrix_to_dict,
     principal_eigenvector,
     spectral_norm,
+    top_singular,
 )
 
 LABELS4 = ("00", "01", "10", "11")
@@ -259,6 +260,26 @@ def test_block_norm_zero_block(shape):
     assert res.vector.shape == (sum(shape),)
     if all(shape):
         assert spectral_norm(bipartite(np.zeros(shape))).norm == 0.0
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5), (1, 6), (6, 1), (1, 1)])
+def test_top_singular_matches_block_norm_and_dense(shape):
+    rng = np.random.default_rng(sum(shape) * 7 + shape[1])
+    stack = rng.uniform(0.0, 1.0, (4,) + shape) * (rng.random((4,) + shape) < 0.7)
+    stack[:, 0, 0] = 1.0  # every block nonzero
+    sigma, x, y = top_singular(stack)
+    assert sigma.shape == (4,) and x.shape == (4, shape[0]) and y.shape == (4, shape[1])
+    for k, b in enumerate(stack):
+        single = block_norm(b)
+        assert sigma[k] == pytest.approx(single.norm, rel=1e-12)
+        assert sigma[k] == pytest.approx(spectral_norm(bipartite(b)).norm, rel=1e-12)
+        assert np.linalg.norm(x[k]) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(y[k]) == pytest.approx(1.0, abs=1e-12)
+        # a singular pair of B: B y = sigma x and B^T x = sigma y
+        assert np.allclose(b @ y[k], sigma[k] * x[k], rtol=0.0, atol=1e-10)
+        assert np.allclose(b.T @ x[k], sigma[k] * y[k], rtol=0.0, atol=1e-10)
+        v = np.concatenate([x[k], y[k]]) / math.sqrt(2.0)
+        assert min(np.abs(v - single.vector).max(), np.abs(v + single.vector).max()) <= 1e-10
 
 
 def test_block_norm_contract_enforced():
