@@ -16,15 +16,19 @@ two sides meet, so matching certificate pairs pin the bound down.
 
 Both values live on the f^-1(0) x f^-1(1) block: a valid weight matrix is
 zero on every pair with equal outputs, and the dual maximizes over crossing
-pairs only.  ``adv_value`` takes its norms on that block, ``mm_value`` gets
-every pair's overlap sum from one matrix product on it, and ``validate``
-inspects only the two same-output blocks for the zero pattern.
+pairs only.  ``adv_value`` takes its norms on that block, and each masked
+norm on the two sub-blocks whose rows and columns differ at the bit;
+``mm_value`` gets every pair's overlap sum from one matrix product on the
+block, and ``validate`` inspects only the two same-output blocks for the
+zero pattern.
 
 Composition lifts certificates from an outer function and per-block inner
 functions to the composed function: weight matrices multiply entrywise
 through the blocks, eigenvectors multiply through the block outputs, and
-witness distributions multiply block by block.  The composed quantities obey
-exact product laws, which the checks in this module verify numerically.
+witness distributions multiply block by block.  Each builder gathers its
+inputs through the row index arrays of ``CompositionSpec.composed``, built
+once per spec.  The composed quantities obey exact product laws, which the
+checks in this module verify numerically.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, CompositionSpec, compose_functions, split_input
+from .boolfn import BooleanFunction, CompositionSpec, _domain_chars
 from .specmat import (
     SpectralResult,
     SymMatrix,
@@ -132,26 +136,37 @@ def validate(gamma: AdversaryMatrix) -> ValidationReport:
     zero pattern is read from the two same-output blocks
     G[f^-1(b), f^-1(b)]; each offending pair is reported once (row <= column),
     in row-major order.
+
+    Violations are listed only after a cheap test finds some.  Without a
+    negative entry, a block is zero exactly when its entry sum is (a sum of
+    nonnegative terms is at least the largest of them), so the sums of both
+    same-output blocks, and of the whole matrix, come from one product of G
+    with the two class indicator columns.
     """
     f = gamma.function
     a = gamma.matrix.entries
     violations = []
-    for r, c in zip(*np.where(a < 0)):
-        violations.append(f"negative entry at ({f.domain[r]}, {f.domain[c]})")
+    negative = a.size > 0 and a.min() < 0
+    if negative:
+        for r, c in zip(*np.where(a < 0)):
+            violations.append(f"negative entry at ({f.domain[r]}, {f.domain[c]})")
     vals = np.array(f.values)
+    classes = [np.flatnonzero(vals == b) for b in (0, 1)]
+    sums = a @ (vals[:, None] == (0, 1)).astype(float)  # (rows, class) sums
     rows, cols = [], []
-    for b in (0, 1):
-        idx = np.flatnonzero(vals == b)
-        r, c = np.nonzero(np.triu(a[np.ix_(idx, idx)] != 0))
-        rows.append(idx[r])
-        cols.append(idx[c])
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    for k in np.lexsort((cols, rows)):
-        r, c = rows[k], cols[k]
-        violations.append(
-            f"nonzero entry at ({f.domain[r]}, {f.domain[c]}) but both outputs are {f.values[r]}"
-        )
-    zero = not np.any(a)
+    for b, idx in enumerate(classes):
+        if negative or sums[idx, b].sum() > 0:
+            r, c = np.nonzero(np.triu(_gather(a, idx) != 0))
+            rows.append(idx[r])
+            cols.append(idx[c])
+    if rows:
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        for k in np.lexsort((cols, rows)):
+            r, c = rows[k], cols[k]
+            violations.append(
+                f"nonzero entry at ({f.domain[r]}, {f.domain[c]}) but both outputs are {f.values[r]}"
+            )
+    zero = not negative and not sums.any()
     if zero and not f.is_constant:
         violations.append("matrix is all zeros but the function is not constant")
     return ValidationReport(not violations, tuple(violations), f.is_constant, zero)
@@ -171,7 +186,7 @@ def zero_gamma(f: BooleanFunction) -> AdversaryMatrix:
 
 def _bit_matrix(f: BooleanFunction) -> np.ndarray:
     """Boolean (rows, arity) array: entry [r, i] is bit i+1 of domain row r."""
-    return np.array([[c == "1" for c in x] for x in f.domain])
+    return _domain_chars(f) == ord("1")
 
 
 def adv_value(gamma: AdversaryMatrix, alpha) -> float:
@@ -179,8 +194,16 @@ def adv_value(gamma: AdversaryMatrix, alpha) -> float:
 
     A valid G vanishes on pairs with equal outputs, so G = [[0, B], [B^T, 0]]
     with B its f^-1(0) x f^-1(1) block, and ||G o D_i|| is the top singular
-    value of B masked to the pairs that differ at bit i.  Every norm is taken
-    on the block.  The all-zero matrix has value 0 (the only choice for
+    value of B masked to the pairs that differ at bit i.  With r and c bit i
+    of the rows and the columns of B, those pairs form the sub-blocks
+    B[~r, c] and B[r, ~c], which share no row and no column; the masked block
+    is their direct sum, so
+
+        ||G o D_i|| = max(sigma_max(B[~r, c]), sigma_max(B[r, ~c])).
+
+    Every norm is taken on the block or one of these sub-blocks; an all-zero
+    or empty sub-block (one of the two for each bit of a monotone function)
+    costs no solve.  The all-zero matrix has value 0 (the only choice for
     constants).
     """
     f = gamma.function
@@ -192,11 +215,14 @@ def adv_value(gamma: AdversaryMatrix, alpha) -> float:
     zeros, ones = np.flatnonzero(vals == 0), np.flatnonzero(vals == 1)
     block = gamma.matrix.entries[np.ix_(zeros, ones)]
     bits = _bit_matrix(f)
+    row_bits, col_bits = bits[zeros], bits[ones]
     whole = block_norm(block).norm
     best = math.inf
     for i in range(f.arity):
-        crossing = bits[zeros, i][:, None] != bits[ones, i][None, :]
-        masked = block_norm(block * crossing).norm
+        r, c = row_bits[:, i], col_bits[:, i]
+        masked = max(
+            block_norm(block[np.ix_(~r, c)]).norm, block_norm(block[np.ix_(r, ~c)]).norm
+        )
         if masked == 0.0:
             continue
         best = min(best, alpha.costs[i] * whole / masked)
@@ -227,7 +253,10 @@ class MinimaxWitness:
                 raise ValueError(f"row {x!r} sums to {sum(row)!r}, not 1")
 
     def matrix_rows(self) -> np.ndarray:
-        return np.array([self.p[x] for x in self.function.domain], dtype=float)
+        """(rows, arity) array of the distributions, in domain order."""
+        f = self.function
+        rows = np.array([self.p[x] for x in f.domain], dtype=float)
+        return rows.reshape(len(f.domain), f.arity)
 
 
 def uniform_witness(f: BooleanFunction) -> MinimaxWitness:
@@ -267,20 +296,6 @@ def mm_value(witness: MinimaxWitness, alpha) -> float:
 # Composition
 
 
-def _block_indexers(spec: CompositionSpec, h: BooleanFunction):
-    """Index arrays mapping each composed row to outer/inner rows."""
-    tf = np.empty(len(h.domain), dtype=int)
-    per_block = [np.empty(len(h.domain), dtype=int) for _ in spec.inner]
-    tilde_bits = np.empty((len(h.domain), len(spec.inner)), dtype=int)
-    for r, x in enumerate(h.domain):
-        blocks, tilde = split_input(x, spec)
-        tf[r] = spec.outer.index(tilde)
-        for i, (g, b) in enumerate(zip(spec.inner, blocks)):
-            per_block[i][r] = g.index(b)
-        tilde_bits[r] = [int(c) for c in tilde]
-    return tf, per_block, tilde_bits
-
-
 def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """a[np.ix_(idx, idx)] as two takes, rows then columns: the same array
     in about half the time at 4096 rows."""
@@ -309,13 +324,13 @@ def compose_gamma(
     require_valid(gamma_f, allow_zero=True)
     for gam in gammas_g:
         require_valid(gam, allow_zero=True)
-    h = compose_functions(spec)
-    tf, per_block, _ = _block_indexers(spec, h)
-    out = _gather(gamma_f.matrix.entries, tf)
-    for i, gam in enumerate(gammas_g):
+    rows = spec.composed
+    out = _gather(gamma_f.matrix.entries, rows.outer_row)
+    for gam, idx in zip(gammas_g, rows.inner_row):
         norm = spectral_norm(gam.matrix).norm
         factor = gam.matrix.entries + norm * np.eye(gam.matrix.dim)
-        out *= _gather(factor, per_block[i])
+        out *= _gather(factor, idx)
+    h = rows.function
     return AdversaryMatrix(h, SymMatrix(h.domain, out))
 
 
@@ -366,14 +381,10 @@ def compose_eigenvector(
         if parts.function != g:
             raise ValueError("inner eigenvector order must match the composition blocks")
         _check_half_mass(parts)
-    h = compose_functions(spec)
-    tf, per_block, tilde_bits = _block_indexers(spec, h)
-    out = delta_f.vector[tf].copy()
-    for i, parts in enumerate(deltas_g):
-        chosen = np.where(
-            tilde_bits[:, i] == 0, parts.half0[per_block[i]], parts.half1[per_block[i]]
-        )
-        out *= chosen
+    rows = spec.composed
+    out = delta_f.vector[rows.outer_row]
+    for parts, idx, value in zip(deltas_g, rows.inner_row, rows.inner_value):
+        out *= np.where(value == 0, parts.half0[idx], parts.half1[idx])
     return out
 
 
@@ -485,7 +496,9 @@ def compose_minimax(
     """Composed witness: block i gets outer mass p_f(i) spread by the inner row.
 
     Each composed row is a product of distributions, so it sums to one
-    without renormalization.
+    without renormalization.  All rows come from one product: the outer
+    weight of block i, gathered per composed row, times block i's gathered
+    inner rows.
     """
     if p_f.function != spec.outer:
         raise ValueError("p_f is not over the outer function")
@@ -494,17 +507,16 @@ def compose_minimax(
     for w, g in zip(ps_g, spec.inner):
         if w.function != g:
             raise ValueError("inner witness order must match the composition blocks")
-    h = compose_functions(spec)
-    rows: dict[str, tuple[float, ...]] = {}
-    for x in h.domain:
-        blocks, tilde = split_input(x, spec)
-        outer_row = p_f.p[tilde]
-        row: list[float] = []
-        for i, (w, b) in enumerate(zip(ps_g, blocks)):
-            weight = outer_row[i]
-            row.extend(weight * q for q in w.p[b])
-        rows[x] = tuple(row)
-    return MinimaxWitness(h, rows)
+    rows = spec.composed
+    weights = p_f.matrix_rows()[rows.outer_row]
+    p = np.hstack(
+        [
+            weights[:, i, None] * w.matrix_rows()[idx]
+            for i, (w, idx) in enumerate(zip(ps_g, rows.inner_row))
+        ]
+    )
+    h = rows.function
+    return MinimaxWitness(h, dict(zip(h.domain, map(tuple, p.tolist()))))
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Union
 
+import numpy as np
+
 #: Default cap on total arity; dense downstream kernels stop at 4096 rows.
 MAX_ARITY = 12
 
@@ -328,6 +330,36 @@ def ast_to_dict(ast: FormulaAst) -> dict:
 
 # --------------------------------------------------------------------------
 # Composition on disjoint blocks
+#
+# A composed row is one choice of a row from each inner domain, kept when the
+# inner outputs form an input in the outer domain.  Rows are ordered by the
+# product of the inner domain orders (the last block varies fastest), which is
+# the order of ``itertools.product`` over the inner domains.
+# ``CompositionSpec.composed`` builds the composed function and, per composed
+# row, its outer row, inner rows and inner outputs, once per spec, as numpy
+# index arrays; every composition builder reads them from there.
+
+
+def _domain_chars(f: BooleanFunction) -> np.ndarray:
+    """(rows, arity) uint8 array of the characters of the domain strings."""
+    raw = "".join(f.domain).encode("ascii")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(f.domain), f.arity)
+
+
+@dataclass(frozen=True, eq=False)
+class ComposedRows:
+    """The composed function of a spec and where each of its rows comes from.
+
+    Row r of ``function.domain`` concatenates row ``inner_row[i, r]`` of each
+    inner domain i; ``inner_value[i, r]`` is inner function i's output there,
+    and ``outer_row[r]`` is the row of the outer domain those outputs spell.
+    The arrays are read-only, so one instance can be shared by every caller.
+    """
+
+    function: BooleanFunction
+    outer_row: np.ndarray  # (N,)
+    inner_row: np.ndarray  # (k, N)
+    inner_value: np.ndarray  # (k, N), 0 or 1
 
 
 @dataclass(frozen=True)
@@ -367,6 +399,36 @@ class CompositionSpec:
                 return p, ell - off + 1
         return len(self.inner), ell - self.offsets[-1] + 1
 
+    @cached_property
+    def composed(self) -> ComposedRows:
+        """The composed function and its row index arrays, built once.
+
+        Raises ``ValueError`` above ``MAX_ARITY``, before any array is built.
+        """
+        n = self.total_arity
+        if n > MAX_ARITY:
+            raise ValueError(f"composed arity {n} exceeds the cap {MAX_ARITY}")
+        k = len(self.inner)
+        inner_row = np.indices([len(g.domain) for g in self.inner]).reshape(k, -1)
+        inner_value = np.stack(
+            [np.array(g.values, dtype=np.int64)[r] for g, r in zip(self.inner, inner_row)]
+        )
+        # Inner outputs, read as a k-bit number, index a table of outer rows;
+        # -1 marks outputs outside the outer domain.
+        lookup = np.full(2**k, -1, dtype=np.int64)
+        lookup[[int(x, 2) for x in self.outer.domain]] = np.arange(len(self.outer.domain))
+        outer_row = lookup[(inner_value << np.arange(k - 1, -1, -1)[:, None]).sum(axis=0)]
+        keep = outer_row >= 0
+        outer_row, inner_row, inner_value = outer_row[keep], inner_row[:, keep], inner_value[:, keep]
+        # One n-byte string per row: the inner domains' characters, side by side.
+        chars = np.hstack([_domain_chars(g)[r] for g, r in zip(self.inner, inner_row)])
+        domain = chars.view(f"S{n}").ravel().astype(str).tolist()
+        values = np.array(self.outer.values, dtype=np.int64)[outer_row].tolist()
+        for a in (outer_row, inner_row, inner_value):
+            a.flags.writeable = False
+        h = BooleanFunction(n, tuple(domain), tuple(values))
+        return ComposedRows(h, outer_row, inner_row, inner_value)
+
 
 def split_input(x: str, spec: CompositionSpec) -> tuple[tuple[str, ...], str]:
     """Split x into blocks and evaluate them: returns (blocks, inner outputs)."""
@@ -385,19 +447,14 @@ def compose_functions(spec: CompositionSpec, max_arity: int = MAX_ARITY) -> Bool
 
     The domain keeps exactly those concatenations whose blocks lie in the
     inner domains and whose inner outputs lie in the outer domain; rows are
-    ordered by the product of the inner domain orders.
+    ordered by the product of the inner domain orders.  ``max_arity`` is
+    checked first; it can lower the cap, but the function itself is the one
+    ``spec.composed`` builds once per spec, up to ``MAX_ARITY``.
     """
     n = spec.total_arity
     if n > max_arity:
         raise ValueError(f"composed arity {n} exceeds the cap {max_arity}")
-    dom = []
-    vals = []
-    for blocks in itertools.product(*(g.domain for g in spec.inner)):
-        tilde = "".join(str(g(b)) for g, b in zip(spec.inner, blocks))
-        if tilde in spec.outer._index:
-            dom.append("".join(blocks))
-            vals.append(spec.outer(tilde))
-    return BooleanFunction(n, tuple(dom), tuple(vals))
+    return spec.composed.function
 
 
 def iterate_function(f: BooleanFunction, d: int, max_arity: int = MAX_ARITY) -> BooleanFunction:

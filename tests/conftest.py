@@ -7,7 +7,17 @@ import itertools
 import numpy as np
 
 from advbound.adversary import AdversaryMatrix, MinimaxWitness
-from advbound.boolfn import And, BooleanFunction, CompositionSpec, Leaf, Not, Or
+from advbound.boolfn import (
+    And,
+    BooleanFunction,
+    CompositionSpec,
+    Leaf,
+    Not,
+    Or,
+    function_from_dict,
+    make_family,
+    split_input,
+)
 from advbound.specmat import SymMatrix
 
 
@@ -76,3 +86,67 @@ def random_read_once_ast(rng: np.random.Generator, n: int, ordered: bool = False
     if rng.random() < 0.25:
         root = Not(root)
     return root
+
+
+def shuffled(f: BooleanFunction, rng: np.random.Generator, keep: float = 1.0) -> BooleanFunction:
+    """f restricted to a random subset of its rows, read back through
+    ``function_from_dict`` with the rows in random order.  ``keep < 1`` keeps
+    each row with that probability but always keeps both outputs when f has
+    both."""
+    while True:
+        order = rng.permutation(len(f.domain))
+        kept = [j for j in order if rng.random() < keep]
+        vals = {f.values[j] for j in kept}
+        if vals == set(f.values):
+            rows = [{"x": f.domain[j], "f": f.values[j]} for j in kept]
+            return function_from_dict({"n": f.arity, "rows": rows})
+
+
+def composition_cases() -> dict[str, CompositionSpec]:
+    """Specs covering the shapes of composition: unsorted total and partial
+    domains, constant inner functions, identity blocks, and a spec that keeps
+    no row."""
+    rng = np.random.default_rng(29)
+    and2, or2, id1 = make_family("and", 2), make_family("or", 2), make_family("id", 1)
+
+    def rand(n: int, keep: float = 1.0) -> BooleanFunction:
+        return shuffled(random_function(rng, n), rng, keep)
+
+    return {
+        "total_unsorted": CompositionSpec(rand(3), (rand(2), rand(1), rand(3))),
+        "partial_unsorted": CompositionSpec(rand(3, 0.7), (rand(3, 0.6), rand(2, 0.8), rand(2, 0.8))),
+        "constant_inner": CompositionSpec(
+            rand(2), (BooleanFunction(2, ("11", "00", "01"), (1, 1, 1)), rand(2))
+        ),
+        "constant_inner_partial_outer": CompositionSpec(
+            BooleanFunction(2, ("11", "10"), (1, 0)), (or2, BooleanFunction(1, ("0", "1"), (0, 0)))
+        ),
+        "identity_blocks": CompositionSpec(rand(3), (id1, id1, id1)),
+        "identity_outer": CompositionSpec(id1, (rand(3, 0.7),)),
+        "no_row": CompositionSpec(BooleanFunction(2, (), ()), (and2, rand(2))),
+    }
+
+
+def loop_composition(spec: CompositionSpec):
+    """Reference: the composed function and, per composed row, the outer row,
+    the inner rows and the inner outputs, built row by row from
+    ``itertools.product`` over the inner domains, ``split_input`` and
+    ``index``.  Returns (h, outer_row (N,), inner_row (k, N), inner_value (k, N))."""
+    dom, vals = [], []
+    for blocks in itertools.product(*(g.domain for g in spec.inner)):
+        tilde = "".join(str(g(b)) for g, b in zip(spec.inner, blocks))
+        if tilde in spec.outer.domain:
+            dom.append("".join(blocks))
+            vals.append(spec.outer(tilde))
+    h = BooleanFunction(spec.total_arity, tuple(dom), tuple(vals))
+    k = len(spec.inner)
+    outer_row = np.empty(len(dom), dtype=int)
+    inner_row = np.empty((k, len(dom)), dtype=int)
+    inner_value = np.empty((k, len(dom)), dtype=int)
+    for r, x in enumerate(h.domain):
+        blocks, tilde = split_input(x, spec)
+        outer_row[r] = spec.outer.index(tilde)
+        for i, (g, b) in enumerate(zip(spec.inner, blocks)):
+            inner_row[i, r] = g.index(b)
+            inner_value[i, r] = int(tilde[i])
+    return h, outer_row, inner_row, inner_value

@@ -41,6 +41,7 @@ from advbound.boolfn import (
 )
 from advbound.solver import gadget_cost_adv, readonce_bound
 from advbound.specmat import (
+    SpectralResult,
     SymMatrix,
     difference_mask,
     hadamard,
@@ -48,6 +49,8 @@ from advbound.specmat import (
     spectral_norm,
 )
 from conftest import (
+    composition_cases,
+    loop_composition,
     random_composition_case,
     random_costs,
     random_function,
@@ -138,11 +141,27 @@ def test_validate_flags_problems():
     assert sum("both outputs" in v for v in report.violations) == 1
 
 
+def test_validate_cancelling_entries_are_not_zero():
+    # Every row sums to zero within each output class, yet no entry is zero.
+    e = np.array([[-1.0, 1.0], [1.0, -1.0]])
+    gamma = AdversaryMatrix(AND2, SymMatrix(AND2.domain, np.pad(e, (0, 2))))
+    report = validate(gamma)
+    assert not report.zero_matrix
+    assert report.violations == full_mask_violations(gamma)
+    assert len(report.violations) == 5
+
+
 def test_validate_zero_matrix():
     nonconst = validate(zero_gamma(AND2))
     assert not nonconst.ok and nonconst.zero_matrix and not nonconst.constant_function
     const = validate(zero_gamma(BooleanFunction(1, ("0", "1"), (1, 1))))
     assert const.ok and const.zero_matrix and const.constant_function
+
+
+def test_validate_empty_matrix():
+    report = validate(zero_gamma(BooleanFunction(2, (), ())))
+    assert report.ok and report.zero_matrix and report.constant_function
+    assert report.violations == ()
 
 
 def full_mask_violations(gamma):
@@ -193,6 +212,30 @@ def test_validate_matches_full_mask_reference():
         assert report.ok == (not want)
         bad += not report.ok
     assert bad > 40
+
+
+def test_validate_nonnegative_matches_full_mask_reference():
+    # Without negative entries validate decides from block sums; subnormal
+    # and huge entries must still be found.
+    rng = np.random.default_rng(12)
+    bad = 0
+    for case in range(40):
+        f = random_function(rng, int(rng.integers(1, 6)), nonconstant=case % 7 != 0)
+        if case % 2 and not f.is_constant:
+            f = random_partial(rng, f)
+        m = len(f.domain)
+        scale = (5e-324, 1e300, 1.0)[case % 3]
+        a = scale * (rng.random((m, m)) < 0.1)
+        a = np.triu(a) + np.triu(a, 1).T
+        if case % 5 == 0:
+            a[:] = 0.0
+        gamma = AdversaryMatrix(f, SymMatrix(f.domain, a))
+        report = validate(gamma)
+        want = full_mask_violations(gamma)
+        assert report.violations == want, case
+        assert report.zero_matrix == (not np.any(a))
+        bad += any("both outputs" in v for v in want)
+    assert bad > 15
 
 
 def test_require_valid_allow_zero():
@@ -267,22 +310,61 @@ def sparse_random_case():
     return AdversaryMatrix(f, SymMatrix(f.domain, e)), random_costs(rng, 5)
 
 
+def nonmonotone_composed_case():
+    rng = np.random.default_rng(17)
+    spec = CompositionSpec(PARITY2, (AND2, OR2))
+    gammas = [random_gamma(f, rng) for f in (PARITY2, AND2, OR2)]
+    return compose_gamma(gammas[0], gammas[1:], spec), random_costs(rng, 4)
+
+
 def block_cases():
     rng = np.random.default_rng(7)
     and3, or3 = make_family("and", 3), make_family("or", 3)
     skip = BooleanFunction(2, ("00", "01", "10", "11"), (0, 0, 1, 1))
     e = np.zeros((4, 4))
     e[0, 2] = e[2, 0] = e[1, 3] = e[3, 1] = 1.0
+    # OR of the first two bits; bit 3 is 0 on every row of both classes.
+    dead = BooleanFunction(3, ("110", "000", "100", "010"), (1, 0, 1, 1))
     return {
         "tall_and3": (random_gamma(and3, rng), random_costs(rng, 3)),
         "wide_or3": (random_gamma(or3, rng), random_costs(rng, 3)),
         "masked_out_bit": (AdversaryMatrix(skip, SymMatrix(skip.domain, e)), (5.0, 7.0)),
         "parity3_degenerate": (uniform_gamma(make_family("parity", 3)), (1.0, 1.0, 1.0)),
         "sparse_random5": sparse_random_case(),
+        "nonmonotone_composed": nonmonotone_composed_case(),
+        "and3_uniform": (uniform_gamma(and3), (1.0, 2.0, 3.0)),
+        "partial_constant_bit": (random_gamma(dead, rng), random_costs(rng, 3)),
     }
 
 
 BLOCK_CASES = block_cases()
+
+
+def bit_sub_blocks(gamma, i):
+    """The (x_i=0, y_i=1) and (x_i=1, y_i=0) sub-blocks of the f^-1(0) x f^-1(1) block."""
+    f = gamma.function
+    vals = np.array(f.values)
+    zeros, ones = np.flatnonzero(vals == 0), np.flatnonzero(vals == 1)
+    r = np.array([f.domain[j][i] == "1" for j in zeros], dtype=bool)
+    c = np.array([f.domain[j][i] == "1" for j in ones], dtype=bool)
+    block = gamma.matrix.entries[np.ix_(zeros, ones)]
+    return block[np.ix_(~r, c)], block[np.ix_(r, ~c)]
+
+
+def test_block_cases_cover_the_sub_block_shapes():
+    gamma = BLOCK_CASES["nonmonotone_composed"][0]
+    assert any(
+        all(np.any(s) for s in bit_sub_blocks(gamma, i)) for i in range(gamma.function.arity)
+    )
+    gamma = BLOCK_CASES["and3_uniform"][0]
+    assert gamma.function.inputs_with_value(1) == ("111",)
+    for i in range(3):
+        low, high = bit_sub_blocks(gamma, i)
+        assert high.size == 0 and np.any(low)
+    gamma = BLOCK_CASES["partial_constant_bit"][0]
+    assert all(s.size == 0 for s in bit_sub_blocks(gamma, 2))
+    masked = spectral_norm(hadamard(gamma.matrix, difference_mask(gamma.function.domain, 3)))
+    assert masked.norm == 0.0
 
 
 @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
@@ -625,6 +707,83 @@ def test_compose_minimax_argument_checks():
         compose_minimax(and_witness(), [or_witness()], spec)
     with pytest.raises(ValueError):
         compose_minimax(and_witness(), [and_witness(), or_witness()], spec)
+
+
+# --------------------------------------------------------------------------
+# composition builders against the per-row loop
+
+COMPOSITION_CASES = composition_cases()
+
+
+def loop_compose_gamma(gamma_f, gammas_g, spec):
+    h, outer_row, inner_row, _ = loop_composition(spec)
+    out = gamma_f.matrix.entries[np.ix_(outer_row, outer_row)]
+    for gam, idx in zip(gammas_g, inner_row):
+        factor = gam.matrix.entries + spectral_norm(gam.matrix).norm * np.eye(gam.matrix.dim)
+        out = out * factor[np.ix_(idx, idx)]
+    return h, out
+
+
+def loop_compose_eigenvector(delta_f, deltas_g, spec):
+    _, outer_row, inner_row, inner_value = loop_composition(spec)
+    out = delta_f.vector[outer_row].copy()
+    for i, parts in enumerate(deltas_g):
+        out *= np.where(inner_value[i] == 0, parts.half0[inner_row[i]], parts.half1[inner_row[i]])
+    return out
+
+
+def loop_compose_minimax(p_f, ps_g, spec):
+    h = loop_composition(spec)[0]
+    rows = {}
+    for x in h.domain:
+        blocks, tilde = split_input(x, spec)
+        row = []
+        for weight, w, b in zip(p_f.p[tilde], ps_g, blocks):
+            row.extend(weight * q for q in w.p[b])
+        rows[x] = tuple(row)
+    return h, rows
+
+
+def balanced_parts(f, rng):
+    """Random eigenvector parts with squared mass 1/2 on each output class."""
+    vals = np.array(f.values)
+    v = rng.uniform(0.1, 1.0, len(f.domain))
+    for b in (0, 1):
+        v[vals == b] *= math.sqrt(0.5) / np.linalg.norm(v[vals == b])
+    return EigvecParts.from_vector(f, v)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITION_CASES))
+def test_compose_builders_match_row_loop(name):
+    spec = COMPOSITION_CASES[name]
+    rng = np.random.default_rng(sorted(COMPOSITION_CASES).index(name))
+    gamma_f = random_gamma(spec.outer, rng)
+    gammas_g = [random_gamma(g, rng) for g in spec.inner]
+    got = compose_gamma(gamma_f, gammas_g, spec)
+    h, want = loop_compose_gamma(gamma_f, gammas_g, spec)
+    assert got.function == h
+    assert same_bits(got.matrix.entries, want)
+
+    p_f = random_witness(spec.outer, rng)
+    ps_g = [random_witness(g, rng) for g in spec.inner]
+    got = compose_minimax(p_f, ps_g, spec)
+    h, want = loop_compose_minimax(p_f, ps_g, spec)
+    assert got.function == h
+    assert list(got.p) == list(h.domain)
+    assert all(same_bits(got.p[x], want[x]) for x in h.domain)
+
+    if any(g.is_constant for g in spec.inner):
+        return  # a constant inner function has no balanced eigenvector
+    delta_f = SpectralResult(1.0, rng.uniform(-1.0, 1.0, len(spec.outer.domain)), 0.0)
+    deltas_g = [balanced_parts(g, rng) for g in spec.inner]
+    got = compose_eigenvector(delta_f, deltas_g, spec)
+    assert same_bits(got, loop_compose_eigenvector(delta_f, deltas_g, spec))
+    assert got is not delta_f.vector and got.flags.writeable
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,9 @@ from advbound.boolfn import (
     parse_formula,
     split_input,
 )
-from conftest import random_function, random_read_once_ast
+from conftest import composition_cases, loop_composition, random_function, random_read_once_ast
+
+COMPOSITION_CASES = composition_cases()
 
 
 def test_family_truth_tables():
@@ -206,6 +208,71 @@ def test_compose_arity_cap():
     assert compose_functions(CompositionSpec(and2, inner)).arity == 8
     with pytest.raises(ValueError):
         compose_functions(CompositionSpec(and2, (make_family("and", 7),) * 2))
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITION_CASES))
+def test_composed_index_matches_row_loop(name):
+    spec = COMPOSITION_CASES[name]
+    h, outer_row, inner_row, inner_value = loop_composition(spec)
+    rows = spec.composed
+    assert rows.function == h
+    assert compose_functions(spec) is rows.function
+    for got, want in (
+        (rows.outer_row, outer_row),
+        (rows.inner_row, inner_row),
+        (rows.inner_value, inner_value),
+    ):
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+
+
+def test_composed_index_cases_cover_their_shapes():
+    assert not COMPOSITION_CASES["no_row"].composed.function.domain
+    for name in ("total_unsorted", "partial_unsorted"):
+        spec = COMPOSITION_CASES[name]
+        for f in (spec.outer, *spec.inner):
+            assert list(f.domain) != sorted(f.domain)
+    assert not COMPOSITION_CASES["partial_unsorted"].outer.is_total
+    assert COMPOSITION_CASES["constant_inner"].inner[0].is_constant
+
+
+def test_composed_index_is_built_once_and_read_only():
+    spec = CompositionSpec(make_family("and", 2), (make_family("or", 2),) * 2)
+    rows = spec.composed
+    assert spec.composed is rows
+    for a in (rows.outer_row, rows.inner_row, rows.inner_value):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    assert compose_functions(spec) == BooleanFunction.total(
+        4, lambda x: "1" in x[:2] and "1" in x[2:]
+    )
+
+
+def test_composed_index_keeps_spec_equality_and_hash():
+    def make():
+        return CompositionSpec(make_family("and", 2), (make_family("or", 2),) * 2)
+
+    built, fresh = make(), make()
+    before = hash(built)
+    built.composed
+    assert built == fresh and fresh == built
+    assert hash(built) == before == hash(fresh)
+    assert {fresh: "x"}[built] == "x"
+    assert built != CompositionSpec(make_family("or", 2), (make_family("or", 2),) * 2)
+
+
+def test_composed_arity_cap_checked_before_any_array(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the arity cap must hold before any array is built")
+
+    monkeypatch.setattr(np, "indices", no_work)
+    spec = CompositionSpec(make_family("and", 2), (make_family("and", 7),) * 2)
+    with pytest.raises(ValueError, match="composed arity 14 exceeds the cap 12"):
+        spec.composed
+    with pytest.raises(ValueError, match="composed arity 14 exceeds the cap 12"):
+        compose_functions(spec)
+    with pytest.raises(ValueError, match="composed arity 4 exceeds the cap 3"):
+        compose_functions(CompositionSpec(make_family("and", 2), (make_family("and", 2),) * 2), 3)
 
 
 def test_iterate_and_is_and4():
