@@ -27,21 +27,31 @@ functions to the composed function: weight matrices multiply entrywise
 through the blocks, eigenvectors multiply through the block outputs, and
 witness distributions multiply block by block.  Each builder gathers its
 inputs through the row index arrays of ``CompositionSpec.composed``, built
-once per spec.  The composed quantities obey exact product laws, which the
-checks in this module verify numerically.
+once per spec.  ``compose_gamma`` writes the composed matrix once, in place,
+over blocks of ``COMPOSE_CHUNK`` rows; the result is exactly symmetric by
+construction, so it becomes a ``SymMatrix`` without a copy or a symmetry
+check.  The composed quantities obey exact product laws, which the checks
+in this module verify numerically.
+
+``MinimaxWitness`` checks all its rows at once with array operations, and
+walks them one by one only to name the first bad row; its
+``matrix_rows()`` array is built once and read-only.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .boolfn import BooleanFunction, CompositionSpec, _domain_chars
 from .specmat import (
+    EigensolverError,
     SpectralResult,
     SymMatrix,
     block_norm,
@@ -58,6 +68,12 @@ COMPOSE_TOL = 1e-8
 
 #: Each output class of a principal eigenvector carries half the mass.
 HALF_MASS_TOL = 1e-8
+
+#: Rows of the composed matrix that ``compose_gamma`` fills per step.  At 4096
+#: rows, 16, 32 and 64 were equally fast (32 by a hair), 128 and 256 were 5-15%
+#: slower and 512 was 25% slower: one 32-row strip of a gathered factor is
+#: 1 MB, which stays in cache between its take and its multiply.
+COMPOSE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -216,7 +232,10 @@ def adv_value(gamma: AdversaryMatrix, alpha) -> float:
     block = gamma.matrix.entries[np.ix_(zeros, ones)]
     bits = _bit_matrix(f)
     row_bits, col_bits = bits[zeros], bits[ones]
-    whole = block_norm(block).norm
+    whole = block_norm(block)
+    if whole.norm == 0.0:
+        # A nonzero matrix has a positive norm; 0 means the solve lost it.
+        raise EigensolverError("norm of a nonzero matrix evaluated to 0", whole.residual)
     best = math.inf
     for i in range(f.arity):
         r, c = row_bits[:, i], col_bits[:, i]
@@ -225,7 +244,7 @@ def adv_value(gamma: AdversaryMatrix, alpha) -> float:
         )
         if masked == 0.0:
             continue
-        best = min(best, alpha.costs[i] * whole / masked)
+        best = min(best, alpha.costs[i] * whole.norm / masked)
     return best
 
 
@@ -244,6 +263,14 @@ class MinimaxWitness:
         f = self.function
         if set(self.p) != set(f.domain):
             raise ValueError("witness rows must cover the domain exactly")
+        rows = _probability_rows(list(self.p.values()), f.arity)
+        if rows is not None:
+            if list(self.p) == list(f.domain):
+                # Already in domain order: the array ``_rows`` would build.
+                rows.flags.writeable = False
+                self.__dict__["_rows"] = rows
+            return
+        # Some row is bad: walk the rows to name the first one.
         for x, row in self.p.items():
             if len(row) != f.arity:
                 raise ValueError(f"row {x!r} has {len(row)} entries, expected {f.arity}")
@@ -251,12 +278,38 @@ class MinimaxWitness:
                 raise ValueError(f"row {x!r} has a negative probability")
             if abs(sum(row) - 1.0) > PROB_SUM_TOL:
                 raise ValueError(f"row {x!r} sums to {sum(row)!r}, not 1")
+            if not all(math.isfinite(q) for q in row):
+                raise ValueError(f"row {x!r} has a non-finite probability")
 
-    def matrix_rows(self) -> np.ndarray:
-        """(rows, arity) array of the distributions, in domain order."""
+    @cached_property
+    def _rows(self) -> np.ndarray:
         f = self.function
         rows = np.array([self.p[x] for x in f.domain], dtype=float)
-        return rows.reshape(len(f.domain), f.arity)
+        rows = rows.reshape(len(f.domain), f.arity)
+        rows.flags.writeable = False
+        return rows
+
+    def matrix_rows(self) -> np.ndarray:
+        """Read-only (rows, arity) array of the distributions, in domain order."""
+        return self._rows
+
+
+def _probability_rows(rows: list, arity: int) -> np.ndarray | None:
+    """The rows as a float (len(rows), arity) array if every row is a finite,
+    nonnegative distribution summing to one within ``PROB_SUM_TOL``; None for
+    any bad row, and for rows that are ragged or not numbers."""
+    try:
+        a = np.array(rows)
+    except (TypeError, ValueError):
+        return None
+    if a.shape != (len(rows), arity) or a.dtype.kind not in "buif":
+        return None
+    a = a.astype(float, copy=False)
+    if not (np.isfinite(a).all() and (a >= 0).all()):
+        return None
+    # cumsum adds left to right, as sum(row) does, so both give the same bits.
+    sums = np.cumsum(a, axis=1)[:, -1]
+    return a if (np.abs(sums - 1.0) <= PROB_SUM_TOL).all() else None
 
 
 def uniform_witness(f: BooleanFunction) -> MinimaxWitness:
@@ -302,6 +355,23 @@ def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return np.take(np.take(a, idx, axis=0), idx, axis=1)
 
 
+def _mapped_zeros(n: int) -> np.ndarray:
+    """An n x n float array of zeros in a private anonymous memory map.
+
+    The composed matrix outlives the temporaries around it.  Taken from the
+    malloc heap, it can fill a hole that later temporaries then cannot use,
+    and the heap grows instead: over repeated 1024- to 4096-row compositions
+    the resting RSS rose by about 20 MB.  A mapping of its own goes back to
+    the system when the array dies.  Huge pages are asked for as numpy asks
+    for them on its own large arrays; without them, first touch of a
+    4096-row matrix took about 2.5 times as long.
+    """
+    buf = mmap.mmap(-1, max(8 * n * n, 1), access=mmap.ACCESS_COPY)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # Linux only; elsewhere it is a hint we cannot give
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=float, count=n * n).reshape(n, n)
+
+
 def compose_gamma(
     gamma_f: AdversaryMatrix,
     gammas_g: Sequence[AdversaryMatrix],
@@ -313,6 +383,12 @@ def compose_gamma(
     F_i = G_{g_i} + ||G_{g_i}|| * I: on a block whose outputs agree only the
     diagonal term survives, and there the outer factor supplies the zero, so
     this single formula covers both the same-output and crossing blocks.
+
+    The product is written into one output array, ``COMPOSE_CHUNK`` rows at
+    a time: the outer factor's gathered rows first, then each inner factor's
+    multiplied in, in block order.  Entries (x, y) and (y, x) multiply the
+    same numbers in the same order, so the result is exactly symmetric and
+    becomes a ``SymMatrix`` without a copy or a symmetry check.
     """
     if gamma_f.function != spec.outer:
         raise ValueError("gamma_f is not over the outer function")
@@ -325,13 +401,25 @@ def compose_gamma(
     for gam in gammas_g:
         require_valid(gam, allow_zero=True)
     rows = spec.composed
-    out = _gather(gamma_f.matrix.entries, rows.outer_row)
+    outer, outer_row = gamma_f.matrix.entries, rows.outer_row
+    factors = []
     for gam, idx in zip(gammas_g, rows.inner_row):
         norm = spectral_norm(gam.matrix).norm
-        factor = gam.matrix.entries + norm * np.eye(gam.matrix.dim)
-        out *= _gather(factor, idx)
+        factors.append((gam.matrix.entries + norm * np.eye(gam.matrix.dim), idx))
+    n = outer_row.size
+    out = _mapped_zeros(n)
+    gathered = np.empty((min(n, COMPOSE_CHUNK), n))
+    # The indices are valid by construction; mode="clip" lets take write into
+    # its output unbuffered, which the default "raise" does not.
+    for start in range(0, n, COMPOSE_CHUNK):
+        stop = min(start + COMPOSE_CHUNK, n)
+        chunk, part = out[start:stop], gathered[: stop - start]
+        np.take(outer[outer_row[start:stop]], outer_row, axis=1, out=chunk, mode="clip")
+        for factor, idx in factors:
+            np.take(factor[idx[start:stop]], idx, axis=1, out=part, mode="clip")
+            chunk *= part
     h = rows.function
-    return AdversaryMatrix(h, SymMatrix(h.domain, out))
+    return AdversaryMatrix(h, SymMatrix._trusted(h.domain, out))
 
 
 @dataclass(frozen=True, eq=False)

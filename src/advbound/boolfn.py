@@ -48,7 +48,8 @@ class BooleanFunction:
     """A possibly partial map from n-bit strings to {0, 1}.
 
     ``domain`` is an ordered tuple of distinct n-bit strings and
-    ``values[i]`` is the output on ``domain[i]``.
+    ``values[i]`` is the output on ``domain[i]``.  Construction checks all
+    rows at once, and walks them one by one only to name the first bad row.
     """
 
     arity: int
@@ -60,6 +61,9 @@ class BooleanFunction:
             raise ValueError("arity must be at least 1")
         if len(self.values) != len(self.domain):
             raise ValueError("domain and values must have equal length")
+        if self._rows_valid():
+            return
+        # Some row is bad: walk the rows to name the first one.
         seen = set()
         for x in self.domain:
             validate_bits(x, self.arity)
@@ -69,6 +73,22 @@ class BooleanFunction:
         for v in self.values:
             if v not in (0, 1):
                 raise ValueError(f"outputs must be 0 or 1, got {v!r}")
+
+    def _rows_valid(self) -> bool:
+        """All rows at once: distinct n-character strings over {'0', '1'}
+        and outputs equal to 0 or 1.  False for any bad row, and for input
+        that is not strings or not hashable."""
+        try:
+            chars = np.frombuffer("".join(self.domain).encode("ascii"), dtype=np.uint8)
+            outputs_ok = set(self.values) <= {0, 1}
+        except (TypeError, UnicodeEncodeError):
+            return False
+        return (
+            outputs_ok
+            and set(map(len, self.domain)) <= {self.arity}
+            and len(set(self.domain)) == len(self.domain)
+            and bool(np.all((chars == ord("0")) | (chars == ord("1"))))
+        )
 
     @cached_property
     def _index(self) -> dict[str, int]:

@@ -395,6 +395,8 @@ def gadget_cost_adv(gate: str, beta) -> tuple[float, AdversaryMatrix, MinimaxWit
         raise ValueError(f"gate must be 'and' or 'or', got {gate!r}")
     f = make_family(key, 2)
     value = math.hypot(b1, b2)
+    if not math.isfinite(value):
+        raise ValueError(f"gadget value not finite: hypot({b1!r}, {b2!r}) overflows")
     # AND: the all-ones input 11 meets 01 across bit 1 and 10 across bit 2.
     # OR mirrors this at the all-zeros input 00.
     hub = "11" if key == "and" else "00"
@@ -406,7 +408,11 @@ def gadget_cost_adv(gate: str, beta) -> tuple[float, AdversaryMatrix, MinimaxWit
     entries[idx[hub], idx[spoke2]] = entries[idx[spoke2], idx[hub]] = b2
     gamma = AdversaryMatrix(f, SymMatrix(f.domain, entries))
 
-    split = (b1 * b1 / (value * value), b2 * b2 / (value * value))
+    # Square only after scaling by a common power of two, which is exact: the
+    # squares then neither overflow nor underflow where the costs' ratio allows.
+    e = math.frexp(max(b1, b2))[1]
+    s1, s2, sv = (math.ldexp(b, -e) for b in (b1, b2, value))
+    split = (s1 * s1 / (sv * sv), s2 * s2 / (sv * sv))
     rows = {
         hub: split,
         spoke1: (1.0, 0.0),
@@ -450,7 +456,10 @@ def readonce_bound(ast: FormulaAst, alpha) -> tuple[float, dict]:
         op = "and" if isinstance(node, And) else "or"
         return value, {"op": op, "value": value, "left": left_t, "right": right_t}
 
-    return walk(ast)
+    value, trace = walk(ast)
+    if not math.isfinite(value):
+        raise ValueError(f"readonce value not finite: {value!r}")
+    return value, trace
 
 
 # --------------------------------------------------------------------------

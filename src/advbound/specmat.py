@@ -7,15 +7,22 @@ results carry an explicit residual so callers can audit accuracy.
 ``SymMatrix`` checks exact symmetry once, at construction, comparing square
 tiles with their mirror tiles (a whole-matrix ``a == a.T`` reads the
 transpose column by column, which is slow at thousands of rows); code that
-holds a ``SymMatrix`` may rely on symmetry without checking it again.
+holds a ``SymMatrix`` may rely on symmetry without checking it again.  The
+one exception is the private ``SymMatrix._trusted``, for arrays that are
+symmetric by construction (``adversary.compose_gamma`` builds entry (x, y)
+and entry (y, x) from the same numbers in the same order): it takes the
+array without a copy and checks its shape, labels and finiteness, but not
+its symmetry.  Outside input always goes through ``SymMatrix(...)``.
 
 ``top_singular`` takes the top singular triple of every block in a stack
 from one batched eigensolve on the Gram matrices of the blocks' smaller
 side; ``block_norm`` is its single-block form, with the norm of the bipartite
-matrix [[0, B], [B^T, 0]] checked under the residual contract.  Adversary
-matrices are exactly of this form (zero on every pair with equal outputs), so
-neither ADV evaluation nor the primal search needs a solve on the full
-matrix.
+matrix [[0, B], [B^T, 0]] checked under the residual contract.  It solves on
+B scaled by a power of two that brings its largest entry into [1/2, 1), so
+the Gram matrix neither underflows nor overflows, and the scaling is exact.
+Adversary matrices are exactly of this form (zero on every pair with equal
+outputs), so neither ADV evaluation nor the primal search needs a solve on
+the full matrix.
 """
 
 from __future__ import annotations
@@ -56,6 +63,21 @@ def _is_symmetric(a: np.ndarray) -> bool:
     return True
 
 
+def _check_labels(labels: tuple[str, ...], a: np.ndarray) -> None:
+    d = len(labels)
+    if a.shape != (d, d):
+        raise ValueError(f"entries shape {a.shape} does not match {d} labels")
+    if len(set(labels)) != d:
+        raise ValueError("labels must be distinct")
+    if d and len({len(s) for s in labels}) != 1:
+        raise ValueError("labels must have equal length")
+
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError("entries must be finite")
+
+
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """An exactly symmetric real matrix with distinct equal-length labels."""
@@ -65,20 +87,31 @@ class SymMatrix:
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
-        d = len(self.labels)
-        if a.shape != (d, d):
-            raise ValueError(f"entries shape {a.shape} does not match {d} labels")
-        if len(set(self.labels)) != d:
-            raise ValueError("labels must be distinct")
-        if d and len({len(s) for s in self.labels}) != 1:
-            raise ValueError("labels must have equal length")
+        _check_labels(self.labels, a)
         if not _is_symmetric(a):
             raise ValueError("entries must be exactly symmetric")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("entries must be finite")
+        _check_finite(a)
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
+
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], entries: np.ndarray) -> "SymMatrix":
+        """Wrap a float64 array that is exactly symmetric by construction.
+
+        For builders that make every entry (x, y) from the same numbers, in
+        the same order, as entry (y, x).  The array is taken without a copy
+        and marked read-only, so the caller must hold no other reference it
+        writes through; the shape, labels and finiteness are checked, the
+        symmetry is not.
+        """
+        _check_labels(labels, entries)
+        _check_finite(entries)
+        entries.flags.writeable = False
+        out = object.__new__(cls)
+        object.__setattr__(out, "labels", labels)
+        object.__setattr__(out, "entries", entries)
+        return out
 
     @property
     def dim(self) -> int:
@@ -120,10 +153,16 @@ def _oriented(v: np.ndarray) -> np.ndarray:
     return -v if v[j] < 0 else v
 
 
-def _checked(av: np.ndarray, lam: float, v: np.ndarray, tol: float) -> SpectralResult:
-    """Accept (lam, v) given the product ``av`` of the operator with v."""
-    residual = float(np.linalg.norm(av - lam * v))
-    if residual > tol * max(1.0, abs(lam)):
+def _checked(av: np.ndarray, lam: float, v: np.ndarray, tol: float, e: int = 0) -> SpectralResult:
+    """Accept (lam, v) given the product ``av`` of the operator with v.
+
+    ``av`` and ``lam`` may belong to the operator scaled by 2**-e; the
+    residual is then taken at that scale, and both are scaled back by 2**e.
+    """
+    residual = math.ldexp(float(np.linalg.norm(av - lam * v)), e)
+    lam = math.ldexp(lam, e)  # OverflowError if |lambda| is not a float
+    # NaN compares False with everything, so a NaN residual must be named.
+    if not math.isfinite(residual) or residual > tol * max(1.0, abs(lam)):
         raise EigensolverError(
             f"eigensolver residual {residual:.3e} exceeds {tol:.1e} * max(1, |lambda|)",
             residual,
@@ -184,15 +223,23 @@ def block_norm(b: np.ndarray, tol: float = RESIDUAL_TOL) -> SpectralResult:
     top singular pair (x, y), taken from ``top_singular`` on a stack of one.
     The residual contract is checked on G, with G v computed blockwise as
     (B y, B^T x).  An all-zero block has norm 0 and no solve.
+
+    The solve and the residual run on B * 2**-e, with e the binary exponent
+    of B's largest entry, so that neither the Gram matrix nor the residual
+    underflows or overflows; sigma and the residual are scaled back by 2**e.
+    Scaling by a power of two is exact, so ``block_norm(B * 2**k)`` has the
+    bits of ``block_norm(B)`` scaled by 2**k.
     """
     b = np.asarray(b, dtype=float)
     if not np.any(b):
         return SpectralResult(0.0, np.zeros(sum(b.shape)), 0.0)
+    _, e = math.frexp(max(float(b.max()), -float(b.min())))
+    b = np.ldexp(b, -e)
     sigma, x, y = top_singular(b[None])
     x, y = x[0], y[0]
     v = np.concatenate([x, y]) / math.sqrt(2.0)
     gv = np.concatenate([b @ y, b.T @ x]) / math.sqrt(2.0)
-    return _checked(gv, float(sigma[0]), v, tol)
+    return _checked(gv, float(sigma[0]), v, tol, e)
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import itertools
 
 import numpy as np
 
-from advbound.adversary import AdversaryMatrix, MinimaxWitness
+from advbound.adversary import PROB_SUM_TOL, AdversaryMatrix, MinimaxWitness, require_valid
 from advbound.boolfn import (
     And,
     BooleanFunction,
@@ -17,8 +17,9 @@ from advbound.boolfn import (
     function_from_dict,
     make_family,
     split_input,
+    validate_bits,
 )
-from advbound.specmat import SymMatrix
+from advbound.specmat import SymMatrix, spectral_norm
 
 
 def random_function(rng: np.random.Generator, n: int, nonconstant: bool = True) -> BooleanFunction:
@@ -150,3 +151,51 @@ def loop_composition(spec: CompositionSpec):
             inner_row[i, r] = g.index(b)
             inner_value[i, r] = int(tilde[i])
     return h, outer_row, inner_row, inner_value
+
+
+def reference_compose_gamma(gamma_f, gammas_g, spec: CompositionSpec) -> AdversaryMatrix:
+    """Reference: the whole-matrix form of ``compose_gamma``.  Each factor is
+    gathered as a full N x N array (rows, then columns) and multiplied in, in
+    block order, and the product goes through the checked ``SymMatrix``
+    constructor, which copies it and checks its symmetry."""
+
+    def gather(a, idx):
+        return np.take(np.take(a, idx, axis=0), idx, axis=1)
+
+    require_valid(gamma_f, allow_zero=True)
+    for gam in gammas_g:
+        require_valid(gam, allow_zero=True)
+    rows = spec.composed
+    out = gather(gamma_f.matrix.entries, rows.outer_row)
+    for gam, idx in zip(gammas_g, rows.inner_row):
+        norm = spectral_norm(gam.matrix).norm
+        factor = gam.matrix.entries + norm * np.eye(gam.matrix.dim)
+        out *= gather(factor, idx)
+    h = rows.function
+    return AdversaryMatrix(h, SymMatrix(h.domain, out))
+
+
+def loop_check_function(arity: int, domain, values) -> None:
+    """Reference: the row-by-row checks of ``BooleanFunction``, raising for
+    the first bad row."""
+    seen = set()
+    for x in domain:
+        validate_bits(x, arity)
+        if x in seen:
+            raise ValueError(f"duplicate domain entry {x!r}")
+        seen.add(x)
+    for v in values:
+        if v not in (0, 1):
+            raise ValueError(f"outputs must be 0 or 1, got {v!r}")
+
+
+def loop_check_witness(f: BooleanFunction, p: dict) -> None:
+    """Reference: the row-by-row checks of ``MinimaxWitness``, raising for
+    the first bad row."""
+    for x, row in p.items():
+        if len(row) != f.arity:
+            raise ValueError(f"row {x!r} has {len(row)} entries, expected {f.arity}")
+        if any(q < 0 for q in row):
+            raise ValueError(f"row {x!r} has a negative probability")
+        if abs(sum(row) - 1.0) > PROB_SUM_TOL:
+            raise ValueError(f"row {x!r} sums to {sum(row)!r}, not 1")

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from advbound import adversary
 from advbound.adversary import (
     AdversaryMatrix,
     CostVector,
@@ -41,8 +42,10 @@ from advbound.boolfn import (
 )
 from advbound.solver import gadget_cost_adv, readonce_bound
 from advbound.specmat import (
+    EigensolverError,
     SpectralResult,
     SymMatrix,
+    _is_symmetric,
     difference_mask,
     hadamard,
     principal_eigenvector,
@@ -50,12 +53,14 @@ from advbound.specmat import (
 )
 from conftest import (
     composition_cases,
+    loop_check_witness,
     loop_composition,
     random_composition_case,
     random_costs,
     random_function,
     random_gamma,
     random_witness,
+    reference_compose_gamma,
 )
 
 AND2 = make_family("and", 2)
@@ -284,6 +289,23 @@ def test_adv_value_rejects_invalid_matrix():
         adv_value(AdversaryMatrix(AND2, SymMatrix(AND2.domain, e)), (1.0, 1.0))
 
 
+@pytest.mark.parametrize("scale", [1e-170, 1e170], ids=["tiny", "huge"])
+def test_adv_value_is_scale_free(scale):
+    # Gram matrices of these blocks underflow or overflow unless the block is
+    # scaled first; the value came out as +inf.
+    g = or_gadget(scale, scale)
+    assert adv_value(g, (1.0, 1.0)) == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+def test_adv_value_rejects_a_zero_norm_of_a_nonzero_matrix(monkeypatch):
+    def lost(b):
+        return SpectralResult(0.0, np.zeros(sum(b.shape)), 0.0)
+
+    monkeypatch.setattr(adversary, "block_norm", lost)
+    with pytest.raises(EigensolverError, match="norm of a nonzero matrix evaluated to 0"):
+        adv_value(gadget(AND2, 1.0, 1.0), (1.0, 1.0))
+
+
 def dense_adv_value(gamma, alpha):
     """Reference: every norm from a dense eigensolve on the full matrix."""
     whole = spectral_norm(gamma.matrix).norm
@@ -492,6 +514,64 @@ def test_witness_validation():
         MinimaxWitness(ID1, {"0": (2.0, -1.0), "1": (1.0, 0.0)})
     with pytest.raises(ValueError):
         MinimaxWitness(ID1, {"0": (0.6,), "1": (1.0,)})  # sums to 0.6
+
+
+# Witness rows the row checks reject, each bad row placed after good ones.
+WITNESS_FAILURES = {
+    "bad_length": (ID1, {"0": (1.0, 0.0), "1": (1.0,)}),
+    "bad_length_and_negative": (ID1, {"0": (2.0, -1.0), "1": (1.0, 0.0)}),
+    "ragged": (AND2, {"00": (0.5, 0.5), "01": (1.0,), "10": (0.5, 0.5), "11": (0.5, 0.5)}),
+    "negative": (AND2, {"00": (0.5, 0.5), "01": (1.5, -0.5), "10": (0.5, 0.5), "11": (0.5, 0.5)}),
+    "sums_short": (ID1, {"1": (1.0,), "0": (0.6,)}),
+    "sums_to_inf": (ID1, {"0": (1.0,), "1": (math.inf,)}),
+    "negative_inf": (
+        AND2,
+        {"00": (0.5, 0.5), "01": (-math.inf, math.inf), "10": (0.5, 0.5), "11": (0.5, 0.5)},
+    ),
+    "first_of_several": (
+        AND2,
+        {"00": (0.5, 0.5), "01": (0.3, 0.3), "10": (0.5, -0.5), "11": (0.5, 0.5, 0.0)},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_FAILURES))
+def test_witness_array_check_names_the_first_bad_row(name):
+    f, rows = WITNESS_FAILURES[name]
+    with pytest.raises(ValueError) as want:
+        loop_check_witness(f, rows)
+    with pytest.raises(ValueError) as got:
+        MinimaxWitness(f, rows)
+    assert str(got.value) == str(want.value)
+
+
+def test_witness_string_entries_fail_as_in_the_loop():
+    rows = {"0": ("1.0",), "1": (1.0,)}
+    with pytest.raises(TypeError) as want:
+        loop_check_witness(ID1, rows)
+    with pytest.raises(TypeError) as got:
+        MinimaxWitness(ID1, rows)
+    assert str(got.value) == str(want.value)
+
+
+def test_witness_rejects_nan_rows():
+    # NaN compares False with everything, so neither the sign nor the sum
+    # check catches it; the finiteness check does.
+    with pytest.raises(ValueError, match="row '11' has a non-finite probability"):
+        MinimaxWitness(
+            AND2, {"00": (0.5, 0.5), "01": (1.0, 0.0), "10": (0.0, 1.0), "11": (math.nan, 1.0)}
+        )
+
+
+def test_witness_rows_are_cached_read_only_in_domain_order():
+    rows = {"11": (0.5, 0.5), "10": (0.0, 1.0), "01": (1.0, 0.0), "00": (0.25, 0.75)}
+    w = MinimaxWitness(AND2, rows)
+    got = w.matrix_rows()
+    assert got is w.matrix_rows()
+    assert not got.flags.writeable
+    assert same_bits(got, np.array([rows[x] for x in AND2.domain], dtype=float))
+    in_order = MinimaxWitness(AND2, {x: rows[x] for x in AND2.domain}).matrix_rows()
+    assert not in_order.flags.writeable and same_bits(in_order, got)
 
 
 # --------------------------------------------------------------------------
@@ -784,6 +864,46 @@ def test_compose_builders_match_row_loop(name):
     got = compose_eigenvector(delta_f, deltas_g, spec)
     assert same_bits(got, loop_compose_eigenvector(delta_f, deltas_g, spec))
     assert got is not delta_f.vector and got.flags.writeable
+
+
+@pytest.fixture(scope="module")
+def compose_reference_cases():
+    """(spec, gamma_f, gammas_g) for every composition case, and for the
+    root of a 12-leaf AND/OR tree: 4096 rows from two 64-row inner matrices."""
+    cases = {}
+    for name, spec in COMPOSITION_CASES.items():
+        rng = np.random.default_rng(sorted(COMPOSITION_CASES).index(name))
+        gamma_f = random_gamma(spec.outer, rng)
+        cases[name] = (spec, gamma_f, [random_gamma(g, rng) for g in spec.inner])
+    costs = tuple(float(c) for c in np.random.default_rng(12).uniform(0.5, 2.0, 12))
+    ast = parse_formula("(((x1|x2)&x3)|((x4|x5)&x6))&(((x7|x8)&x9)|((x10|x11)&x12))")
+    (left, lv), (right, rv) = compose_tree(ast.left, costs), compose_tree(ast.right, costs)
+    _, gamma_f, _ = gadget_cost_adv("and", (lv, rv))
+    spec = CompositionSpec(AND2, (left.function, right.function))
+    cases["tree12"] = (spec, gamma_f, [left, right])
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITION_CASES) + ["tree12"])
+def test_compose_gamma_matches_whole_matrix_reference(compose_reference_cases, name):
+    spec, gamma_f, gammas_g = compose_reference_cases[name]
+    got = compose_gamma(gamma_f, gammas_g, spec)
+    want = reference_compose_gamma(gamma_f, gammas_g, spec)
+    assert got.function == want.function
+    assert got.matrix.labels == want.matrix.labels
+    assert same_bits(got.matrix.entries, want.matrix.entries)
+    if name == "tree12":
+        assert got.matrix.dim == 4096
+
+
+@pytest.mark.parametrize("name", ["partial_unsorted", "tree12"])
+def test_compose_gamma_output_is_symmetric_and_read_only(compose_reference_cases, name):
+    spec, gamma_f, gammas_g = compose_reference_cases[name]
+    entries = compose_gamma(gamma_f, gammas_g, spec).matrix.entries
+    assert _is_symmetric(entries)
+    assert not entries.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        entries[0, 0] = 1.0
 
 
 # --------------------------------------------------------------------------

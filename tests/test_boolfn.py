@@ -28,7 +28,13 @@ from advbound.boolfn import (
     parse_formula,
     split_input,
 )
-from conftest import composition_cases, loop_composition, random_function, random_read_once_ast
+from conftest import (
+    composition_cases,
+    loop_check_function,
+    loop_composition,
+    random_function,
+    random_read_once_ast,
+)
 
 COMPOSITION_CASES = composition_cases()
 
@@ -363,3 +369,37 @@ def test_truth_table_json_malformed():
         function_from_dict({"n": 2, "rows": [{"x": "00"}]})
     with pytest.raises(ValueError):
         function_from_dict({"n": 2, "rows": [{"x": "00", "f": 3}]})
+
+
+# Inputs the row checks reject, each with its bad row placed after good ones.
+FUNCTION_FAILURES = {
+    "duplicate": (2, ("00", "00"), (0, 1)),
+    "bad_character": (2, ("00", "0x"), (0, 1)),
+    "bad_output": (2, ("00", "01"), (0, 2)),
+    "wrong_width": (2, ("00", "010"), (0, 1)),
+    "short_row": (2, ("00", "1"), (0, 1)),
+    "empty_row": (1, ("0", ""), (0, 1)),
+    "bytes_row": (2, ("00", b"01"), (0, 1)),
+    "non_ascii_row": (2, ("00", "0é"), (0, 1)),
+    "nan_output": (1, ("0", "1"), (0, float("nan"))),
+    "unhashable_output": (1, ("0", "1"), (0, [1])),
+    "first_of_several": (2, ("00", "11", "1x", "11"), (0, 1, 1, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTION_FAILURES))
+def test_function_array_check_names_the_first_bad_row(name):
+    args = FUNCTION_FAILURES[name]
+    with pytest.raises(ValueError) as want:
+        loop_check_function(*args)
+    with pytest.raises(ValueError) as got:
+        BooleanFunction(*args)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize(
+    "values", [(0, 1), (False, True), (0.0, 1.0), (np.int64(0), np.int64(1))], ids=repr
+)
+def test_function_array_check_accepts_what_the_loop_accepts(values):
+    loop_check_function(2, ("10", "01"), values)
+    assert BooleanFunction(2, ("10", "01"), values).values == values

@@ -190,8 +190,16 @@ def test_verify_iteration_depth_checked_before_any_work(capsys, monkeypatch, arg
 
 @pytest.mark.parametrize(
     "alpha,message",
-    [("1e-320,1", "normal"), ("1e308,1e308", "bracket not finite")],
-    ids=["subnormal", "near_max"],
+    [
+        pytest.param("1e-320,1", "normal", id="subnormal"),
+        # The search overflows on the way to the non-finite bracket it reports.
+        pytest.param(
+            "1e308,1e308",
+            "bracket not finite",
+            id="near_max",
+            marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+        ),
+    ],
 )
 def test_cost_extremes_are_usage_errors(capsys, alpha, message):
     # 1e-320: 1/alpha overflowed and the bracket came out as NaN with exit code 0.
@@ -202,6 +210,31 @@ def test_cost_extremes_are_usage_errors(capsys, alpha, message):
     assert code == 2
     assert report is None
     assert "error:" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gadget", "--gate", "or", "--beta", "1.7e308,1.7e308"], "gadget value not finite"),
+        (["readonce", "x1|x2", "--alpha", "1.7e308,1.7e308"], "readonce value not finite"),
+    ],
+    ids=["gadget", "readonce"],
+)
+def test_overflowing_value_is_usage_error(capsys, argv, message):
+    # hypot overflowed to inf, which printed as "value": Infinity (not JSON) with exit 0.
+    code, report, err = invoke(capsys, argv)
+    assert code == 2
+    assert report is None
+    assert "error:" in err and message in err and "Traceback" not in err
+
+
+def test_gadget_with_huge_costs_prints_a_valid_witness(capsys):
+    # b1 * b1 / (value * value) was inf / inf, a NaN witness with exit 0.
+    code, report, _ = invoke(capsys, ["gadget", "--gate", "and", "--beta", "1e200,1e200"])
+    assert code == 0
+    assert report["results"]["value"] == math.hypot(1e200, 1e200)
+    rows = {r["x"]: r["p"] for r in report["results"]["witness"]["rows"]}
+    assert rows["11"] == rows["00"] == [0.5, 0.5]
 
 
 def test_check_gamma_valid(capsys, tmp_path):

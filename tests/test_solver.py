@@ -305,6 +305,35 @@ def test_gadget_witness_split():
     assert witness.p["10"] == (0.0, 1.0)
 
 
+def test_gadget_witness_split_is_the_unscaled_formula():
+    # The costs are scaled by a common power of two before they are squared;
+    # that is exact, so the split keeps the bits of b * b / (value * value).
+    rng = np.random.default_rng(5)
+    for b1, b2 in rng.uniform(0.05, 20.0, (2000, 2)):
+        b1, b2 = float(b1), float(b2)
+        value = math.hypot(b1, b2)
+        _, _, witness = gadget_cost_adv("or", (b1, b2))
+        assert witness.p["00"] == (b1 * b1 / (value * value), b2 * b2 / (value * value))
+
+
+@pytest.mark.parametrize("beta", [(1e200, 1e200), (1e-200, 1e-200), (1e300, 1e-300)])
+def test_gadget_witness_survives_extreme_costs(beta):
+    value, gamma, witness = gadget_cost_adv("and", beta)
+    assert value == math.hypot(*beta)
+    assert np.all(np.isfinite(witness.matrix_rows()))
+    split = witness.p["11"]
+    assert sum(split) == pytest.approx(1.0, abs=1e-15)
+    if beta[0] == beta[1]:
+        assert split == (0.5, 0.5)
+
+
+def test_gadget_and_readonce_reject_an_overflowing_value():
+    with pytest.raises(ValueError, match="gadget value not finite"):
+        gadget_cost_adv("and", (1.7e308, 1.7e308))
+    with pytest.raises(ValueError, match="readonce value not finite"):
+        readonce_bound(parse_formula("x1 | (x2 & x3)"), (1.7e308, 1.7e308, 1.0))
+
+
 def test_gadget_rejects_bad_input():
     with pytest.raises(ValueError):
         gadget_cost_adv("xor", (1.0, 1.0))

@@ -10,6 +10,8 @@ from advbound.specmat import (
     RESIDUAL_TOL,
     EigensolverError,
     SymMatrix,
+    _checked,
+    _is_symmetric,
     block_norm,
     difference_mask,
     hadamard,
@@ -83,6 +85,29 @@ def test_symmatrix_copies_input():
     m = SymMatrix(("0", "1"), raw)
     raw[0, 1] = raw[1, 0] = 5.0
     assert m.entries[0, 1] == 0.0
+
+
+def test_trusted_symmatrix_takes_the_array_read_only():
+    a = gadget_entries(3.0, 4.0)
+    m = SymMatrix._trusted(LABELS4, a)
+    assert m.entries is a and not a.flags.writeable
+    assert m.labels == LABELS4 and m.dim == 4 and _is_symmetric(m.entries)
+
+
+@pytest.mark.parametrize(
+    "labels,entries,message",
+    [
+        (("0", "1"), np.zeros((2, 3)), "does not match"),
+        (("0", "0"), np.zeros((2, 2)), "distinct"),
+        (("0", "10"), np.zeros((2, 2)), "equal length"),
+        (("0", "1"), np.array([[0.0, np.inf], [np.inf, 0.0]]), "finite"),
+        (("0", "1"), np.array([[np.nan, 0.0], [0.0, 0.0]]), "finite"),
+    ],
+    ids=["shape", "duplicate", "length", "inf", "nan"],
+)
+def test_trusted_symmatrix_still_checks_shape_labels_and_finiteness(labels, entries, message):
+    with pytest.raises(ValueError, match=message):
+        SymMatrix._trusted(labels, entries)
 
 
 def test_index_lookup():
@@ -287,6 +312,29 @@ def test_block_norm_contract_enforced():
     with pytest.raises(EigensolverError) as err:
         block_norm(b, tol=0.0)
     assert err.value.residual > 0.0
+
+
+def test_block_norm_of_tiny_block_is_finite():
+    # The Gram entry 2e-340 underflowed to 0, so sigma and the vector were lost.
+    got = block_norm(np.array([[1e-170, 1e-170]]))
+    assert got.norm == pytest.approx(math.sqrt(2.0) * 1e-170, rel=1e-12)
+    assert np.all(np.isfinite(got.vector)) and math.isfinite(got.residual)
+
+
+@pytest.mark.parametrize("k", [-40, -3, 3, 40])
+def test_block_norm_is_exact_under_power_of_two_scaling(k):
+    rng = np.random.default_rng(40 + k)
+    for shape in [(3, 5), (6, 2), (4, 4)]:
+        b = rng.uniform(0.0, 1.0, shape)
+        plain, scaled = block_norm(b), block_norm(np.ldexp(b, k))
+        assert scaled.norm == math.ldexp(plain.norm, k)
+        assert scaled.vector.tobytes() == plain.vector.tobytes()
+
+
+def test_checked_rejects_a_nan_residual():
+    # NaN > tol is False, so a NaN residual used to pass the contract.
+    with pytest.raises(EigensolverError):
+        _checked(np.array([np.nan, 0.0]), 1.0, np.array([1.0, 0.0]), RESIDUAL_TOL)
 
 
 def test_matrix_json_roundtrip():
