@@ -49,7 +49,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .boolfn import BooleanFunction, CompositionSpec, _domain_chars
+from .boolfn import BooleanFunction, CompositionSpec, function_from_dict, function_to_dict
 from .specmat import (
     EigensolverError,
     SpectralResult,
@@ -57,6 +57,8 @@ from .specmat import (
     block_norm,
     difference_mask,
     hadamard,
+    matrix_from_dict,
+    matrix_to_dict,
     spectral_norm,
 )
 
@@ -81,7 +83,6 @@ class CostVector:
     """Positive per-bit query costs."""
 
     costs: tuple[float, ...]
-    unit: str = "queries"
 
     def __post_init__(self):
         if not self.costs:
@@ -97,12 +98,9 @@ class CostVector:
     def as_array(self) -> np.ndarray:
         return np.array(self.costs, dtype=float)
 
-    def scaled(self, a: float) -> "CostVector":
-        return CostVector(tuple(a * c for c in self.costs), self.unit)
-
     def block(self, start: int, length: int) -> "CostVector":
         """Costs for the block starting at 1-based position ``start``."""
-        return CostVector(self.costs[start - 1 : start - 1 + length], self.unit)
+        return CostVector(self.costs[start - 1 : start - 1 + length])
 
     @classmethod
     def ones(cls, n: int) -> "CostVector":
@@ -166,11 +164,12 @@ def validate(gamma: AdversaryMatrix) -> ValidationReport:
     if negative:
         for r, c in zip(*np.where(a < 0)):
             violations.append(f"negative entry at ({f.domain[r]}, {f.domain[c]})")
-    vals = np.array(f.values)
-    classes = [np.flatnonzero(vals == b) for b in (0, 1)]
-    sums = a @ (vals[:, None] == (0, 1)).astype(float)  # (rows, class) sums
+    indicator = np.zeros((len(f.domain), 2))
+    for b, idx in enumerate(f.classes):
+        indicator[idx, b] = 1.0
+    sums = a @ indicator  # (rows, class) sums
     rows, cols = [], []
-    for b, idx in enumerate(classes):
+    for b, idx in enumerate(f.classes):
         if negative or sums[idx, b].sum() > 0:
             r, c = np.nonzero(np.triu(_gather(a, idx) != 0))
             rows.append(idx[r])
@@ -200,11 +199,6 @@ def zero_gamma(f: BooleanFunction) -> AdversaryMatrix:
     return AdversaryMatrix(f, SymMatrix(f.domain, np.zeros((d, d))))
 
 
-def _bit_matrix(f: BooleanFunction) -> np.ndarray:
-    """Boolean (rows, arity) array: entry [r, i] is bit i+1 of domain row r."""
-    return _domain_chars(f) == ord("1")
-
-
 def adv_value(gamma: AdversaryMatrix, alpha) -> float:
     """min_i alpha_i ||G|| / ||G o D_i||; masked-out bits contribute +inf.
 
@@ -227,11 +221,9 @@ def adv_value(gamma: AdversaryMatrix, alpha) -> float:
     require_valid(gamma, allow_zero=True)
     if not np.any(gamma.matrix.entries):
         return 0.0
-    vals = np.array(f.values)
-    zeros, ones = np.flatnonzero(vals == 0), np.flatnonzero(vals == 1)
+    zeros, ones = f.classes
     block = gamma.matrix.entries[np.ix_(zeros, ones)]
-    bits = _bit_matrix(f)
-    row_bits, col_bits = bits[zeros], bits[ones]
+    row_bits, col_bits = f.bits[zeros], f.bits[ones]
     whole = block_norm(block)
     if whole.norm == 0.0:
         # A nonzero matrix has a positive norm; 0 means the solve lost it.
@@ -331,14 +323,12 @@ def mm_value(witness: MinimaxWitness, alpha) -> float:
     """
     f = witness.function
     alpha = as_costs(alpha, f.arity)
-    vals = np.array(f.values)
-    zeros, ones = np.flatnonzero(vals == 0), np.flatnonzero(vals == 1)
+    zeros, ones = f.classes
     if zeros.size == 0 or ones.size == 0:
         return 0.0
     q = np.sqrt(witness.matrix_rows())
-    bits = _bit_matrix(f)
-    qz, b0 = q[zeros] / alpha.as_array(), bits[zeros]
-    qo, b1 = q[ones], bits[ones]
+    qz, b0 = q[zeros] / alpha.as_array(), f.bits[zeros]
+    qo, b1 = q[ones], f.bits[ones]
     left = np.hstack([qz * b0, qz * ~b0])
     right = np.hstack([qo * ~b1, qo * b1])
     least = float((left @ right.T).min())
@@ -353,6 +343,20 @@ def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """a[np.ix_(idx, idx)] as two takes, rows then columns: the same array
     in about half the time at 4096 rows."""
     return np.take(np.take(a, idx, axis=0), idx, axis=1)
+
+
+def _check_blocks(spec: CompositionSpec, inner: Sequence, noun: str, nouns: str, **outer) -> None:
+    """Raise unless each keyword item of ``outer`` is over the outer function
+    and ``inner`` holds one item per block, each over its block's function,
+    in order.  Messages name the items by keyword and by ``noun``/``nouns``."""
+    for name, item in outer.items():
+        if item.function != spec.outer:
+            raise ValueError(f"{name} is not over the outer function")
+    if len(inner) != len(spec.inner):
+        raise ValueError(f"expected {len(spec.inner)} inner {nouns}")
+    for item, g in zip(inner, spec.inner):
+        if item.function != g:
+            raise ValueError(f"inner {noun} order must match the composition blocks")
 
 
 def _mapped_zeros(n: int) -> np.ndarray:
@@ -390,13 +394,7 @@ def compose_gamma(
     same numbers in the same order, so the result is exactly symmetric and
     becomes a ``SymMatrix`` without a copy or a symmetry check.
     """
-    if gamma_f.function != spec.outer:
-        raise ValueError("gamma_f is not over the outer function")
-    if len(gammas_g) != len(spec.inner):
-        raise ValueError(f"expected {len(spec.inner)} inner matrices")
-    for g, gam in zip(spec.inner, gammas_g):
-        if gam.function != g:
-            raise ValueError("inner matrix order must match the composition blocks")
+    _check_blocks(spec, gammas_g, "matrix", "matrices", gamma_f=gamma_f)
     require_valid(gamma_f, allow_zero=True)
     for gam in gammas_g:
         require_valid(gam, allow_zero=True)
@@ -436,8 +434,10 @@ class EigvecParts:
         v = np.asarray(vector, dtype=float)
         if v.shape != (len(function.domain),):
             raise ValueError("vector length must match the domain")
-        vals = np.array(function.values)
-        return cls(function, v, np.where(vals == 0, v, 0.0), np.where(vals == 1, v, 0.0))
+        zeros, ones = function.classes
+        half0, half1 = np.zeros_like(v), np.zeros_like(v)
+        half0[zeros], half1[ones] = v[zeros], v[ones]
+        return cls(function, v, half0, half1)
 
 
 def _check_half_mass(parts: EigvecParts) -> None:
@@ -463,11 +463,8 @@ def compose_eigenvector(
     put squared mass 1/2 on each output class; the result then has squared
     norm 1/2**k.
     """
-    if len(deltas_g) != len(spec.inner):
-        raise ValueError(f"expected {len(spec.inner)} inner eigenvectors")
-    for parts, g in zip(deltas_g, spec.inner):
-        if parts.function != g:
-            raise ValueError("inner eigenvector order must match the composition blocks")
+    _check_blocks(spec, deltas_g, "eigenvector", "eigenvectors")
+    for parts in deltas_g:
         _check_half_mass(parts)
     rows = spec.composed
     out = delta_f.vector[rows.outer_row]
@@ -501,8 +498,6 @@ class MaskedCompositionReport:
     ell: int
     block: int
     inner_pos: int
-    lhs_matrix: SymMatrix
-    rhs_matrix: SymMatrix
     entrywise_ok: bool
     norm_lhs: float
     norm_rhs: float
@@ -521,7 +516,6 @@ def masked_compose_check(
     gammas_g: Sequence[AdversaryMatrix],
     spec: CompositionSpec,
     ell: int,
-    tol: float = COMPOSE_TOL,
 ) -> MaskedCompositionReport:
     """Verify the masked factorization of the composed matrix at position ell."""
     p, q = spec.block_of(ell)
@@ -535,8 +529,7 @@ def masked_compose_check(
     masked_p = hadamard(gammas_g[p - 1].matrix, difference_mask(spec.inner[p - 1].domain, q))
     masked_gammas = list(gammas_g)
     masked_gammas[p - 1] = AdversaryMatrix(spec.inner[p - 1], masked_p)
-    rhs_matrix = compose_gamma(AdversaryMatrix(spec.outer, masked_f), masked_gammas, spec).matrix
-    rhs = rhs_matrix.entries
+    rhs = compose_gamma(AdversaryMatrix(spec.outer, masked_f), masked_gammas, spec).matrix.entries
     inner_norms = [
         spectral_norm(gam.matrix).norm for i, gam in enumerate(gammas_g) if i != p - 1
     ]
@@ -546,26 +539,24 @@ def masked_compose_check(
         diff = float(np.abs(lhs.entries - rhs).max())
     else:
         scale = diff = 0.0
-    entrywise_ok = diff <= tol * scale if scale > 0 else True
+    entrywise_ok = diff <= COMPOSE_TOL * scale if scale > 0 else True
 
     norm_lhs = spectral_norm(lhs).norm
     norm_rhs = spectral_norm(masked_f).norm * spectral_norm(masked_p).norm
     for norm in inner_norms:
         norm_rhs *= norm
-    norm_ok = _rel_close(norm_lhs, norm_rhs, tol)
+    norm_ok = _rel_close(norm_lhs, norm_rhs, COMPOSE_TOL)
 
     ratio_lhs = _ratio(spectral_norm(gamma_h.matrix).norm, norm_lhs)
     ratio_rhs = _ratio(spectral_norm(gamma_f.matrix).norm, spectral_norm(masked_f).norm) * _ratio(
         spectral_norm(gammas_g[p - 1].matrix).norm, spectral_norm(masked_p).norm
     )
-    ratio_ok = _rel_close(ratio_lhs, ratio_rhs, tol)
+    ratio_ok = _rel_close(ratio_lhs, ratio_rhs, COMPOSE_TOL)
 
     return MaskedCompositionReport(
         ell=ell,
         block=p,
         inner_pos=q,
-        lhs_matrix=lhs,
-        rhs_matrix=rhs_matrix,
         entrywise_ok=entrywise_ok,
         norm_lhs=norm_lhs,
         norm_rhs=norm_rhs,
@@ -588,13 +579,7 @@ def compose_minimax(
     weight of block i, gathered per composed row, times block i's gathered
     inner rows.
     """
-    if p_f.function != spec.outer:
-        raise ValueError("p_f is not over the outer function")
-    if len(ps_g) != len(spec.inner):
-        raise ValueError(f"expected {len(spec.inner)} inner witnesses")
-    for w, g in zip(ps_g, spec.inner):
-        if w.function != g:
-            raise ValueError("inner witness order must match the composition blocks")
+    _check_blocks(spec, ps_g, "witness", "witnesses", p_f=p_f)
     rows = spec.composed
     weights = p_f.matrix_rows()[rows.outer_row]
     p = np.hstack(
@@ -612,18 +597,12 @@ def compose_minimax(
 
 
 def gamma_to_dict(gamma: AdversaryMatrix) -> dict:
-    from .boolfn import function_to_dict
-    from .specmat import matrix_to_dict
-
     out = matrix_to_dict(gamma.matrix)
     out["function"] = function_to_dict(gamma.function)
     return out
 
 
 def gamma_from_dict(data: Mapping, function: BooleanFunction | None = None) -> AdversaryMatrix:
-    from .boolfn import function_from_dict
-    from .specmat import matrix_from_dict
-
     if not isinstance(data, Mapping):
         raise ValueError(f"matrix JSON must be an object, got {type(data).__name__}")
     if function is None:

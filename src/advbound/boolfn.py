@@ -2,7 +2,8 @@
 
 Inputs are strings over ``{'0','1'}``; bit positions are 1-based with
 position 1 the leftmost character.  Functions may be partial: the domain is
-an explicit ordered tuple of bit strings.
+an explicit ordered tuple of bit strings.  Every bound works on the
+f^-1(0) x f^-1(1) block, read from a function's ``classes`` and ``bits``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-#: Default cap on total arity; dense downstream kernels stop at 4096 rows.
+#: Cap on total arity; dense downstream kernels stop at 4096 rows.
 MAX_ARITY = 12
 
 #: Deepest formula the parser accepts: the cap bounds both the nesting of '~'
@@ -94,6 +95,23 @@ class BooleanFunction:
     def _index(self) -> dict[str, int]:
         return {x: i for i, x in enumerate(self.domain)}
 
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only row indices of f^-1(0) and of f^-1(1), built once."""
+        values = np.array(self.values)
+        classes = tuple(np.flatnonzero(values == b) for b in (0, 1))
+        for idx in classes:
+            idx.flags.writeable = False
+        return classes
+
+    @cached_property
+    def bits(self) -> np.ndarray:
+        """Read-only bool (rows, arity) array, built once: [r, i] is bit i+1 of row r."""
+        chars = np.frombuffer("".join(self.domain).encode("ascii"), dtype=np.uint8)
+        bits = chars.reshape(len(self.domain), self.arity) == ord("1")
+        bits.flags.writeable = False
+        return bits
+
     def __call__(self, x: str) -> int:
         try:
             return self.values[self._index[x]]
@@ -113,9 +131,6 @@ class BooleanFunction:
     @property
     def is_constant(self) -> bool:
         return len(set(self.values)) <= 1
-
-    def inputs_with_value(self, b: int) -> tuple[str, ...]:
-        return tuple(x for x, v in zip(self.domain, self.values) if v == b)
 
     @classmethod
     def from_table(cls, n: int, table: Mapping[str, int]) -> "BooleanFunction":
@@ -360,12 +375,6 @@ def ast_to_dict(ast: FormulaAst) -> dict:
 # index arrays; every composition builder reads them from there.
 
 
-def _domain_chars(f: BooleanFunction) -> np.ndarray:
-    """(rows, arity) uint8 array of the characters of the domain strings."""
-    raw = "".join(f.domain).encode("ascii")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(len(f.domain), f.arity)
-
-
 @dataclass(frozen=True, eq=False)
 class ComposedRows:
     """The composed function of a spec and where each of its rows comes from.
@@ -441,7 +450,8 @@ class CompositionSpec:
         keep = outer_row >= 0
         outer_row, inner_row, inner_value = outer_row[keep], inner_row[:, keep], inner_value[:, keep]
         # One n-byte string per row: the inner domains' characters, side by side.
-        chars = np.hstack([_domain_chars(g)[r] for g, r in zip(self.inner, inner_row)])
+        bits = np.hstack([g.bits[r] for g, r in zip(self.inner, inner_row)])
+        chars = bits.astype(np.uint8) + ord("0")
         domain = chars.view(f"S{n}").ravel().astype(str).tolist()
         values = np.array(self.outer.values, dtype=np.int64)[outer_row].tolist()
         for a in (outer_row, inner_row, inner_value):
@@ -462,23 +472,22 @@ def split_input(x: str, spec: CompositionSpec) -> tuple[tuple[str, ...], str]:
     return tuple(blocks), "".join(tilde)
 
 
-def compose_functions(spec: CompositionSpec, max_arity: int = MAX_ARITY) -> BooleanFunction:
+def compose_functions(spec: CompositionSpec) -> BooleanFunction:
     """The composed function h(x) = f(g_1(x^1), ..., g_k(x^k)).
 
     The domain keeps exactly those concatenations whose blocks lie in the
     inner domains and whose inner outputs lie in the outer domain; rows are
-    ordered by the product of the inner domain orders.  ``max_arity`` is
-    checked first; it can lower the cap, but the function itself is the one
+    ordered by the product of the inner domain orders.  It is the function
     ``spec.composed`` builds once per spec, up to ``MAX_ARITY``.
     """
-    n = spec.total_arity
-    if n > max_arity:
-        raise ValueError(f"composed arity {n} exceeds the cap {max_arity}")
     return spec.composed.function
 
 
-def iterate_function(f: BooleanFunction, d: int, max_arity: int = MAX_ARITY) -> BooleanFunction:
-    """d-fold self-composition f(f(...), ..., f(...)) on n**d bits."""
+def iterate_function(f: BooleanFunction, d: int) -> BooleanFunction:
+    """d-fold self-composition f(f(...), ..., f(...)) on n**d bits.
+
+    The depth, totality and the arity cap are checked before any composition.
+    """
     if d < 1:
         raise ValueError("depth must be at least 1")
     if d > MAX_ARITY:
@@ -487,11 +496,11 @@ def iterate_function(f: BooleanFunction, d: int, max_arity: int = MAX_ARITY) -> 
         raise ValueError(f"depth {d} exceeds the cap {MAX_ARITY}")
     if not f.is_total:
         raise ValueError("iteration requires a total function")
-    if f.arity**d > max_arity:
-        raise ValueError(f"iterated arity {f.arity**d} exceeds the cap {max_arity}")
+    if f.arity**d > MAX_ARITY:
+        raise ValueError(f"iterated arity {f.arity**d} exceeds the cap {MAX_ARITY}")
     g = f
     for _ in range(d - 1):
-        g = compose_functions(CompositionSpec(f, (g,) * f.arity), max_arity)
+        g = compose_functions(CompositionSpec(f, (g,) * f.arity))
     return g
 
 
@@ -506,6 +515,8 @@ def function_to_dict(f: BooleanFunction) -> dict:
 def function_from_dict(data: Mapping) -> BooleanFunction:
     try:
         n = int(data["n"])
+        if n > MAX_ARITY:
+            raise ValueError(f"arity {n} exceeds the cap {MAX_ARITY}")
         rows = data["rows"]
         dom = tuple(str(r["x"]) for r in rows)
         vals = tuple(int(r["f"]) for r in rows)

@@ -40,6 +40,7 @@ from .solver import (
     SolverOptions,
     certify,
     gadget_cost_adv,
+    readonce_arity,
     readonce_bound,
     verify_composition,
     verify_iteration,
@@ -176,7 +177,7 @@ def _cmd_gadget(args, argv, started) -> int:
 
 def _cmd_readonce(args, argv, started) -> int:
     ast = parse_formula(args.formula)
-    n = formula_arity(ast)
+    n = readonce_arity(ast)  # checked before the costs are built
     alpha = _alpha_from_args(args, n)
     value, trace = readonce_bound(ast, alpha)
     inputs = {"formula": args.formula, "alpha": list(alpha.costs)}

@@ -5,14 +5,19 @@
 the same driver: the inner min/max is smoothed with an annealed
 temperature, the simplex variables live through soft-max logits, and steps
 are moment-rescaled (Adam-style); restarts run one after another.  Both
-sides work on the f^-1(0) x f^-1(1) block only: the primal variables are
-the block B of Gamma = [[0, B], [B^T, 0]], whose norms are the top singular
-values of B and of its bit-masked copies, taken in one batched Gram
-eigensolve per step, and the dual sums its pair terms over the axes of the
-same block.  Any primal value is a true lower bound and any dual value a
-true upper bound, and the reported values are re-evaluated on the returned
-certificates, so ``certify`` always returns a valid bracket; the optimizers
-only control how tight it is.
+sides work on the f^-1(0) x f^-1(1) block only, read from the function's
+``classes`` and ``bits``: the primal variables are the block B of
+Gamma = [[0, B], [B^T, 0]], whose norms are the top singular values of B and
+of its bit-masked copies, taken in one batched Gram eigensolve per step, and
+the dual sums its pair terms over the axes of the same block.  Any primal
+value is a true lower bound and any dual value a true upper bound, and the
+reported values are re-evaluated on the returned certificates, so
+``certify`` always returns a valid bracket; the optimizers only control how
+tight it is.
+
+The annealing schedule and the optimizers' arity cap are module constants.
+``SolverOptions`` holds only the four settings a certificate reports:
+restarts, iterations, seed and target gap.
 
 The module also carries the exact two-bit gate certificates, the read-once
 formula recursion built on them, and report-producing checks for composed
@@ -31,17 +36,17 @@ from .adversary import (
     AdversaryMatrix,
     CostVector,
     MinimaxWitness,
-    _bit_matrix,
     adv_value,
     as_costs,
     compose_gamma,
     compose_minimax,
+    gamma_to_dict,
     mm_value,
     uniform_witness,
+    witness_to_dict,
     zero_gamma,
 )
 from .boolfn import (
-    MAX_ARITY,
     And,
     BooleanFunction,
     CompositionSpec,
@@ -49,6 +54,7 @@ from .boolfn import (
     Leaf,
     Not,
     compose_functions,
+    function_to_dict,
     is_read_once,
     iterate_function,
     leaf_indices,
@@ -59,10 +65,18 @@ from .specmat import SymMatrix, top_singular
 #: Default slack added on top of certificate gaps in verification reports.
 VERIFY_SLACK = 1e-2
 
+#: Largest arity the optimizers take: the dual's pair arrays grow as 4**n.
+ARITY_CAP = 5
+
+#: Annealing schedule of both searches: temperature and step size fall
+#: geometrically from start to end over the iteration budget.
+TEMP_START, TEMP_END = 1.0, 1e-3
+STEP_START, STEP_END = 0.5, 1e-4
+
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs shared by both optimizers.
+    """The settings of a search; the certificate reports all four.
 
     Restarts run in order and are independent given the seed (restart r
     draws from ``seed + r``), so runs are reproducible.
@@ -70,20 +84,12 @@ class SolverOptions:
 
     restarts: int = 8
     iterations: int = 5000
-    temp_start: float = 1.0
-    temp_end: float = 1e-3
-    step_start: float = 0.5
-    step_end: float = 1e-4
     seed: int = 0
     target_gap: float = 1e-3
-    arity_cap: int = 5
 
     def __post_init__(self):
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError("restarts and iterations must be positive")
-        for x in (self.temp_start, self.temp_end, self.step_start, self.step_end):
-            if not (math.isfinite(x) and x > 0):
-                raise ValueError("schedules must be positive and finite")
         if not (math.isfinite(self.target_gap) and self.target_gap > 0):
             raise ValueError("target gap must be positive and finite")
 
@@ -94,9 +100,9 @@ def _geometric(start: float, end: float, t: int, total: int) -> float:
     return start * (end / start) ** (t / (total - 1))
 
 
-def _check_arity(f: BooleanFunction, opts: SolverOptions) -> None:
-    if f.arity > opts.arity_cap:
-        raise ValueError(f"arity {f.arity} exceeds the optimizer cap {opts.arity_cap}")
+def _check_arity(f: BooleanFunction) -> None:
+    if f.arity > ARITY_CAP:
+        raise ValueError(f"arity {f.arity} exceeds the optimizer cap {ARITY_CAP}")
 
 
 def _search(
@@ -144,8 +150,8 @@ def _search(
             if stop_at is not None and reached(run_val, stop_at):
                 break
 
-            gz = gradient(_geometric(opts.temp_start, opts.temp_end, t, opts.iterations))
-            rate = _geometric(opts.step_start, opts.step_end, t, opts.iterations)
+            gz = gradient(_geometric(TEMP_START, TEMP_END, t, opts.iterations))
+            rate = _geometric(STEP_START, STEP_END, t, opts.iterations)
             mom = 0.9 * mom + 0.1 * gz
             sq = beta2 * sq + rate2 * gz * gz
             mhat = mom / (1.0 - 0.9 ** (t + 1))
@@ -154,12 +160,6 @@ def _search(
         if r == 0 or better(run_val, best_val):
             best_val, best_p = run_val, run_p
     return best_val, best_p
-
-
-def _classes(f: BooleanFunction) -> tuple[np.ndarray, np.ndarray]:
-    """Row indices of f^-1(0) and of f^-1(1)."""
-    vals = np.array(f.values)
-    return np.flatnonzero(vals == 0), np.flatnonzero(vals == 1)
 
 
 def _adv_step(f: BooleanFunction, a: np.ndarray):
@@ -173,9 +173,8 @@ def _adv_step(f: BooleanFunction, a: np.ndarray):
     min, and is dropped up front.  With the min over bits smoothed by an
     annealed soft-min, the gradient in B is sum_k c_k (x_k y_k^T) o M_k.
     """
-    zeros, ones = _classes(f)
-    bits = _bit_matrix(f)
-    masks = bits[zeros].T[:, :, None] != bits[ones].T[:, None, :]  # (n, m0, m1)
+    zeros, ones = f.classes
+    masks = f.bits[zeros].T[:, :, None] != f.bits[ones].T[:, None, :]  # (n, m0, m1)
     shape = masks.shape[1:]
     live = masks.any(axis=(1, 2))
     a = a[live]
@@ -223,8 +222,8 @@ def maximize_adv(
     """
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
-    _check_arity(f, opts)
-    zeros, ones = _classes(f)
+    _check_arity(f)
+    zeros, ones = f.classes
     if zeros.size == 0 or ones.size == 0:
         return zero_gamma(f), 0.0
 
@@ -247,10 +246,9 @@ def _mm_step(f: BooleanFunction, a: np.ndarray):
     annealed soft-max.  Pair arrays are laid out as the (m0, m1) block, so
     each row's gradient is a sum over one axis of it.
     """
-    zeros, ones = _classes(f)
+    zeros, ones = f.classes
     m0, m1 = zeros.size, ones.size
-    bits = _bit_matrix(f)
-    diff = (bits[zeros][:, None, :] != bits[ones][None, :, :]).reshape(m0 * m1, -1)
+    diff = (f.bits[zeros][:, None, :] != f.bits[ones][None, :, :]).reshape(m0 * m1, -1)
 
     def step(p: np.ndarray):
         pz, po = p[zeros], p[ones]
@@ -287,8 +285,8 @@ def minimize_mm(
     """
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
-    _check_arity(f, opts)
-    zeros, ones = _classes(f)
+    _check_arity(f)
+    zeros, ones = f.classes
     if zeros.size == 0 or ones.size == 0:
         return uniform_witness(f), 0.0
 
@@ -336,9 +334,6 @@ class BoundCertificate:
         return self.gap <= self.options.target_gap
 
     def to_dict(self) -> dict:
-        from .adversary import gamma_to_dict, witness_to_dict
-        from .boolfn import function_to_dict
-
         return {
             "function": function_to_dict(self.function),
             "alpha": list(self.alpha.costs),
@@ -427,13 +422,11 @@ def _flip(x: str) -> str:
     return "".join("1" if c == "0" else "0" for c in x)
 
 
-def readonce_bound(ast: FormulaAst, alpha) -> tuple[float, dict]:
-    """Recursive gate-by-gate bound for a read-once AND/OR/NOT formula.
+def readonce_arity(ast: FormulaAst) -> int:
+    """The n of a read-once formula that uses each of x_1..x_n exactly once.
 
-    Every variable x_1..x_n must appear exactly once.  A leaf contributes its
-    cost, negation passes through, and a gate combines its children by
-    hypot; with unit costs the result is sqrt(n).  Returns the value and a
-    nested per-node trace.
+    Raises ``ValueError`` for any other formula; n is at most the number of
+    leaves, so a caller can size per-variable data after this check.
     """
     if not is_read_once(ast):
         raise ValueError("formula is not read-once: a variable repeats")
@@ -441,7 +434,18 @@ def readonce_bound(ast: FormulaAst, alpha) -> tuple[float, dict]:
     n = len(seen)
     if seen != list(range(1, n + 1)):
         raise ValueError(f"read-once formula must use x1..x{n} exactly once each")
-    alpha = as_costs(alpha, n)
+    return n
+
+
+def readonce_bound(ast: FormulaAst, alpha) -> tuple[float, dict]:
+    """Recursive gate-by-gate bound for a read-once AND/OR/NOT formula.
+
+    Every variable x_1..x_n must appear exactly once (``readonce_arity``).
+    A leaf contributes its cost, negation passes through, and a gate
+    combines its children by hypot; with unit costs the result is sqrt(n).
+    Returns the value and a nested per-node trace.
+    """
+    alpha = as_costs(alpha, readonce_arity(ast))
 
     def walk(node: FormulaAst) -> tuple[float, dict]:
         if isinstance(node, Leaf):
@@ -554,7 +558,7 @@ def verify_composition(
         if key not in certs:
             certs[key] = certify(*key, opts)
         inner_certs.append(certs[key])
-    beta = CostVector(tuple(c.midpoint for c in inner_certs), alpha.unit)
+    beta = CostVector(tuple(c.midpoint for c in inner_certs))
     outer_cert = certify(spec.outer, beta, opts)
 
     gamma_h = compose_gamma(
@@ -566,7 +570,7 @@ def verify_composition(
     )
     composed_upper = mm_value(p_h, alpha)
 
-    if spec.total_arity <= opts.arity_cap:
+    if spec.total_arity <= ARITY_CAP:
         direct_cert = certify(h, alpha, opts)
         lhs_lower, lhs_upper = direct_cert.lower_value, direct_cert.upper_value
         direct_gap = direct_cert.gap
@@ -639,18 +643,15 @@ class IterationReport:
 def verify_iteration(
     f: BooleanFunction, d: int, opts: SolverOptions | None = None
 ) -> IterationReport:
-    """Certify f and its d-fold iterate; the brackets must meet as d-th powers."""
+    """Certify f and its d-fold iterate; the brackets must meet as d-th powers.
+
+    The iterate is built, and its arity checked against the optimizer cap,
+    before anything is certified.
+    """
     opts = opts or SolverOptions()
-    if d < 1:
-        raise ValueError("depth must be at least 1")
-    if d > MAX_ARITY:
-        raise ValueError(f"depth {d} exceeds the cap {MAX_ARITY}")
-    if f.arity**d > opts.arity_cap:
-        raise ValueError(
-            f"iterated arity {f.arity ** d} exceeds the optimizer cap {opts.arity_cap}"
-        )
-    base_cert = certify(f, CostVector.ones(f.arity), opts)
     fd = iterate_function(f, d)
+    _check_arity(fd)
+    base_cert = certify(f, CostVector.ones(f.arity), opts)
     iterated_cert = certify(fd, CostVector.ones(fd.arity), opts)
     power_lower = base_cert.lower_value**d
     power_upper = base_cert.upper_value**d

@@ -108,10 +108,8 @@ def test_cost_vector_validation():
 
 
 def test_cost_vector_helpers():
-    alpha = CostVector((1.0, 2.0, 3.0), unit="gates")
+    alpha = CostVector((1.0, 2.0, 3.0))
     assert alpha.block(2, 2).costs == (2.0, 3.0)
-    assert alpha.scaled(2.0).costs == (2.0, 4.0, 6.0)
-    assert alpha.scaled(2.0).unit == "gates"
     assert CostVector.ones(2).costs == (1.0, 1.0)
     assert as_costs((1, 2), 2).costs == (1.0, 2.0)
     assert as_costs(alpha, 3) is alpha
@@ -379,7 +377,7 @@ def test_block_cases_cover_the_sub_block_shapes():
         all(np.any(s) for s in bit_sub_blocks(gamma, i)) for i in range(gamma.function.arity)
     )
     gamma = BLOCK_CASES["and3_uniform"][0]
-    assert gamma.function.inputs_with_value(1) == ("111",)
+    assert gamma.function.classes[1].tolist() == [gamma.function.index("111")]
     for i in range(3):
         low, high = bit_sub_blocks(gamma, i)
         assert high.size == 0 and np.any(low)
@@ -636,11 +634,11 @@ def test_compose_gamma_argument_checks():
     spec = CompositionSpec(AND2, (OR2, AND2))
     unit = gadget(AND2, 1.0, 1.0)
     g1 = AdversaryMatrix(OR2, unit.matrix)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^gamma_f is not over the outer function$"):
         compose_gamma(AdversaryMatrix(OR2, unit.matrix), [g1, unit], spec)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected 2 inner matrices$"):
         compose_gamma(unit, [g1], spec)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^inner matrix order must match the composition blocks$"):
         compose_gamma(unit, [unit, g1], spec)  # blocks swapped
 
 
@@ -696,6 +694,17 @@ def test_compose_eigenvector_rejects_unbalanced_parts():
     lopsided = EigvecParts.from_vector(AND2, np.array([1.0, 0.0, 0.0, 0.0]))
     with pytest.raises(ValueError):
         compose_eigenvector(res, [lopsided], spec)
+
+
+def test_compose_eigenvector_argument_checks():
+    spec = CompositionSpec(ID1, (AND2,))
+    gid = AdversaryMatrix(ID1, SymMatrix(ID1.domain, np.array([[0.0, 1.0], [1.0, 0.0]])))
+    res = principal_eigenvector(gid.matrix)
+    balanced = EigvecParts.from_vector(OR2, np.array([math.sqrt(0.5), 0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="^expected 1 inner eigenvectors$"):
+        compose_eigenvector(res, [], spec)
+    with pytest.raises(ValueError, match="^inner eigenvector order must match the composition blocks$"):
+        compose_eigenvector(res, [balanced], spec)
 
 
 def test_eigvec_parts_from_vector():
@@ -781,11 +790,11 @@ def test_compose_minimax_rows_always_sum_to_one():
 
 def test_compose_minimax_argument_checks():
     spec = CompositionSpec(AND2, (OR2, OR2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^p_f is not over the outer function$"):
         compose_minimax(or_witness(), [or_witness(), or_witness()], spec)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^expected 2 inner witnesses$"):
         compose_minimax(and_witness(), [or_witness()], spec)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^inner witness order must match the composition blocks$"):
         compose_minimax(and_witness(), [and_witness(), or_witness()], spec)
 
 
@@ -930,10 +939,11 @@ def test_values_scale_linearly_in_costs():
         witness = random_witness(f, rng)
         alpha = CostVector(random_costs(rng, n))
         c = float(rng.uniform(0.25, 4.0))
+        scaled = CostVector(tuple(c * a for a in alpha.costs))
         base = adv_value(gamma, alpha)
-        assert adv_value(gamma, alpha.scaled(c)) == pytest.approx(c * base, rel=1e-12)
+        assert adv_value(gamma, scaled) == pytest.approx(c * base, rel=1e-12)
         base_mm = mm_value(witness, alpha)
-        assert mm_value(witness, alpha.scaled(c)) == pytest.approx(c * base_mm, rel=1e-12)
+        assert mm_value(witness, scaled) == pytest.approx(c * base_mm, rel=1e-12)
 
 
 def test_values_monotone_in_costs_exactly():

@@ -81,6 +81,23 @@ def test_partial_function_lookup():
         f("01")
 
 
+def test_classes_and_bits_are_built_once_and_read_only():
+    f = BooleanFunction(3, ("110", "000", "011", "101"), (1, 0, 0, 1))
+    zeros, ones = f.classes
+    assert zeros.tolist() == [1, 2] and ones.tolist() == [0, 3]
+    assert f.bits.tolist() == [[c == "1" for c in x] for x in f.domain]
+    assert f.bits.dtype == bool
+    assert f.classes is f.classes and f.bits is f.bits
+    for a in (zeros, ones, f.bits):
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+    empty = BooleanFunction(2, (), ())
+    assert [c.size for c in empty.classes] == [0, 0]
+    assert empty.bits.shape == (0, 2)
+    assert f == BooleanFunction(3, f.domain, f.values)
+    assert hash(f) == hash(BooleanFunction(3, f.domain, f.values))
+
+
 def test_parse_structure():
     assert parse_formula("x1 & x2") == And(Leaf(1), Leaf(2))
     assert parse_formula("(x1 & x2) | ~x3") == Or(And(Leaf(1), Leaf(2)), Not(Leaf(3)))
@@ -277,8 +294,6 @@ def test_composed_arity_cap_checked_before_any_array(monkeypatch):
         spec.composed
     with pytest.raises(ValueError, match="composed arity 14 exceeds the cap 12"):
         compose_functions(spec)
-    with pytest.raises(ValueError, match="composed arity 4 exceeds the cap 3"):
-        compose_functions(CompositionSpec(make_family("and", 2), (make_family("and", 2),) * 2), 3)
 
 
 def test_iterate_and_is_and4():
@@ -369,6 +384,13 @@ def test_truth_table_json_malformed():
         function_from_dict({"n": 2, "rows": [{"x": "00"}]})
     with pytest.raises(ValueError):
         function_from_dict({"n": 2, "rows": [{"x": "00", "f": 3}]})
+
+
+def test_truth_table_arity_cap():
+    assert function_from_dict({"n": MAX_ARITY, "rows": []}).arity == MAX_ARITY
+    for n in (MAX_ARITY + 1, 10**9):
+        with pytest.raises(ValueError, match=f"arity {n} exceeds the cap 12"):
+            function_from_dict({"n": n, "rows": []})
 
 
 # Inputs the row checks reject, each with its bad row placed after good ones.

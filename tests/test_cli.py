@@ -5,8 +5,8 @@ import math
 
 import pytest
 
-from advbound import boolfn, solver
-from advbound.adversary import gamma_to_dict
+from advbound import boolfn, cli, solver
+from advbound.adversary import CostVector, gamma_to_dict
 from advbound.boolfn import function_to_dict, make_family
 from advbound.cli import SCHEMA, load_function, run
 from advbound.solver import SolverOptions, certify, gadget_cost_adv
@@ -186,6 +186,46 @@ def test_verify_iteration_depth_checked_before_any_work(capsys, monkeypatch, arg
     assert code == 2
     assert report is None
     assert err.startswith("error:") and f"depth {argv[-1]} exceeds the cap 12" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (lambda t: ["bound", "--table", t], "arity 1000000000 exceeds the cap 12"),
+        (
+            lambda t: ["verify-composition", "--outer", "family:id:1", "--inner", f"table:{t}"],
+            "arity 1000000000 exceeds the cap 12",
+        ),
+        (lambda t: ["readonce", "x1000000000"], "must use x1..x1 exactly once"),
+    ],
+    ids=["bound", "verify-composition", "readonce"],
+)
+def test_huge_arity_rejected_before_any_costs(capsys, monkeypatch, tmp_path, argv, message):
+    # The costs were sized by the claimed arity first: 8 GB for 10**9 bits.
+    def no_costs(*args, **kwargs):
+        raise AssertionError("the arity must be checked before any costs are built")
+
+    monkeypatch.setattr(cli, "_alpha_from_args", no_costs)
+    monkeypatch.setattr(CostVector, "ones", no_costs)
+    table = tmp_path / "huge.json"
+    table.write_text(json.dumps({"n": 10**9, "rows": []}))
+    code, report, err = invoke(capsys, argv(str(table)))
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:") and message in err
+
+
+def test_verify_iteration_on_a_partial_table_certifies_nothing(capsys, monkeypatch, tmp_path):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a partial table must be rejected before any certify")
+
+    monkeypatch.setattr(solver, "certify", no_work)
+    table = tmp_path / "partial.json"
+    table.write_text(json.dumps({"n": 2, "rows": [{"x": "00", "f": 0}, {"x": "11", "f": 1}]}))
+    code, report, err = invoke(capsys, ["verify-iteration", "--table", str(table), "--d", "2"])
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:") and "iteration requires a total function" in err
 
 
 @pytest.mark.parametrize(

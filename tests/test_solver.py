@@ -1,5 +1,6 @@
 """Optimizers, exact gate certificates, and the verification reports."""
 
+import dataclasses
 import json
 import math
 
@@ -43,13 +44,17 @@ def test_options_validation():
         SolverOptions(restarts=0)
     with pytest.raises(ValueError):
         SolverOptions(iterations=0)
-    with pytest.raises(ValueError):
-        SolverOptions(temp_start=0.0)
-    with pytest.raises(ValueError):
-        SolverOptions(step_end=-1.0)
     for gap in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             SolverOptions(target_gap=gap)
+
+
+def test_options_are_exactly_the_reported_settings():
+    # A setting that the certificate does not report cannot be reproduced
+    # from it; a new field fails here until to_dict() reports it too.
+    opts = SolverOptions(restarts=2, iterations=30, seed=4, target_gap=0.5)
+    reported = certify(OR2, (1.0, 1.0), opts).to_dict()["solver"]
+    assert reported == dataclasses.asdict(opts)
 
 
 def test_certify_id_is_exact():
@@ -224,7 +229,6 @@ def test_optimizers_reject_large_arity():
         maximize_adv(f, (1.0,) * 6, FAST)
     with pytest.raises(ValueError):
         minimize_mm(f, (1.0,) * 6, FAST)
-    assert certify(f, (1.0,) * 6, SolverOptions(restarts=1, iterations=1, arity_cap=6))
 
 
 def test_certificate_rejects_inverted_bracket():
@@ -470,6 +474,22 @@ def test_verify_iteration_rejects_bad_depth():
         verify_iteration(NAND2, 0, FAST)
     with pytest.raises(ValueError):
         verify_iteration(NAND2, 3, FAST)  # arity 8 exceeds the optimizer cap
+
+
+def test_verify_iteration_checks_the_iterate_before_any_certify(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the iterate must be checked before any certify")
+
+    monkeypatch.setattr(solver, "certify", no_work)
+    partial = BooleanFunction(2, ("00", "01", "11"), (0, 1, 1))
+    with pytest.raises(ValueError, match="iteration requires a total function"):
+        verify_iteration(partial, 2, FAST)
+    with pytest.raises(ValueError, match="arity 8 exceeds the optimizer cap 5"):
+        verify_iteration(NAND2, 3, FAST)
+    with pytest.raises(ValueError, match="iterated arity 16 exceeds the cap 12"):
+        verify_iteration(NAND2, 4, FAST)
+    with pytest.raises(ValueError, match="arity 6 exceeds the optimizer cap 5"):
+        verify_iteration(make_family("and", 6), 1, FAST)
 
 
 def test_verify_iteration_depth_checked_before_any_work(monkeypatch):
