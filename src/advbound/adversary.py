@@ -390,9 +390,10 @@ def compose_gamma(
 
     The product is written into one output array, ``COMPOSE_CHUNK`` rows at
     a time: the outer factor's gathered rows first, then each inner factor's
-    multiplied in, in block order.  Entries (x, y) and (y, x) multiply the
-    same numbers in the same order, so the result is exactly symmetric and
-    becomes a ``SymMatrix`` without a copy or a symmetry check.
+    multiplied in, in block order.  Each chunk is checked finite once its
+    last factor is in, while it is still in cache.  Entries (x, y) and (y, x)
+    multiply the same numbers in the same order, so the result is exactly
+    symmetric and becomes a ``SymMatrix`` without a copy or any re-check.
     """
     _check_blocks(spec, gammas_g, "matrix", "matrices", gamma_f=gamma_f)
     require_valid(gamma_f, allow_zero=True)
@@ -416,6 +417,8 @@ def compose_gamma(
         for factor, idx in factors:
             np.take(factor[idx[start:stop]], idx, axis=1, out=part, mode="clip")
             chunk *= part
+        if not np.isfinite(chunk).all():  # finite factors can still overflow
+            raise ValueError("entries must be finite")
     h = rows.function
     return AdversaryMatrix(h, SymMatrix._trusted(h.domain, out))
 

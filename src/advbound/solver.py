@@ -1,10 +1,14 @@
 """Certified brackets on the cost-weighted adversary bound.
 
-``maximize_adv`` climbs the primal side (weight matrices) and
-``minimize_mm`` descends the dual side (per-row distributions).  Both run
-the same driver: the inner min/max is smoothed with an annealed
-temperature, the simplex variables live through soft-max logits, and steps
-are moment-rescaled (Adam-style); restarts run one after another.  Both
+The primal side climbs over weight matrices and the dual side descends over
+per-row distributions.  Both run the same search loop, ``_search``: the inner
+min/max is smoothed with an annealed temperature, the simplex variables
+live through soft-max logits, and steps are moment-rescaled (Adam-style);
+restarts run one after another.  The loop is a generator that yields the
+best point so far after every step.  ``certify`` steps the two sides in
+lockstep and stops at the first step where the best values bracket the
+bound within the target gap, skipping the steps and restarts left;
+``maximize_adv`` and ``minimize_mm`` each run one side to the end.  Both
 sides work on the f^-1(0) x f^-1(1) block only, read from the function's
 ``classes`` and ``bits``: the primal variables are the block B of
 Gamma = [[0, B], [B^T, 0]], whose norms are the top singular values of B and
@@ -79,7 +83,9 @@ class SolverOptions:
     """The settings of a search; the certificate reports all four.
 
     Restarts run in order and are independent given the seed (restart r
-    draws from ``seed + r``), so runs are reproducible.
+    draws from ``seed + r``), so runs are reproducible.  ``restarts`` and
+    ``iterations`` are a budget: ``certify`` stops as soon as its bracket
+    is within ``target_gap``, in whichever restart that happens.
     """
 
     restarts: int = 8
@@ -105,17 +111,22 @@ def _check_arity(f: BooleanFunction) -> None:
         raise ValueError(f"arity {f.arity} exceeds the optimizer cap {ARITY_CAP}")
 
 
+def _both_classes(f: BooleanFunction) -> bool:
+    """True when f takes both values; otherwise no pair enters either search."""
+    zeros, ones = f.classes
+    return zeros.size > 0 and ones.size > 0
+
+
 def _search(
     step,
     shape,
     opts: SolverOptions,
-    stop_at: float | None,
     *,
     ascent: bool,
     floor: float,
     decay: tuple[float, float],
 ):
-    """Annealed soft-max/Adam search; the best (value, probabilities) found.
+    """Annealed soft-max/Adam search, as a generator of the best point so far.
 
     The variables are logits whose soft-max along the last axis gives the
     probabilities ``p``; after the shift by their maximum they are clipped
@@ -123,32 +134,34 @@ def _search(
     and a function that maps the temperature to the gradient with respect
     to the logits.  ``decay`` is the second-moment decay and its complement,
     as each side writes it (1 - 0.99 != 0.01 in floating point).  Restarts
-    run in order, restart r drawing from ``seed + r``; the best value wins,
-    the earliest on ties.
+    run in order, restart r drawing from ``seed + r``.
+
+    After every step the generator yields the best (value, probabilities)
+    found so far, across restarts, the earliest winning ties; its last item
+    is the search's result.  A consumer that stops early skips the rest of
+    the steps, and of the restarts.
     """
-    better, reached = (operator.gt, operator.ge) if ascent else (operator.lt, operator.le)
+    better = operator.gt if ascent else operator.lt
     beta2, rate2 = decay
-    best_val, best_p = None, None
+    best_val, best_p = (-math.inf if ascent else math.inf), None
     for r in range(opts.restarts):
         rng = np.random.default_rng(opts.seed + r)
         z = 0.3 * rng.standard_normal(shape)
         mom = np.zeros(shape)
         sq = np.zeros(shape)
-        run_val, run_p = (-math.inf if ascent else math.inf), None
         for t in range(opts.iterations):
             z -= z.max(axis=-1, keepdims=True)
             np.maximum(z, floor, out=z)  # the upper clip at 0 is a no-op after the shift
             p = np.exp(z)
             p /= p.sum(axis=-1, keepdims=True)
             val, gradient = step(p)
-            if better(val, run_val):
-                run_val, run_p = val, p  # p is fresh each step and never written to
-            elif run_p is None:
+            if better(val, best_val):
+                best_val, best_p = val, p  # p is fresh each step and never written to
+            elif best_p is None:
                 # Values that are all inf or NaN (costs near the float limits)
                 # still return a certificate; the caller's evaluation rejects it.
-                run_p = p
-            if stop_at is not None and reached(run_val, stop_at):
-                break
+                best_p = p
+            yield best_val, best_p
 
             gz = gradient(_geometric(TEMP_START, TEMP_END, t, opts.iterations))
             rate = _geometric(STEP_START, STEP_END, t, opts.iterations)
@@ -157,9 +170,13 @@ def _search(
             mhat = mom / (1.0 - 0.9 ** (t + 1))
             shat = sq / (1.0 - beta2 ** (t + 1))
             z += (rate if ascent else -rate) * mhat / (np.sqrt(shat) + 1e-12)
-        if r == 0 or better(run_val, best_val):
-            best_val, best_p = run_val, run_p
-    return best_val, best_p
+
+
+def _last(search):
+    """The final item of a search: its best (value, probabilities)."""
+    for item in search:
+        pass
+    return item
 
 
 def _adv_step(f: BooleanFunction, a: np.ndarray):
@@ -202,11 +219,24 @@ def _adv_step(f: BooleanFunction, a: np.ndarray):
     return step
 
 
+def _adv_search(f: BooleanFunction, alpha: CostVector, opts: SolverOptions):
+    """The primal search over the f^-1(0) x f^-1(1) block (see ``_search``)."""
+    zeros, ones = f.classes
+    step = _adv_step(f, alpha.as_array())
+    return _search(step, zeros.size * ones.size, opts, ascent=True, floor=-30.0, decay=(0.99, 0.01))
+
+
+def _gamma_from(f: BooleanFunction, q: np.ndarray) -> AdversaryMatrix:
+    """The weight matrix of the primal probabilities q, B = sqrt(q/2) row-major."""
+    zeros, ones = f.classes
+    g = np.zeros((len(f.domain),) * 2)
+    g[np.ix_(zeros, ones)] = np.sqrt(q / 2.0).reshape(zeros.size, ones.size)
+    g[np.ix_(ones, zeros)] = g[np.ix_(zeros, ones)].T
+    return AdversaryMatrix(f, SymMatrix(f.domain, g))
+
+
 def maximize_adv(
-    f: BooleanFunction,
-    alpha,
-    opts: SolverOptions | None = None,
-    stop_at: float | None = None,
+    f: BooleanFunction, alpha, opts: SolverOptions | None = None
 ) -> tuple[AdversaryMatrix, float]:
     """Best found weight matrix and its value (a certified lower bound).
 
@@ -218,23 +248,15 @@ def maximize_adv(
     strand the ascent on that face.  Steps are moment-rescaled (Adam-style)
     like the dual side's, and for the same reason: recovery of a nearly-dead
     weight has a gradient proportional to the weight itself, which plain
-    normalized steps cannot act on.
+    normalized steps cannot act on.  Runs the whole budget.
     """
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
     _check_arity(f)
-    zeros, ones = f.classes
-    if zeros.size == 0 or ones.size == 0:
+    if not _both_classes(f):
         return zero_gamma(f), 0.0
-
-    step = _adv_step(f, alpha.as_array())
-    _, best_q = _search(
-        step, zeros.size * ones.size, opts, stop_at, ascent=True, floor=-30.0, decay=(0.99, 0.01)
-    )
-    g = np.zeros((len(f.domain),) * 2)
-    g[np.ix_(zeros, ones)] = np.sqrt(best_q / 2.0).reshape(zeros.size, ones.size)
-    g[np.ix_(ones, zeros)] = g[np.ix_(zeros, ones)].T
-    gamma = AdversaryMatrix(f, SymMatrix(f.domain, g))
+    _, best_q = _last(_adv_search(f, alpha, opts))
+    gamma = _gamma_from(f, best_q)
     return gamma, adv_value(gamma, alpha)
 
 
@@ -270,32 +292,35 @@ def _mm_step(f: BooleanFunction, a: np.ndarray):
     return step
 
 
+def _mm_search(f: BooleanFunction, alpha: CostVector, opts: SolverOptions):
+    """The dual search over the per-row distributions (see ``_search``)."""
+    step = _mm_step(f, alpha.as_array())
+    shape = (len(f.domain), f.arity)
+    return _search(step, shape, opts, ascent=False, floor=-60.0, decay=(0.999, 0.001))
+
+
+def _witness_from(f: BooleanFunction, p: np.ndarray) -> MinimaxWitness:
+    """The witness of the dual probabilities p, one row per input in domain order."""
+    return MinimaxWitness(f, {x: tuple(p[i] / p[i].sum()) for i, x in enumerate(f.domain)})
+
+
 def minimize_mm(
-    f: BooleanFunction,
-    alpha,
-    opts: SolverOptions | None = None,
-    stop_at: float | None = None,
+    f: BooleanFunction, alpha, opts: SolverOptions | None = None
 ) -> tuple[MinimaxWitness, float]:
     """Best found witness and its value (a certified upper bound).
 
     Each row's distribution lives through unconstrained logits; descent acts
     on a soft-max smoothing of the worst pair, annealed like the primal side,
     with moment-rescaled (Adam-style) steps, which converge much faster here
-    than plain normalized steps.
+    than plain normalized steps.  Runs the whole budget.
     """
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
     _check_arity(f)
-    zeros, ones = f.classes
-    if zeros.size == 0 or ones.size == 0:
+    if not _both_classes(f):
         return uniform_witness(f), 0.0
-
-    step = _mm_step(f, alpha.as_array())
-    _, best_p = _search(
-        step, (len(f.domain), f.arity), opts, stop_at, ascent=False, floor=-60.0, decay=(0.999, 0.001)
-    )
-    rows = {x: tuple(best_p[i] / best_p[i].sum()) for i, x in enumerate(f.domain)}
-    witness = MinimaxWitness(f, rows)
+    _, best_p = _last(_mm_search(f, alpha, opts))
+    witness = _witness_from(f, best_p)
     return witness, mm_value(witness, alpha)
 
 
@@ -351,15 +376,27 @@ class BoundCertificate:
 
 
 def certify(f: BooleanFunction, alpha, opts: SolverOptions | None = None) -> BoundCertificate:
-    """Run both optimizers and package the bracket.
+    """Run both searches in lockstep and package the bracket.
 
-    The dual run stops once it reaches the lower value plus the target gap;
-    anything tighter costs time without improving the guarantee.
+    The primal and dual searches take one step each in turn, and stop at the
+    first step where the best upper value so far is within the target gap of
+    the best lower value so far: anything tighter costs time without
+    improving the guarantee.  The stop spans restarts, so the restarts left
+    are skipped; a bracket that never meets the gap runs both searches to
+    the end, as ``maximize_adv`` and ``minimize_mm`` do.  The reported values
+    are re-evaluated on the certificates built from the two best points.
     """
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
-    gamma, lower = maximize_adv(f, alpha, opts)
-    witness, upper = minimize_mm(f, alpha, opts, stop_at=lower + opts.target_gap)
+    _check_arity(f)
+    if _both_classes(f):
+        for (low, q), (up, p) in zip(_adv_search(f, alpha, opts), _mm_search(f, alpha, opts)):
+            if up - low <= opts.target_gap:
+                break
+        gamma, witness = _gamma_from(f, q), _witness_from(f, p)
+        lower, upper = adv_value(gamma, alpha), mm_value(witness, alpha)
+    else:
+        gamma, witness, lower, upper = zero_gamma(f), uniform_witness(f), 0.0, 0.0
     return BoundCertificate(
         function=f,
         alpha=alpha,

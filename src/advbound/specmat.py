@@ -11,8 +11,9 @@ holds a ``SymMatrix`` may rely on symmetry without checking it again.  The
 one exception is the private ``SymMatrix._trusted``, for arrays that are
 symmetric by construction (``adversary.compose_gamma`` builds entry (x, y)
 and entry (y, x) from the same numbers in the same order): it takes the
-array without a copy and checks its shape, labels and finiteness, but not
-its symmetry.  Outside input always goes through ``SymMatrix(...)``.
+array without a copy and checks its shape and labels only; its caller
+checks finiteness as it builds.  Outside input always goes through
+``SymMatrix(...)``.
 
 ``top_singular`` takes the top singular triple of every block in a stack
 from one batched eigensolve on the Gram matrices of the blocks' smaller
@@ -73,11 +74,6 @@ def _check_labels(labels: tuple[str, ...], a: np.ndarray) -> None:
         raise ValueError("labels must have equal length")
 
 
-def _check_finite(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
-        raise ValueError("entries must be finite")
-
-
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
     """An exactly symmetric real matrix with distinct equal-length labels."""
@@ -90,7 +86,8 @@ class SymMatrix:
         _check_labels(self.labels, a)
         if not _is_symmetric(a):
             raise ValueError("entries must be exactly symmetric")
-        _check_finite(a)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("entries must be finite")
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
@@ -102,11 +99,10 @@ class SymMatrix:
         For builders that make every entry (x, y) from the same numbers, in
         the same order, as entry (y, x).  The array is taken without a copy
         and marked read-only, so the caller must hold no other reference it
-        writes through; the shape, labels and finiteness are checked, the
-        symmetry is not.
+        writes through.  The shape and labels are checked; the caller
+        guarantees that the entries are finite and exactly symmetric.
         """
         _check_labels(labels, entries)
-        _check_finite(entries)
         entries.flags.writeable = False
         out = object.__new__(cls)
         object.__setattr__(out, "labels", labels)

@@ -915,6 +915,31 @@ def test_compose_gamma_output_is_symmetric_and_read_only(compose_reference_cases
         entries[0, 0] = 1.0
 
 
+@pytest.mark.parametrize("chunk", ["first", "second"])
+def test_compose_gamma_rejects_an_overflowing_product(chunk):
+    # Finite factors whose product overflows.  In "second", the and2 weight
+    # 1e200 sits between its hub 11 and spoke 10, so over (id, or_k) every
+    # overflowing entry lies in a row with x_1 = 1: all in the second chunk.
+    if chunk == "first":
+        spec = CompositionSpec(AND2, (OR2, OR2))
+        _, gamma_f, _ = gadget_cost_adv("and", (1e200, 1e200))
+        _, inner, _ = gadget_cost_adv("or", (1e100, 1e100))
+        gammas_g = [inner, inner]
+    else:
+        ork = make_family("or", adversary.COMPOSE_CHUNK.bit_length() - 1)
+        spec = CompositionSpec(AND2, (ID1, ork))
+        _, gamma_f, _ = gadget_cost_adv("and", (1.0, 1e200))
+        e = np.array([[0.0, 1e75], [1e75, 0.0]])
+        gammas_g = [
+            AdversaryMatrix(ID1, SymMatrix(ID1.domain, e)),
+            random_gamma(ork, np.random.default_rng(0), 1e75, 2e75),
+        ]
+    # The overflow warnings are numpy's; the error is the check's.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="^entries must be finite$"):
+            compose_gamma(gamma_f, gammas_g, spec)
+
+
 # --------------------------------------------------------------------------
 # order and scaling properties
 

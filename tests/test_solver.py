@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from advbound import solver
-from advbound.adversary import adv_value, mm_value, uniform_witness, validate
+from advbound.adversary import adv_value, mm_value, uniform_witness, validate, zero_gamma
 from advbound.boolfn import (
     BooleanFunction,
     CompositionSpec,
@@ -20,6 +20,7 @@ from advbound.solver import (
     BoundCertificate,
     SolverOptions,
     _adv_step,
+    _mm_step,
     certify,
     gadget_cost_adv,
     maximize_adv,
@@ -37,6 +38,36 @@ NAND2 = make_family("nand", 2)
 ID1 = make_family("id", 1)
 
 FAST = SolverOptions(restarts=2)
+
+
+@pytest.fixture
+def spied_steps(monkeypatch):
+    """The value of every primal ("adv") and dual ("mm") step, in order."""
+    seen = {"adv": [], "mm": []}
+
+    def spy(make, key):
+        def made(f, a):
+            step = make(f, a)
+
+            def spied(p):
+                value, gradient = step(p)
+                seen[key].append(value)
+                return value, gradient
+
+            return spied
+
+        return made
+
+    monkeypatch.setattr(solver, "_adv_step", spy(solver._adv_step, "adv"))
+    monkeypatch.setattr(solver, "_mm_step", spy(solver._mm_step, "mm"))
+    return seen
+
+
+def first_tight_step(seen, gap):
+    """The first lockstep step at which the best values so far meet the gap."""
+    lows = np.maximum.accumulate(seen["adv"])
+    ups = np.minimum.accumulate(seen["mm"])
+    return int(np.flatnonzero(ups - lows <= gap)[0])
 
 
 def test_options_validation():
@@ -99,11 +130,121 @@ def test_minimize_mm_returns_feasible_certificate():
     assert value >= math.sqrt(2.0) - 1e-9
 
 
-def test_stop_at_short_circuits():
-    _, lo = maximize_adv(OR2, (1.0, 1.0), FAST, stop_at=1.05)
-    assert lo >= 1.05 - 1e-9  # reached the requested level, then stopped
-    _, up = minimize_mm(OR2, (1.0, 1.0), FAST, stop_at=10.0)
-    assert math.sqrt(2.0) - 1e-9 <= up < math.inf
+def test_stop_at_short_circuits(spied_steps):
+    # certify stops both searches at the first step that meets the gap: a
+    # loose gap is met long before the 5000-step budget
+    cert = certify(OR2, (1.0, 1.0), SolverOptions(restarts=2, target_gap=0.5))
+    steps = len(spied_steps["adv"])
+    assert steps == len(spied_steps["mm"]) == first_tight_step(spied_steps, 0.5) + 1
+    assert steps < 100
+    assert cert.tight
+    assert cert.lower_value <= math.sqrt(2.0) + 1e-9 <= cert.upper_value + 2e-9
+
+
+@pytest.mark.parametrize("f", [OR2, make_family("parity", 3)], ids=["or2", "parity3"])
+def test_tight_certify_stops_at_the_first_step_that_meets_the_gap(spied_steps, f):
+    opts = SolverOptions(restarts=1)
+    cert = certify(f, (1.0,) * f.arity, opts)
+    steps = len(spied_steps["adv"])
+    assert steps == len(spied_steps["mm"]) == first_tight_step(spied_steps, opts.target_gap) + 1
+    assert steps < opts.iterations
+    assert cert.tight and cert.gap <= opts.target_gap
+    # the reported values are the certificates' own, which the search's
+    # best values approximate
+    assert cert.lower_value == pytest.approx(max(spied_steps["adv"]), rel=1e-12)
+    assert cert.upper_value == pytest.approx(min(spied_steps["mm"]), rel=1e-12)
+
+
+def test_tight_certify_skips_the_remaining_restarts(spied_steps):
+    cert = certify(OR2, (1.0, 1.0), SolverOptions(restarts=8))
+    steps = len(spied_steps["adv"])
+    assert steps == first_tight_step(spied_steps, cert.options.target_gap) + 1
+    assert steps < cert.options.iterations  # restart 0 only
+    one = certify(OR2, (1.0, 1.0), SolverOptions(restarts=1))
+    assert (cert.lower_value, cert.upper_value) == (one.lower_value, one.upper_value)
+    assert np.array_equal(cert.lower_matrix.matrix.entries, one.lower_matrix.matrix.entries)
+    assert cert.upper_witness.p == one.upper_witness.p
+
+
+def test_untight_certify_is_both_full_searches():
+    # and3 with costs (1, 2, 3) does not meet the default gap within the
+    # default budget, so both sides run to the end, as the optimizers do
+    f, alpha, opts = make_family("and", 3), (1.0, 2.0, 3.0), SolverOptions(restarts=1)
+    cert = certify(f, alpha, opts)
+    assert not cert.tight
+    gamma, lower = maximize_adv(f, alpha, opts)
+    witness, upper = minimize_mm(f, alpha, opts)
+    assert (cert.lower_value, cert.upper_value) == (lower, upper)
+    assert np.array_equal(cert.lower_matrix.matrix.entries, gamma.matrix.entries)
+    assert cert.upper_witness.p == witness.p
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        BooleanFunction(2, ("00", "01", "10", "11"), (1, 1, 1, 1)),
+        BooleanFunction(2, ("00", "11"), (0, 0)),
+    ],
+    ids=["constant", "partial"],
+)
+def test_certify_with_an_empty_class_takes_no_step(spied_steps, f):
+    cert = certify(f, (1.0, 1.0), FAST)
+    assert spied_steps == {"adv": [], "mm": []}
+    assert cert.lower_value == cert.upper_value == 0.0
+    assert np.array_equal(cert.lower_matrix.matrix.entries, zero_gamma(f).matrix.entries)
+    assert cert.upper_witness.p == uniform_witness(f).p
+
+
+def restart_loop(step, shape, opts, ascent, floor, decay):
+    """The search as one loop over restarts, each run to the end, keeping the
+    best run (the earliest on ties): the optimizers' result must not move."""
+    better = (lambda a, b: a > b) if ascent else (lambda a, b: a < b)
+    beta2, rate2 = decay
+    best_val, best_p = None, None
+    for r in range(opts.restarts):
+        rng = np.random.default_rng(opts.seed + r)
+        z = 0.3 * rng.standard_normal(shape)
+        mom, sq = np.zeros(shape), np.zeros(shape)
+        run_val, run_p = (-math.inf if ascent else math.inf), None
+        for t in range(opts.iterations):
+            z -= z.max(axis=-1, keepdims=True)
+            np.maximum(z, floor, out=z)
+            p = np.exp(z)
+            p /= p.sum(axis=-1, keepdims=True)
+            val, gradient = step(p)
+            if better(val, run_val):
+                run_val, run_p = val, p
+            elif run_p is None:
+                run_p = p
+            gz = gradient(solver._geometric(solver.TEMP_START, solver.TEMP_END, t, opts.iterations))
+            rate = solver._geometric(solver.STEP_START, solver.STEP_END, t, opts.iterations)
+            mom = 0.9 * mom + 0.1 * gz
+            sq = beta2 * sq + rate2 * gz * gz
+            mhat = mom / (1.0 - 0.9 ** (t + 1))
+            shat = sq / (1.0 - beta2 ** (t + 1))
+            z += (rate if ascent else -rate) * mhat / (np.sqrt(shat) + 1e-12)
+        if r == 0 or better(run_val, best_val):
+            best_val, best_p = run_val, run_p
+    return best_val, best_p
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_optimizers_match_the_restart_loop(seed):
+    f, alpha = make_family("and", 3), (1.0, 2.0, 3.0)
+    a = np.array(alpha)
+    opts = SolverOptions(restarts=2, iterations=300, seed=seed)
+    zeros, ones = f.classes
+
+    _, q = restart_loop(_adv_step(f, a), zeros.size * ones.size, opts, True, -30.0, (0.99, 0.01))
+    gamma, value = maximize_adv(f, alpha, opts)
+    block = gamma.matrix.entries[np.ix_(zeros, ones)]
+    assert np.array_equal(block, np.sqrt(q / 2.0).reshape(block.shape))
+    assert value == adv_value(gamma, alpha)
+
+    _, p = restart_loop(_mm_step(f, a), (len(f.domain), f.arity), opts, False, -60.0, (0.999, 0.001))
+    witness, value = minimize_mm(f, alpha, opts)
+    assert witness.p == {x: tuple(p[i] / p[i].sum()) for i, x in enumerate(f.domain)}
+    assert value == mm_value(witness, alpha)
 
 
 def test_certify_deterministic():
@@ -190,17 +331,23 @@ def test_restarts_keep_the_best_run_earliest_on_ties(seed):
         return SolverOptions(restarts=restarts, iterations=40, seed=s)
 
     runs = [maximize_adv(f, alpha, opts(1, s)) for s in (seed, seed + 1)]
-    gamma, value = maximize_adv(f, alpha, opts(2, seed))
+    gamma, lower = maximize_adv(f, alpha, opts(2, seed))
     best = runs[1] if runs[1][1] > runs[0][1] else runs[0]
-    assert value == best[1]
+    assert lower == best[1]
     assert np.array_equal(gamma.matrix.entries, best[0].matrix.entries)
 
-    stop = math.sqrt(14.0) + 0.5
-    runs = [minimize_mm(f, alpha, opts(1, s), stop_at=stop) for s in (seed, seed + 1)]
-    witness, value = minimize_mm(f, alpha, opts(2, seed), stop_at=stop)
+    runs = [minimize_mm(f, alpha, opts(1, s)) for s in (seed, seed + 1)]
+    witness, upper = minimize_mm(f, alpha, opts(2, seed))
     best = runs[1] if runs[1][1] < runs[0][1] else runs[0]
-    assert value == best[1]
+    assert upper == best[1]
     assert witness.p == best[0].p
+
+    # 40 steps never meet the gap, so certify's lockstep keeps the same bests
+    cert = certify(f, alpha, opts(2, seed))
+    assert not cert.tight
+    assert (cert.lower_value, cert.upper_value) == (lower, upper)
+    assert np.array_equal(cert.lower_matrix.matrix.entries, gamma.matrix.entries)
+    assert cert.upper_witness.p == witness.p
 
 
 @pytest.mark.parametrize("ascent", [True, False], ids=["ascent", "descent"])
@@ -210,12 +357,15 @@ def test_restart_ties_go_to_the_earliest(ascent):
         return 1.0, lambda temp: np.zeros_like(p)
 
     opts = SolverOptions(restarts=3, iterations=2, seed=5)
-    value, p = solver._search(flat, (3, 4), opts, None, ascent=ascent, floor=-30.0, decay=(0.99, 0.01))
+    search = solver._search(flat, (3, 4), opts, ascent=ascent, floor=-30.0, decay=(0.99, 0.01))
+    items = list(search)
     z = 0.3 * np.random.default_rng(5).standard_normal((3, 4))
     z -= z.max(axis=1, keepdims=True)
     want = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-    assert value == 1.0
-    assert np.allclose(p, want, rtol=0.0, atol=1e-15)
+    assert len(items) == 6  # one best-so-far after every step of every restart
+    for value, p in items:
+        assert value == 1.0
+        assert np.allclose(p, want, rtol=0.0, atol=1e-15)
 
 
 def test_seed_changes_search_but_not_validity():
