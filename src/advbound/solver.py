@@ -30,8 +30,10 @@ and iterated functions.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,6 +108,24 @@ def _geometric(start: float, end: float, t: int, total: int) -> float:
     return start * (end / start) ** (t / (total - 1))
 
 
+@functools.lru_cache(maxsize=2)
+def _schedule(n: int, ascent: bool, beta2: float) -> tuple[array, array, array, array]:
+    """The per-step scalars of an n-step search, as four columns over t.
+
+    They are the temperature, the step size (negated for a descent) and the
+    two Adam bias corrections 1 - 0.9**(t+1) and 1 - beta2**(t+1).  Every
+    restart, and every search with the same budget and side, shares them.
+    """
+    sign = 1.0 if ascent else -1.0
+    steps = range(n)
+    return (
+        array("d", (_geometric(TEMP_START, TEMP_END, t, n) for t in steps)),
+        array("d", (_geometric(STEP_START, STEP_END, t, n) * sign for t in steps)),
+        array("d", (1.0 - 0.9 ** (t + 1) for t in steps)),
+        array("d", (1.0 - beta2 ** (t + 1) for t in steps)),
+    )
+
+
 def _check_arity(f: BooleanFunction) -> None:
     if f.arity > ARITY_CAP:
         raise ValueError(f"arity {f.arity} exceeds the optimizer cap {ARITY_CAP}")
@@ -143,13 +163,14 @@ def _search(
     """
     better = operator.gt if ascent else operator.lt
     beta2, rate2 = decay
+    schedule = _schedule(opts.iterations, ascent, beta2)
     best_val, best_p = (-math.inf if ascent else math.inf), None
     for r in range(opts.restarts):
         rng = np.random.default_rng(opts.seed + r)
         z = 0.3 * rng.standard_normal(shape)
         mom = np.zeros(shape)
         sq = np.zeros(shape)
-        for t in range(opts.iterations):
+        for temp, rate, fix1, fix2 in zip(*schedule):
             z -= z.max(axis=-1, keepdims=True)
             np.maximum(z, floor, out=z)  # the upper clip at 0 is a no-op after the shift
             p = np.exp(z)
@@ -163,13 +184,23 @@ def _search(
                 best_p = p
             yield best_val, best_p
 
-            gz = gradient(_geometric(TEMP_START, TEMP_END, t, opts.iterations))
-            rate = _geometric(STEP_START, STEP_END, t, opts.iterations)
-            mom = 0.9 * mom + 0.1 * gz
-            sq = beta2 * sq + rate2 * gz * gz
-            mhat = mom / (1.0 - 0.9 ** (t + 1))
-            shat = sq / (1.0 - beta2 ** (t + 1))
-            z += (rate if ascent else -rate) * mhat / (np.sqrt(shat) + 1e-12)
+            # Adam, in place: mom = 0.9 mom + 0.1 gz, sq = beta2 sq + rate2 gz gz,
+            # z += rate (mom/fix1) / (sqrt(sq/fix2) + 1e-12), each product and
+            # sum rounded as in that order.
+            gz = gradient(temp)
+            mom *= 0.9
+            mom += 0.1 * gz
+            g2 = rate2 * gz
+            g2 *= gz
+            sq *= beta2
+            sq += g2
+            move = mom / fix1
+            move *= rate
+            den = sq / fix2
+            np.sqrt(den, out=den)
+            den += 1e-12
+            move /= den
+            z += move
 
 
 def _last(search):

@@ -200,10 +200,18 @@ def top_singular(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     (B B^T, or B^T B for tall blocks); the other singular vector is rebuilt
     as B^T x (or B y) and normalized.  Returns sigma of shape (k,), x of
     shape (k, m0) and y of shape (k, m1).  Every block must be nonzero.
+
+    A 1 x 1 Gram matrix (a block with one row or one column) skips the solve:
+    its eigenvalue is the entry and its eigenvector is 1, exactly what LAPACK
+    returns for it.
     """
     flip = stack.transpose(0, 2, 1)
     tall = stack.shape[1] > stack.shape[2]
-    w, vecs = np.linalg.eigh(flip @ stack if tall else stack @ flip)
+    gram = flip @ stack if tall else stack @ flip
+    if gram.shape[-1] == 1:
+        w, vecs = gram[:, :, 0], np.ones_like(gram)
+    else:
+        w, vecs = np.linalg.eigh(gram)
     small = vecs[:, :, -1]
     other = ((stack if tall else flip) @ small[:, :, None])[:, :, 0]
     other /= np.sqrt(np.einsum("ki,ki->k", other, other))[:, None]

@@ -307,6 +307,30 @@ def test_top_singular_matches_block_norm_and_dense(shape):
         assert min(np.abs(v - single.vector).max(), np.abs(v + single.vector).max()) <= 1e-10
 
 
+def eigh_top_singular(stack):
+    """top_singular with every Gram matrix through eigh, 1 x 1 ones included."""
+    flip = stack.transpose(0, 2, 1)
+    tall = stack.shape[1] > stack.shape[2]
+    w, vecs = np.linalg.eigh(flip @ stack if tall else stack @ flip)
+    small = vecs[:, :, -1]
+    other = ((stack if tall else flip) @ small[:, :, None])[:, :, 0]
+    other /= np.sqrt(np.einsum("ki,ki->k", other, other))[:, None]
+    x, y = (other, small) if tall else (small, other)
+    return np.sqrt(w[:, -1]), x, y
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1), (1, 2), (2, 1)])
+def test_top_singular_of_a_one_by_one_gram_is_the_eigh_result(shape):
+    # The 1 x 1 Gram shortcut skips eigh; its bits must be the ones eigh gives.
+    rng = np.random.default_rng(3 * shape[0] + shape[1])
+    for scale in (1e-150, 1e-3, 1.0, 1e150):
+        stack = rng.uniform(0.0, 1.0, (6,) + shape) * scale
+        stack[:, 0, 0] += scale  # every block nonzero
+        got, want = top_singular(stack), eigh_top_singular(stack)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 def test_block_norm_contract_enforced():
     b = np.random.default_rng(4).uniform(0.0, 1.0, (6, 4))
     with pytest.raises(EigensolverError) as err:
