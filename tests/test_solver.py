@@ -167,9 +167,11 @@ def test_tight_certify_skips_the_remaining_restarts(spied_steps):
 
 
 def test_untight_certify_is_both_full_searches():
-    # and3 with costs (1, 2, 3) does not meet the default gap within the
-    # default budget, so both sides run to the end, as the optimizers do
-    f, alpha, opts = make_family("and", 3), (1.0, 2.0, 3.0), SolverOptions(restarts=1)
+    # and3 with costs (1, 2, 3) does not meet the default gap within 300
+    # steps (its gap is about 0.14 there), so both sides run to the end, as
+    # the optimizers do
+    opts = SolverOptions(restarts=1, iterations=300)
+    f, alpha = make_family("and", 3), (1.0, 2.0, 3.0)
     cert = certify(f, alpha, opts)
     assert not cert.tight
     gamma, lower = maximize_adv(f, alpha, opts)
@@ -177,6 +179,26 @@ def test_untight_certify_is_both_full_searches():
     assert (cert.lower_value, cert.upper_value) == (lower, upper)
     assert np.array_equal(cert.lower_matrix.matrix.entries, gamma.matrix.entries)
     assert cert.upper_witness.p == witness.p
+
+
+def test_end_temperature_bias_is_below_the_target_gap():
+    # A soft-max over N terms at temperature T is off by at most T ln N; the
+    # dual's max runs over at most 4**(n-1) pairs at arity n.
+    assert solver.TEMP_END * math.log(4 ** (solver.ARITY_CAP - 1)) <= SolverOptions().target_gap
+
+
+@pytest.mark.parametrize(
+    "f,alpha,truth",
+    [
+        (make_family("and", 3), (1.0, 2.0, 3.0), math.sqrt(14.0)),
+        (compose_functions(CompositionSpec(AND2, (OR2, OR2))), (1.0,) * 4, 2.0),
+    ],
+    ids=["and3_a123", "and_or_or"],
+)
+def test_certify_is_tight_on_weighted_and3_and_and_of_ors(f, alpha, truth):
+    cert = certify(f, alpha, SolverOptions(restarts=1))
+    assert cert.tight
+    assert cert.lower_value <= truth + 1e-9 <= cert.upper_value + 2e-9
 
 
 @pytest.mark.parametrize(
