@@ -20,6 +20,13 @@ reported values are re-evaluated on the returned certificates, so
 tight it is.
 
 The annealing schedule and the optimizers' arity cap are module constants.
+The temperature ends at ``TEMP_END`` = 1e-4, where the soft-max's bias
+(at most T ln N over N terms, N <= 256 pairs at the arity cap) is 5.5e-4,
+below the default target gap.  The search loop reads its per-step scalars
+from a schedule cached per budget and side, and updates its moments in
+place; a block with one row or one column has a 1 x 1 Gram matrix, which
+``top_singular`` answers without an eigensolve.  A certificate reports its
+lockstep step count and whether the gap or the budget stopped it.
 ``SolverOptions`` holds only the four settings a certificate reports:
 restarts, iterations, seed and target gap.
 
@@ -133,6 +140,19 @@ def _schedule(n: int, ascent: bool, beta2: float) -> tuple[array, array, array, 
 def _check_arity(f: BooleanFunction) -> None:
     if f.arity > ARITY_CAP:
         raise ValueError(f"arity {f.arity} exceeds the optimizer cap {ARITY_CAP}")
+
+
+def _check_costs(alpha: CostVector) -> None:
+    """Reject costs whose sum is not a float before any search step.
+
+    The witness p_x(i) = alpha_i / sum(alpha) has value at most sum(alpha),
+    so a finite sum leaves room for a finite upper bound; past it the
+    searches only overflow on the way to a bracket that is not finite.
+    """
+    try:
+        math.fsum(alpha.costs)  # the costs are finite, so only overflow can fail
+    except OverflowError:
+        raise ValueError("bracket not finite: the costs sum past the float range") from None
 
 
 def _both_classes(f: BooleanFunction) -> bool:
@@ -288,6 +308,7 @@ def maximize_adv(
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
     _check_arity(f)
+    _check_costs(alpha)
     if not _both_classes(f):
         return zero_gamma(f), 0.0
     _, best_q = _last(_adv_search(f, alpha, opts))
@@ -352,6 +373,7 @@ def minimize_mm(
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
     _check_arity(f)
+    _check_costs(alpha)
     if not _both_classes(f):
         return uniform_witness(f), 0.0
     _, best_p = _last(_mm_search(f, alpha, opts))
@@ -361,7 +383,13 @@ def minimize_mm(
 
 @dataclass(frozen=True, eq=False)
 class BoundCertificate:
-    """A two-sided bracket: feasible matrix below, feasible witness above."""
+    """A two-sided bracket: feasible matrix below, feasible witness above.
+
+    ``steps`` is the number of lockstep steps the searches took, across
+    restarts, and ``stop`` says why they stopped: ``"gap"`` when their best
+    values met the target gap (or no pair needed a search), ``"budget"``
+    when every restart ran to the end without meeting it.
+    """
 
     function: BooleanFunction
     alpha: CostVector
@@ -370,6 +398,8 @@ class BoundCertificate:
     upper_witness: MinimaxWitness
     upper_value: float
     options: SolverOptions
+    steps: int
+    stop: str
 
     def __post_init__(self):
         if not (math.isfinite(self.lower_value) and math.isfinite(self.upper_value)):
@@ -407,6 +437,7 @@ class BoundCertificate:
                 "iterations": self.options.iterations,
                 "target_gap": self.options.target_gap,
             },
+            "search": {"steps": self.steps, "stop": self.stop},
         }
 
 
@@ -424,10 +455,15 @@ def certify(f: BooleanFunction, alpha, opts: SolverOptions | None = None) -> Bou
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
     _check_arity(f)
+    _check_costs(alpha)
+    steps, stop = 0, "gap"
     if _both_classes(f):
-        for (low, q), (up, p) in zip(_adv_search(f, alpha, opts), _mm_search(f, alpha, opts)):
+        searches = zip(_adv_search(f, alpha, opts), _mm_search(f, alpha, opts))
+        for steps, ((low, q), (up, p)) in enumerate(searches, start=1):
             if up - low <= opts.target_gap:
                 break
+        else:
+            stop = "budget"
         gamma, witness = _gamma_from(f, q), _witness_from(f, p)
         lower, upper = adv_value(gamma, alpha), mm_value(witness, alpha)
     else:
@@ -440,6 +476,8 @@ def certify(f: BooleanFunction, alpha, opts: SolverOptions | None = None) -> Bou
         upper_witness=witness,
         upper_value=upper,
         options=opts,
+        steps=steps,
+        stop=stop,
     )
 
 

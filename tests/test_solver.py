@@ -414,6 +414,8 @@ def test_certificate_rejects_inverted_bracket():
             upper_witness=cert.upper_witness,
             upper_value=1.0,
             options=cert.options,
+            steps=cert.steps,
+            stop=cert.stop,
         )
 
 
@@ -430,17 +432,52 @@ def test_certificate_rejects_non_finite_values(bad):
                 upper_witness=cert.upper_witness,
                 upper_value=upper,
                 options=cert.options,
+                steps=cert.steps,
+                stop=cert.stop,
             )
 
 
 def test_certificate_to_dict_shape():
     cert = certify(ID1, (1.0,), FAST)
     data = json.loads(json.dumps(cert.to_dict()))
-    assert set(data) == {"function", "alpha", "lower", "upper", "gap", "tight", "solver"}
+    assert set(data) == {"function", "alpha", "lower", "upper", "gap", "tight", "solver", "search"}
     assert data["lower"]["value"] == 1.0
     assert data["upper"]["witness"]["rows"][0]["p"] == [1.0]
     assert data["solver"] == {"seed": 0, "restarts": 2, "iterations": 5000, "target_gap": 1e-3}
     assert list(data["solver"]) == ["seed", "restarts", "iterations", "target_gap"]
+
+
+@pytest.mark.parametrize(
+    "f,alpha,opts,stop",
+    [
+        (OR2, (1.0, 1.0), SolverOptions(restarts=2), "gap"),
+        (make_family("and", 3), (1.0, 2.0, 3.0), SolverOptions(restarts=2, iterations=150), "budget"),
+        (BooleanFunction(2, ("00", "01", "10", "11"), (1, 1, 1, 1)), (1.0, 1.0), FAST, "gap"),
+    ],
+    ids=["gap", "budget", "empty_class"],
+)
+def test_certificate_reports_its_steps_and_why_it_stopped(spied_steps, f, alpha, opts, stop):
+    cert = certify(f, alpha, opts)
+    steps = len(spied_steps["adv"])
+    assert cert.to_dict()["search"] == {"steps": steps, "stop": stop}
+    assert steps == len(spied_steps["mm"])
+    if stop == "budget":
+        assert steps == opts.restarts * opts.iterations and not cert.tight
+    elif steps:
+        assert steps == first_tight_step(spied_steps, opts.target_gap) + 1 < opts.iterations
+    assert certify(f, alpha, opts).to_dict()["search"] == cert.to_dict()["search"]  # deterministic
+
+
+@pytest.mark.parametrize("search", [certify, maximize_adv, minimize_mm])
+@pytest.mark.parametrize(
+    "f", [OR2, BooleanFunction(2, ("00", "01", "10", "11"), (1, 1, 1, 1))], ids=["or2", "constant"]
+)
+def test_costs_that_sum_past_the_float_range_are_rejected_before_any_step(spied_steps, search, f):
+    # The witness p_x(i) = alpha_i / sum(alpha) bounds the value by the sum;
+    # past the float range the searches only overflow.
+    with pytest.raises(ValueError, match="bracket not finite"):
+        search(f, (1e308, 1e308), FAST)
+    assert spied_steps == {"adv": [], "mm": []}
 
 
 # --------------------------------------------------------------------------
