@@ -187,9 +187,10 @@ def validate(gamma: AdversaryMatrix) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations), f.is_constant, zero)
 
 
-def require_valid(gamma: AdversaryMatrix, allow_zero: bool = False) -> None:
+def require_valid(gamma: AdversaryMatrix) -> None:
+    """Raise unless gamma is valid or all zero (the value-0 certificate)."""
     report = validate(gamma)
-    if report.ok or (allow_zero and report.zero_matrix):
+    if report.ok or report.zero_matrix:
         return
     raise ValueError("invalid adversary matrix: " + "; ".join(report.violations))
 
@@ -218,7 +219,7 @@ def adv_value(gamma: AdversaryMatrix, alpha) -> float:
     """
     f = gamma.function
     alpha = as_costs(alpha, f.arity)
-    require_valid(gamma, allow_zero=True)
+    require_valid(gamma)
     if not np.any(gamma.matrix.entries):
         return 0.0
     zeros, ones = f.classes
@@ -396,9 +397,9 @@ def compose_gamma(
     symmetric and becomes a ``SymMatrix`` without a copy or any re-check.
     """
     _check_blocks(spec, gammas_g, "matrix", "matrices", gamma_f=gamma_f)
-    require_valid(gamma_f, allow_zero=True)
+    require_valid(gamma_f)
     for gam in gammas_g:
-        require_valid(gam, allow_zero=True)
+        require_valid(gam)
     rows = spec.composed
     outer, outer_row = gamma_f.matrix.entries, rows.outer_row
     factors = []

@@ -9,6 +9,7 @@ f^-1(0) x f^-1(1) block, read from a function's ``classes`` and ``bits``.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, Union
@@ -512,14 +513,24 @@ def function_to_dict(f: BooleanFunction) -> dict:
     return {"n": f.arity, "rows": [{"x": x, "f": v} for x, v in zip(f.domain, f.values)]}
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int if it is an integral number, 2 or 2.0.  ``int()``
+    would truncate 0.7 and overflow on the inf that JSON reads for 1e400."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"malformed truth table: {name} must be an integral number, got {value!r}")
+
+
 def function_from_dict(data: Mapping) -> BooleanFunction:
     try:
-        n = int(data["n"])
+        n = _integral(data["n"], "n")
         if n > MAX_ARITY:
             raise ValueError(f"arity {n} exceeds the cap {MAX_ARITY}")
         rows = data["rows"]
         dom = tuple(str(r["x"]) for r in rows)
-        vals = tuple(int(r["f"]) for r in rows)
+        vals = tuple(_integral(r["f"], "f") for r in rows)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed truth table: {exc}") from None
     return BooleanFunction(n, dom, vals)

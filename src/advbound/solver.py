@@ -5,15 +5,15 @@ per-row distributions.  Both run the same search loop, ``_search``: the inner
 min/max is smoothed with an annealed temperature, the simplex variables
 live through soft-max logits, and steps are moment-rescaled (Adam-style);
 restarts run one after another.  The loop is a generator that yields the
-best point so far after every step.  ``certify`` steps the two sides in
-lockstep and stops at the first step where the best values bracket the
-bound within the target gap, skipping the steps and restarts left;
-``maximize_adv`` and ``minimize_mm`` each run one side to the end.  Both
-sides work on the f^-1(0) x f^-1(1) block only, read from the function's
-``classes`` and ``bits``: the primal variables are the block B of
-Gamma = [[0, B], [B^T, 0]], whose norms are the top singular values of B and
-of its bit-masked copies, taken in one batched Gram eigensolve per step, and
-the dual sums its pair terms over the axes of the same block.  Any primal
+best point so far after every step.  ``certify``, the one entry point to
+the searches, steps the two sides in lockstep and stops at the first step
+where the best values bracket the bound within the target gap, skipping
+the steps and restarts left.  Both sides work on the f^-1(0) x f^-1(1)
+block only, read from the function's ``classes`` and ``bits``: the primal
+variables are the block B of Gamma = [[0, B], [B^T, 0]], whose norms are
+the top singular values of B and of its bit-masked copies, taken in one
+batched Gram eigensolve per step, and the dual sums its pair terms over
+the axes of the same block.  Any primal
 value is a true lower bound and any dual value a true upper bound, and the
 reported values are re-evaluated on the returned certificates, so
 ``certify`` always returns a valid bracket; the optimizers only control how
@@ -109,6 +109,8 @@ class SolverOptions:
     def __post_init__(self):
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError("restarts and iterations must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.target_gap) and self.target_gap > 0):
             raise ValueError("target gap must be positive and finite")
 
@@ -153,12 +155,6 @@ def _check_costs(alpha: CostVector) -> None:
         math.fsum(alpha.costs)  # the costs are finite, so only overflow can fail
     except OverflowError:
         raise ValueError("bracket not finite: the costs sum past the float range") from None
-
-
-def _both_classes(f: BooleanFunction) -> bool:
-    """True when f takes both values; otherwise no pair enters either search."""
-    zeros, ones = f.classes
-    return zeros.size > 0 and ones.size > 0
 
 
 def _search(
@@ -227,13 +223,6 @@ def _search(
             z += move
 
 
-def _last(search):
-    """The final item of a search: its best (value, probabilities)."""
-    for item in search:
-        pass
-    return item
-
-
 def _adv_step(f: BooleanFunction, a: np.ndarray):
     """The primal objective on the f^-1(0) x f^-1(1) block B, and its gradient.
 
@@ -275,7 +264,12 @@ def _adv_step(f: BooleanFunction, a: np.ndarray):
 
 
 def _adv_search(f: BooleanFunction, alpha: CostVector, opts: SolverOptions):
-    """The primal search over the f^-1(0) x f^-1(1) block (see ``_search``)."""
+    """The primal search over the f^-1(0) x f^-1(1) block (see ``_search``).
+
+    Soft-max logits keep every weight positive (a zero weight can drop a
+    bit's term from the min and strand the ascent there), and moment-rescaled
+    steps revive nearly-dead weights, whose gradient shrinks with them.
+    """
     zeros, ones = f.classes
     step = _adv_step(f, alpha.as_array())
     return _search(step, zeros.size * ones.size, opts, ascent=True, floor=-30.0, decay=(0.99, 0.01))
@@ -288,32 +282,6 @@ def _gamma_from(f: BooleanFunction, q: np.ndarray) -> AdversaryMatrix:
     g[np.ix_(zeros, ones)] = np.sqrt(q / 2.0).reshape(zeros.size, ones.size)
     g[np.ix_(ones, zeros)] = g[np.ix_(zeros, ones)].T
     return AdversaryMatrix(f, SymMatrix(f.domain, g))
-
-
-def maximize_adv(
-    f: BooleanFunction, alpha, opts: SolverOptions | None = None
-) -> tuple[AdversaryMatrix, float]:
-    """Best found weight matrix and its value (a certified lower bound).
-
-    Subgradient ascent on the free entries (pairs with different outputs),
-    with the min over bits smoothed by an annealed soft-min.  The pair
-    weights live through soft-max logits, which keeps every weight strictly
-    positive and the matrix at unit Frobenius norm by construction; driving
-    an entry to exact zero can silently drop a bit's term from the min and
-    strand the ascent on that face.  Steps are moment-rescaled (Adam-style)
-    like the dual side's, and for the same reason: recovery of a nearly-dead
-    weight has a gradient proportional to the weight itself, which plain
-    normalized steps cannot act on.  Runs the whole budget.
-    """
-    opts = opts or SolverOptions()
-    alpha = as_costs(alpha, f.arity)
-    _check_arity(f)
-    _check_costs(alpha)
-    if not _both_classes(f):
-        return zero_gamma(f), 0.0
-    _, best_q = _last(_adv_search(f, alpha, opts))
-    gamma = _gamma_from(f, best_q)
-    return gamma, adv_value(gamma, alpha)
 
 
 def _mm_step(f: BooleanFunction, a: np.ndarray):
@@ -358,27 +326,6 @@ def _mm_search(f: BooleanFunction, alpha: CostVector, opts: SolverOptions):
 def _witness_from(f: BooleanFunction, p: np.ndarray) -> MinimaxWitness:
     """The witness of the dual probabilities p, one row per input in domain order."""
     return MinimaxWitness(f, {x: tuple(p[i] / p[i].sum()) for i, x in enumerate(f.domain)})
-
-
-def minimize_mm(
-    f: BooleanFunction, alpha, opts: SolverOptions | None = None
-) -> tuple[MinimaxWitness, float]:
-    """Best found witness and its value (a certified upper bound).
-
-    Each row's distribution lives through unconstrained logits; descent acts
-    on a soft-max smoothing of the worst pair, annealed like the primal side,
-    with moment-rescaled (Adam-style) steps, which converge much faster here
-    than plain normalized steps.  Runs the whole budget.
-    """
-    opts = opts or SolverOptions()
-    alpha = as_costs(alpha, f.arity)
-    _check_arity(f)
-    _check_costs(alpha)
-    if not _both_classes(f):
-        return uniform_witness(f), 0.0
-    _, best_p = _last(_mm_search(f, alpha, opts))
-    witness = _witness_from(f, best_p)
-    return witness, mm_value(witness, alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -449,15 +396,15 @@ def certify(f: BooleanFunction, alpha, opts: SolverOptions | None = None) -> Bou
     the best lower value so far: anything tighter costs time without
     improving the guarantee.  The stop spans restarts, so the restarts left
     are skipped; a bracket that never meets the gap runs both searches to
-    the end, as ``maximize_adv`` and ``minimize_mm`` do.  The reported values
-    are re-evaluated on the certificates built from the two best points.
+    the end.  The reported values are re-evaluated on the certificates
+    built from the two best points.
     """
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
     _check_arity(f)
     _check_costs(alpha)
     steps, stop = 0, "gap"
-    if _both_classes(f):
+    if not f.is_constant:
         searches = zip(_adv_search(f, alpha, opts), _mm_search(f, alpha, opts))
         for steps, ((low, q), (up, p)) in enumerate(searches, start=1):
             if up - low <= opts.target_gap:
@@ -578,10 +525,6 @@ def readonce_bound(ast: FormulaAst, alpha) -> tuple[float, dict]:
 
 # --------------------------------------------------------------------------
 # Verification reports
-
-
-def _intervals_meet(lo1: float, hi1: float, lo2: float, hi2: float, slack: float) -> bool:
-    return max(lo1, lo2) <= min(hi1, hi2) + slack
 
 
 @dataclass(frozen=True, eq=False)
@@ -765,13 +708,9 @@ def verify_iteration(
     iterated_cert = certify(fd, CostVector.ones(fd.arity), opts)
     power_lower = base_cert.lower_value**d
     power_upper = base_cert.upper_value**d
-    ok = _intervals_meet(
-        power_lower,
-        power_upper,
-        iterated_cert.lower_value,
-        iterated_cert.upper_value,
-        VERIFY_SLACK,
-    )
+    # the two brackets meet, within the slack
+    lower = max(power_lower, iterated_cert.lower_value)
+    ok = lower <= min(power_upper, iterated_cert.upper_value) + VERIFY_SLACK
     return IterationReport(
         function=f,
         depth=d,

@@ -149,7 +149,7 @@ def _oriented(v: np.ndarray) -> np.ndarray:
     return -v if v[j] < 0 else v
 
 
-def _checked(av: np.ndarray, lam: float, v: np.ndarray, tol: float, e: int = 0) -> SpectralResult:
+def _checked(av: np.ndarray, lam: float, v: np.ndarray, e: int = 0) -> SpectralResult:
     """Accept (lam, v) given the product ``av`` of the operator with v.
 
     ``av`` and ``lam`` may belong to the operator scaled by 2**-e; the
@@ -158,15 +158,15 @@ def _checked(av: np.ndarray, lam: float, v: np.ndarray, tol: float, e: int = 0) 
     residual = math.ldexp(float(np.linalg.norm(av - lam * v)), e)
     lam = math.ldexp(lam, e)  # OverflowError if |lambda| is not a float
     # NaN compares False with everything, so a NaN residual must be named.
-    if not math.isfinite(residual) or residual > tol * max(1.0, abs(lam)):
+    if not math.isfinite(residual) or residual > RESIDUAL_TOL * max(1.0, abs(lam)):
         raise EigensolverError(
-            f"eigensolver residual {residual:.3e} exceeds {tol:.1e} * max(1, |lambda|)",
+            f"eigensolver residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} * max(1, |lambda|)",
             residual,
         )
     return SpectralResult(abs(float(lam)), _oriented(v), residual)
 
 
-def spectral_norm(a: SymMatrix, tol: float = RESIDUAL_TOL) -> SpectralResult:
+def spectral_norm(a: SymMatrix) -> SpectralResult:
     """Largest-magnitude eigenvalue and its eigenvector.
 
     On a magnitude tie the algebraically largest eigenvalue wins, so for
@@ -179,10 +179,10 @@ def spectral_norm(a: SymMatrix, tol: float = RESIDUAL_TOL) -> SpectralResult:
         lam, v = w[-1], vecs[:, -1]
     else:
         lam, v = w[0], vecs[:, 0]
-    return _checked(a.entries @ v, float(lam), v, tol)
+    return _checked(a.entries @ v, float(lam), v)
 
 
-def principal_eigenvector(a: SymMatrix, tol: float = RESIDUAL_TOL) -> SpectralResult:
+def principal_eigenvector(a: SymMatrix) -> SpectralResult:
     """Eigenpair of the largest eigenvalue of an entrywise-nonnegative matrix."""
     if np.any(a.entries < 0):
         raise ValueError("principal_eigenvector requires nonnegative entries")
@@ -190,7 +190,7 @@ def principal_eigenvector(a: SymMatrix, tol: float = RESIDUAL_TOL) -> SpectralRe
         return SpectralResult(0.0, np.zeros(0), 0.0)
     w, vecs = np.linalg.eigh(a.entries)
     v = vecs[:, -1]
-    return _checked(a.entries @ v, float(w[-1]), v, tol)
+    return _checked(a.entries @ v, float(w[-1]), v)
 
 
 def top_singular(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,7 +219,7 @@ def top_singular(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return np.sqrt(w[:, -1]), x, y
 
 
-def block_norm(b: np.ndarray, tol: float = RESIDUAL_TOL) -> SpectralResult:
+def block_norm(b: np.ndarray) -> SpectralResult:
     """Largest singular value of a rectangular block B, as an eigenpair.
 
     The pair is that of the symmetric operator G = [[0, B], [B^T, 0]]:
@@ -243,7 +243,7 @@ def block_norm(b: np.ndarray, tol: float = RESIDUAL_TOL) -> SpectralResult:
     x, y = x[0], y[0]
     v = np.concatenate([x, y]) / math.sqrt(2.0)
     gv = np.concatenate([b @ y, b.T @ x]) / math.sqrt(2.0)
-    return _checked(gv, float(sigma[0]), v, tol, e)
+    return _checked(gv, float(sigma[0]), v, e)
 
 
 # --------------------------------------------------------------------------

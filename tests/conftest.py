@@ -162,9 +162,9 @@ def reference_compose_gamma(gamma_f, gammas_g, spec: CompositionSpec) -> Adversa
     def gather(a, idx):
         return np.take(np.take(a, idx, axis=0), idx, axis=1)
 
-    require_valid(gamma_f, allow_zero=True)
+    require_valid(gamma_f)
     for gam in gammas_g:
-        require_valid(gam, allow_zero=True)
+        require_valid(gam)
     rows = spec.composed
     out = gather(gamma_f.matrix.entries, rows.outer_row)
     for gam, idx in zip(gammas_g, rows.inner_row):

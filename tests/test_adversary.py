@@ -242,10 +242,13 @@ def test_validate_nonnegative_matches_full_mask_reference():
 
 
 def test_require_valid_allow_zero():
-    with pytest.raises(ValueError):
-        require_valid(zero_gamma(AND2))
-    require_valid(zero_gamma(AND2), allow_zero=True)  # no raise
+    # The all-zero matrix is the value-0 certificate every evaluator takes;
+    # validate() still reports it as a violation for a nonconstant function.
+    require_valid(zero_gamma(AND2))  # no raise
+    assert not validate(zero_gamma(AND2)).ok
     require_valid(gadget(AND2, 3.0, 4.0))
+    with pytest.raises(ValueError, match="both outputs are 1"):
+        require_valid(gadget(OR2, 3.0, 4.0))
 
 
 # --------------------------------------------------------------------------

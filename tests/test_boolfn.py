@@ -1,6 +1,7 @@
 """Truth tables, the formula grammar, and composition plumbing."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -375,6 +376,8 @@ def test_truth_table_json_roundtrip():
     partial = BooleanFunction(2, ("01", "10"), (1, 0))
     data = json.loads(json.dumps(function_to_dict(partial)))
     assert function_from_dict(data) == partial
+    integral = {"n": 2.0, "rows": [{"x": "01", "f": 1.0}, {"x": "10", "f": 0}]}
+    assert function_from_dict(integral) == partial
 
 
 def test_truth_table_json_malformed():
@@ -384,6 +387,9 @@ def test_truth_table_json_malformed():
         function_from_dict({"n": 2, "rows": [{"x": "00"}]})
     with pytest.raises(ValueError):
         function_from_dict({"n": 2, "rows": [{"x": "00", "f": 3}]})
+    for n, f in ((2, 0.7), (2, 1.9), (2, math.inf), (math.inf, 0), (2.5, 0), (2, True), ("2", 0)):
+        with pytest.raises(ValueError, match="must be an integral number"):
+            function_from_dict({"n": n, "rows": [{"x": "00", "f": f}]})
 
 
 def test_truth_table_arity_cap():

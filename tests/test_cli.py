@@ -87,6 +87,55 @@ def test_bound_from_table_file(capsys, tmp_path):
     assert got["lower"]["value"] <= 2.0 + 1e-9 <= got["upper"]["value"] + 2e-9
 
 
+@pytest.mark.parametrize(
+    "argv", [["--family", "or", "--n", "2"], ["--formula", "x1&~x1"]], ids=["or2", "constant"]
+)
+def test_negative_seed_is_a_usage_error_before_any_certify(capsys, monkeypatch, argv):
+    # or2 failed inside numpy at the first step; the constant function takes
+    # no step, so it printed "seed": -1 with exit code 0
+    def no_work(*args, **kwargs):
+        raise AssertionError("the seed must be checked before any certify")
+
+    monkeypatch.setattr(cli, "certify", no_work)
+    code, report, err = invoke(capsys, ["bound", *argv, "--seed", "-1"])
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:") and "seed must be non-negative" in err
+
+
+#: Truth tables whose numbers are not integral.  0.7 and 1.9 were truncated to
+#: the identity function; JSON reads 1e400 as inf, where int() raised
+#: OverflowError with a traceback.
+NON_INTEGRAL_TABLES = {
+    "fractional_f": '{"n": 1, "rows": [{"x": "0", "f": 0.7}, {"x": "1", "f": 1.9}]}',
+    "infinite_n": '{"n": 1e400, "rows": [{"x": "0", "f": 0}, {"x": "1", "f": 1}]}',
+    "infinite_f": '{"n": 1, "rows": [{"x": "0", "f": 0}, {"x": "1", "f": 1e400}]}',
+}
+
+
+@pytest.mark.parametrize("table", NON_INTEGRAL_TABLES.values(), ids=NON_INTEGRAL_TABLES.keys())
+@pytest.mark.parametrize(
+    "argv,wrap",
+    [
+        (lambda t: ["bound", "--table", t, "--restarts", "1"], "%s"),
+        # the table is the matrix's embedded function
+        (
+            lambda t: ["check-gamma", "--matrix", t],
+            '{"labels": ["0", "1"], "entries": [[0, 1], [1, 0]], "function": %s}',
+        ),
+        (lambda t: ["verify-composition", "--outer", f"table:{t}", "--inner", "family:id:1"], "%s"),
+    ],
+    ids=["bound", "check-gamma", "verify-composition"],
+)
+def test_non_integral_truth_table_numbers_are_usage_errors(capsys, tmp_path, argv, wrap, table):
+    path = tmp_path / "input.json"
+    path.write_text(wrap % table)
+    code, report, err = invoke(capsys, argv(str(path)))
+    assert code == 2
+    assert report is None
+    assert err.startswith("error:") and "must be an integral number" in err
+
+
 def test_gadget_values(capsys):
     code, report, err = invoke(capsys, ["gadget", "--gate", "and", "--beta", "3,4"])
     assert code == 0

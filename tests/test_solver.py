@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from advbound import solver
-from advbound.adversary import adv_value, mm_value, uniform_witness, validate, zero_gamma
+from advbound.adversary import CostVector, adv_value, mm_value, uniform_witness, validate, zero_gamma
 from advbound.boolfn import (
     BooleanFunction,
     CompositionSpec,
@@ -23,8 +23,6 @@ from advbound.solver import (
     _mm_step,
     certify,
     gadget_cost_adv,
-    maximize_adv,
-    minimize_mm,
     readonce_bound,
     verify_composition,
     verify_iteration,
@@ -38,6 +36,12 @@ NAND2 = make_family("nand", 2)
 ID1 = make_family("id", 1)
 
 FAST = SolverOptions(restarts=2)
+
+AND3, A123 = make_family("and", 3), (1.0, 2.0, 3.0)
+
+#: A budget at which and3 with costs A123 never meets the default gap (its gap
+#: is about 0.14 after 300 steps), so certify runs both searches to the end.
+FULL = SolverOptions(restarts=2, iterations=300)
 
 
 @pytest.fixture
@@ -75,6 +79,8 @@ def test_options_validation():
         SolverOptions(restarts=0)
     with pytest.raises(ValueError):
         SolverOptions(iterations=0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        SolverOptions(seed=-1)
     for gap in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             SolverOptions(target_gap=gap)
@@ -117,17 +123,19 @@ def test_certify_constant_function():
     assert cert.lower_value == 0.0 and cert.upper_value == 0.0
 
 
-def test_maximize_adv_returns_feasible_certificate():
-    gamma, value = maximize_adv(OR2, (1.0, 1.0), FAST)
-    assert validate(gamma).ok
-    assert value == adv_value(gamma, (1.0, 1.0))
-    assert value <= math.sqrt(2.0) + 1e-9
+def test_certify_lower_side_returns_feasible_certificate():
+    cert = certify(AND3, A123, FULL)
+    assert cert.stop == "budget"
+    assert validate(cert.lower_matrix).ok
+    assert cert.lower_value == adv_value(cert.lower_matrix, A123)
+    assert cert.lower_value <= math.sqrt(14.0) + 1e-9
 
 
-def test_minimize_mm_returns_feasible_certificate():
-    witness, value = minimize_mm(OR2, (1.0, 1.0), FAST)
-    assert value == mm_value(witness, (1.0, 1.0))
-    assert value >= math.sqrt(2.0) - 1e-9
+def test_certify_upper_side_returns_feasible_certificate():
+    cert = certify(AND3, A123, FULL)
+    assert cert.stop == "budget"
+    assert cert.upper_value == mm_value(cert.upper_witness, A123)
+    assert cert.upper_value >= math.sqrt(14.0) - 1e-9
 
 
 def test_stop_at_short_circuits(spied_steps):
@@ -166,19 +174,18 @@ def test_tight_certify_skips_the_remaining_restarts(spied_steps):
     assert cert.upper_witness.p == one.upper_witness.p
 
 
-def test_untight_certify_is_both_full_searches():
-    # and3 with costs (1, 2, 3) does not meet the default gap within 300
-    # steps (its gap is about 0.14 there), so both sides run to the end, as
-    # the optimizers do
-    opts = SolverOptions(restarts=1, iterations=300)
-    f, alpha = make_family("and", 3), (1.0, 2.0, 3.0)
-    cert = certify(f, alpha, opts)
+def test_untight_certify_is_both_full_searches(spied_steps):
+    # Neither search stops early, and the certificates come from the best
+    # points of the two searches run to the end
+    cert = certify(AND3, A123, FULL)
     assert not cert.tight
-    gamma, lower = maximize_adv(f, alpha, opts)
-    witness, upper = minimize_mm(f, alpha, opts)
-    assert (cert.lower_value, cert.upper_value) == (lower, upper)
-    assert np.array_equal(cert.lower_matrix.matrix.entries, gamma.matrix.entries)
-    assert cert.upper_witness.p == witness.p
+    steps = FULL.restarts * FULL.iterations
+    assert cert.steps == len(spied_steps["adv"]) == len(spied_steps["mm"]) == steps
+    costs = CostVector(A123)
+    *_, (_, q) = solver._adv_search(AND3, costs, FULL)
+    *_, (_, p) = solver._mm_search(AND3, costs, FULL)
+    assert np.array_equal(cert.lower_matrix.matrix.entries, solver._gamma_from(AND3, q).matrix.entries)
+    assert cert.upper_witness.p == solver._witness_from(AND3, p).p
 
 
 def test_end_temperature_bias_is_below_the_target_gap():
@@ -219,7 +226,7 @@ def test_certify_with_an_empty_class_takes_no_step(spied_steps, f):
 
 def restart_loop(step, shape, opts, ascent, floor, decay):
     """The search as one loop over restarts, each run to the end, keeping the
-    best run (the earliest on ties): the optimizers' result must not move."""
+    best run (the earliest on ties): an untight certificate must not move."""
     better = (lambda a, b: a > b) if ascent else (lambda a, b: a < b)
     beta2, rate2 = decay
     best_val, best_p = None, None
@@ -252,21 +259,21 @@ def restart_loop(step, shape, opts, ascent, floor, decay):
 
 @pytest.mark.parametrize("seed", [0, 3])
 def test_optimizers_match_the_restart_loop(seed):
-    f, alpha = make_family("and", 3), (1.0, 2.0, 3.0)
+    f, alpha = AND3, A123
     a = np.array(alpha)
-    opts = SolverOptions(restarts=2, iterations=300, seed=seed)
+    opts = dataclasses.replace(FULL, seed=seed)
     zeros, ones = f.classes
+    cert = certify(f, alpha, opts)
+    assert not cert.tight
 
     _, q = restart_loop(_adv_step(f, a), zeros.size * ones.size, opts, True, -30.0, (0.99, 0.01))
-    gamma, value = maximize_adv(f, alpha, opts)
-    block = gamma.matrix.entries[np.ix_(zeros, ones)]
+    block = cert.lower_matrix.matrix.entries[np.ix_(zeros, ones)]
     assert np.array_equal(block, np.sqrt(q / 2.0).reshape(block.shape))
-    assert value == adv_value(gamma, alpha)
+    assert cert.lower_value == adv_value(cert.lower_matrix, alpha)
 
     _, p = restart_loop(_mm_step(f, a), (len(f.domain), f.arity), opts, False, -60.0, (0.999, 0.001))
-    witness, value = minimize_mm(f, alpha, opts)
-    assert witness.p == {x: tuple(p[i] / p[i].sum()) for i, x in enumerate(f.domain)}
-    assert value == mm_value(witness, alpha)
+    assert cert.upper_witness.p == {x: tuple(p[i] / p[i].sum()) for i, x in enumerate(f.domain)}
+    assert cert.upper_value == mm_value(cert.upper_witness, alpha)
 
 
 def test_certify_deterministic():
@@ -344,32 +351,53 @@ def test_block_primal_step_matches_dense(f):
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_restarts_keep_the_best_run_earliest_on_ties(seed):
-    f = make_family("and", 3)
-    alpha = (1.0, 2.0, 3.0)
+def flat_step(value):
+    """A step factory whose objective is ``value`` everywhere, with zero gradient."""
 
+    def make(f, a):
+        return lambda p: (value, lambda temp: np.zeros_like(p))
+
+    return make
+
+
+def first_point(seed, shape):
+    """The probabilities at the first step of the restart that draws from ``seed``."""
+    z = 0.3 * np.random.default_rng(seed).standard_normal(shape)
+    z -= z.max(axis=-1, keepdims=True)
+    return np.exp(z) / np.exp(z).sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_restarts_keep_the_best_run_earliest_on_ties(monkeypatch, seed):
+    # 40 steps never meet the gap, so each restart runs to the end, and the
+    # two-restart certificate takes each side from the better one-restart run
     def opts(restarts, s):
         return SolverOptions(restarts=restarts, iterations=40, seed=s)
 
-    runs = [maximize_adv(f, alpha, opts(1, s)) for s in (seed, seed + 1)]
-    gamma, lower = maximize_adv(f, alpha, opts(2, seed))
-    best = runs[1] if runs[1][1] > runs[0][1] else runs[0]
-    assert lower == best[1]
-    assert np.array_equal(gamma.matrix.entries, best[0].matrix.entries)
+    first, second = (certify(AND3, A123, opts(1, s)) for s in (seed, seed + 1))
+    cert = certify(AND3, A123, opts(2, seed))
+    assert not (first.tight or second.tight or cert.tight)
 
-    runs = [minimize_mm(f, alpha, opts(1, s)) for s in (seed, seed + 1)]
-    witness, upper = minimize_mm(f, alpha, opts(2, seed))
-    best = runs[1] if runs[1][1] < runs[0][1] else runs[0]
-    assert upper == best[1]
-    assert witness.p == best[0].p
+    best = second if second.lower_value > first.lower_value else first
+    assert cert.lower_value == best.lower_value
+    assert np.array_equal(cert.lower_matrix.matrix.entries, best.lower_matrix.matrix.entries)
 
-    # 40 steps never meet the gap, so certify's lockstep keeps the same bests
-    cert = certify(f, alpha, opts(2, seed))
-    assert not cert.tight
-    assert (cert.lower_value, cert.upper_value) == (lower, upper)
-    assert np.array_equal(cert.lower_matrix.matrix.entries, gamma.matrix.entries)
-    assert cert.upper_witness.p == witness.p
+    best = second if second.upper_value < first.upper_value else first
+    assert cert.upper_value == best.upper_value
+    assert cert.upper_witness.p == best.upper_witness.p
+
+    # Flat objectives 1 apart tie every step of both restarts and never meet
+    # the gap: each side keeps restart 0's first point
+    monkeypatch.setattr(solver, "_adv_step", flat_step(0.0))
+    monkeypatch.setattr(solver, "_mm_step", flat_step(1.0))
+    tied = certify(AND3, A123, opts(2, seed))
+    assert tied.stop == "budget"
+    zeros, ones = AND3.classes
+    q = first_point(seed, zeros.size * ones.size)
+    block = tied.lower_matrix.matrix.entries[np.ix_(zeros, ones)]
+    assert np.allclose(block.ravel(), np.sqrt(q / 2.0), rtol=0.0, atol=1e-15)
+    p = first_point(seed, (len(AND3.domain), AND3.arity))
+    assert np.allclose(tied.upper_witness.matrix_rows(), p, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("ascent", [True, False], ids=["ascent", "descent"])
@@ -381,9 +409,7 @@ def test_restart_ties_go_to_the_earliest(ascent):
     opts = SolverOptions(restarts=3, iterations=2, seed=5)
     search = solver._search(flat, (3, 4), opts, ascent=ascent, floor=-30.0, decay=(0.99, 0.01))
     items = list(search)
-    z = 0.3 * np.random.default_rng(5).standard_normal((3, 4))
-    z -= z.max(axis=1, keepdims=True)
-    want = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
+    want = first_point(5, (3, 4))
     assert len(items) == 6  # one best-so-far after every step of every restart
     for value, p in items:
         assert value == 1.0
@@ -395,12 +421,10 @@ def test_seed_changes_search_but_not_validity():
     assert alt.lower_value <= math.sqrt(2.0) + 1e-9 <= alt.upper_value + 2e-9
 
 
-def test_optimizers_reject_large_arity():
-    f = make_family("and", 6)
-    with pytest.raises(ValueError):
-        maximize_adv(f, (1.0,) * 6, FAST)
-    with pytest.raises(ValueError):
-        minimize_mm(f, (1.0,) * 6, FAST)
+def test_optimizers_reject_large_arity(spied_steps):
+    with pytest.raises(ValueError, match="arity 6 exceeds the optimizer cap 5"):
+        certify(make_family("and", 6), (1.0,) * 6, FAST)
+    assert spied_steps == {"adv": [], "mm": []}
 
 
 def test_certificate_rejects_inverted_bracket():
@@ -468,7 +492,7 @@ def test_certificate_reports_its_steps_and_why_it_stopped(spied_steps, f, alpha,
     assert certify(f, alpha, opts).to_dict()["search"] == cert.to_dict()["search"]  # deterministic
 
 
-@pytest.mark.parametrize("search", [certify, maximize_adv, minimize_mm])
+@pytest.mark.parametrize("search", [certify])
 @pytest.mark.parametrize(
     "f", [OR2, BooleanFunction(2, ("00", "01", "10", "11"), (1, 1, 1, 1))], ids=["or2", "constant"]
 )

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+import advbound
+
 SOURCE = Path(__file__).resolve().parent.parent / "src" / "advbound"
 
 # The package __init__ imports names only to re-export them.
@@ -37,6 +39,62 @@ def test_no_unused_imports(path):
 def test_unused_import_scan_sees_one():
     source = "from __future__ import annotations\nimport math\nimport os.path\nfrom x import y as z\nos.sep\n"
     assert unused_imports(source) == ["math", "z"]
+
+
+def private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level names bound by a def, class or assignment that start with
+    one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module loads, reads as an attribute, or imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module:name`` for each module-level private name no module reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(read_names, trees.values()))
+    return sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in private_definitions(tree)
+        if name not in read
+    )
+
+
+def test_no_unread_private_names():
+    sources = {p.name: p.read_text() for p in SOURCE.glob("*.py")}
+    assert unread_private_names(sources) == []
+
+
+def test_unread_private_name_scan_sees_them():
+    sources = {
+        "a.py": "_X = 1\n_y: int = 2\ndef _f():\n    return _X\ndef _g():\n    pass\nclass _C:\n    pass\n",
+        "b.py": "from .a import _f\n__all__ = []\n",
+    }
+    assert unread_private_names(sources) == ["a.py:_C", "a.py:_g", "a.py:_y"]
+
+
+def test_exported_names_exist():
+    assert [name for name in advbound.__all__ if not hasattr(advbound, name)] == []
 
 
 TESTS = Path(__file__).resolve().parent
