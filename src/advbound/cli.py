@@ -46,7 +46,7 @@ from .solver import (
     verify_iteration,
 )
 
-SCHEMA = "advbound-report/1"
+SCHEMA = "advbound-report/2"
 
 
 def load_function(source: str) -> BooleanFunction:
@@ -92,14 +92,9 @@ def _alpha_from_args(args, n: int) -> CostVector:
 
 
 def _options_from_args(args) -> SolverOptions:
-    kwargs = {}
-    if getattr(args, "seed", None) is not None:
-        kwargs["seed"] = args.seed
-    if getattr(args, "restarts", None) is not None:
-        kwargs["restarts"] = args.restarts
-    if getattr(args, "gap", None) is not None:
-        kwargs["target_gap"] = args.gap
-    return SolverOptions(**kwargs)
+    if args.gap is None:
+        return SolverOptions()
+    return SolverOptions(target_gap=args.gap)
 
 
 def _digest(obj) -> str:
@@ -107,14 +102,13 @@ def _digest(obj) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _emit(argv, inputs: dict, results: dict, seed, started: float, human: str, code: int) -> int:
+def _emit(argv, inputs: dict, results: dict, started: float, human: str, code: int) -> int:
     report = {
         "schema": SCHEMA,
         "tool": {"name": "advbound", "version": __version__},
         "command": list(argv),
         "inputs": inputs,
         "inputs_digest": _digest(inputs),
-        "seed": seed,
         "results": results,
         "timing": {"seconds": time.perf_counter() - started},
     }
@@ -132,8 +126,9 @@ def _add_function_flags(sp: argparse.ArgumentParser) -> None:
 
 def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--alpha", help="comma-separated per-bit costs (default all ones)")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--restarts", type=int)
+    # Accepted and ignored, for callers that still pass it (perfbench/workloads.py):
+    # the barrier path has no restarts.
+    sp.add_argument("--restarts", type=int, help=argparse.SUPPRESS)
     sp.add_argument("--gap", type=float, help="target certificate gap")
 
 
@@ -146,7 +141,7 @@ def _cmd_parse(args, argv, started) -> int:
         "read_once": is_read_once(ast),
     }
     inputs = {"formula": args.formula}
-    return _emit(argv, inputs, results, None, started, f"parse: n={results['n']} read_once={results['read_once']}", 0)
+    return _emit(argv, inputs, results, started, f"parse: n={results['n']} read_once={results['read_once']}", 0)
 
 
 def _cmd_bound(args, argv, started) -> int:
@@ -160,7 +155,7 @@ def _cmd_bound(args, argv, started) -> int:
         f"bound: [{cert.lower_value:.12g}, {cert.upper_value:.12g}] "
         f"gap={cert.gap:.3g} tight={cert.tight}"
     )
-    return _emit(argv, inputs, results, opts.seed, started, human, 0)
+    return _emit(argv, inputs, results, started, human, 0)
 
 
 def _cmd_gadget(args, argv, started) -> int:
@@ -172,7 +167,7 @@ def _cmd_gadget(args, argv, started) -> int:
         "matrix": gamma_to_dict(gamma),
         "witness": witness_to_dict(witness),
     }
-    return _emit(argv, inputs, results, None, started, f"gadget {args.gate}: value={value!r}", 0)
+    return _emit(argv, inputs, results, started, f"gadget {args.gate}: value={value!r}", 0)
 
 
 def _cmd_readonce(args, argv, started) -> int:
@@ -182,7 +177,7 @@ def _cmd_readonce(args, argv, started) -> int:
     value, trace = readonce_bound(ast, alpha)
     inputs = {"formula": args.formula, "alpha": list(alpha.costs)}
     results = {"value": value, "n": n, "trace": trace}
-    return _emit(argv, inputs, results, None, started, f"readonce: value={value!r} (n={n})", 0)
+    return _emit(argv, inputs, results, started, f"readonce: value={value!r} (n={n})", 0)
 
 
 def _spec_from_args(args) -> CompositionSpec:
@@ -203,7 +198,7 @@ def _cmd_compose(args, argv, started) -> int:
         "offsets": list(spec.offsets),
         "total_arity": spec.total_arity,
     }
-    return _emit(argv, inputs, results, None, started, f"compose: arity={h.arity} rows={len(h.domain)}", 0)
+    return _emit(argv, inputs, results, started, f"compose: arity={h.arity} rows={len(h.domain)}", 0)
 
 
 def _cmd_verify_composition(args, argv, started) -> int:
@@ -221,7 +216,7 @@ def _cmd_verify_composition(args, argv, started) -> int:
         f"verify-composition: {'PASS' if report.ok else 'FAIL'} "
         f"lhs={report.lhs_midpoint:.12g} rhs={report.rhs_midpoint:.12g} tol={report.tolerance:.3g}"
     )
-    return _emit(argv, inputs, results, opts.seed, started, human, 0 if report.ok else 1)
+    return _emit(argv, inputs, results, started, human, 0 if report.ok else 1)
 
 
 def _cmd_verify_iteration(args, argv, started) -> int:
@@ -234,7 +229,7 @@ def _cmd_verify_iteration(args, argv, started) -> int:
         f"verify-iteration: {'PASS' if report.ok else 'FAIL'} "
         f"base={report.base_cert.midpoint:.12g} iterated={report.iterated_cert.midpoint:.12g}"
     )
-    return _emit(argv, inputs, results, opts.seed, started, human, 0 if report.ok else 1)
+    return _emit(argv, inputs, results, started, human, 0 if report.ok else 1)
 
 
 def _cmd_check_gamma(args, argv, started) -> int:
@@ -253,7 +248,7 @@ def _cmd_check_gamma(args, argv, started) -> int:
         "zero_matrix": report.zero_matrix,
     }
     human = f"check-gamma: {'PASS' if report.ok else 'FAIL'} ({len(report.violations)} violations)"
-    return _emit(argv, inputs, results, None, started, human, 0 if report.ok else 1)
+    return _emit(argv, inputs, results, started, human, 0 if report.ok else 1)
 
 
 def build_parser() -> argparse.ArgumentParser:

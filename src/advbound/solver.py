@@ -1,34 +1,42 @@
 """Certified brackets on the cost-weighted adversary bound.
 
-The primal side climbs over weight matrices and the dual side descends over
-per-row distributions.  Both run the same search loop, ``_search``: the inner
-min/max is smoothed with an annealed temperature, the simplex variables
-live through soft-max logits, and steps are moment-rescaled (Adam-style);
-restarts run one after another.  The loop is a generator that yields the
-best point so far after every step.  ``certify``, the one entry point to
-the searches, steps the two sides in lockstep and stops at the first step
-where the best values bracket the bound within the target gap, skipping
-the steps and restarts left.  Both sides work on the f^-1(0) x f^-1(1)
-block only, read from the function's ``classes`` and ``bits``: the primal
-variables are the block B of Gamma = [[0, B], [B^T, 0]], whose norms are
-the top singular values of B and of its bit-masked copies, taken in one
-batched Gram eigensolve per step, and the dual sums its pair terms over
-the axes of the same block.  Any primal
-value is a true lower bound and any dual value a true upper bound, and the
-reported values are re-evaluated on the returned certificates, so
-``certify`` always returns a valid bracket; the optimizers only control how
-tight it is.
+``certify`` follows one log-barrier path.  The dual side is a concave
+maximisation: 1/MM_alpha = max_p min over f^-1(0) x f^-1(1) pairs of
 
-The annealing schedule and the optimizers' arity cap are module constants.
-The temperature ends at ``TEMP_END`` = 1e-4, where the soft-max's bias
-(at most T ln N over N terms, N <= 256 pairs at the arity cap) is 5.5e-4,
-below the default target gap.  The search loop reads its per-step scalars
-from a schedule cached per budget and side, and updates its moments in
-place; a block with one row or one column has a 1 x 1 Gram matrix, which
-``top_singular`` answers without an eigensolve.  A certificate reports its
-lockstep step count and whether the gap or the budget stopped it.
-``SolverOptions`` holds only the four settings a certificate reports:
-restarts, iterations, seed and target gap.
+    S_xy(p) = sum_i [x_i != y_i] sqrt(p_x(i) p_y(i)) / alpha_i,
+
+a sum of geometric means, with each row p_x on the simplex.  The path
+maximises t subject to S_xy(p) >= t on every pair: for a growing weight tau
+it centres
+
+    tau log t + sum_xy log(S_xy - t) + sum_x,i log p_x(i)
+
+by Newton's method, with the row sums held at one as linear constraints.
+At a centred point the pair multipliers lambda_xy = 1/(S_xy - t), with row
+and column sums Lambda, give the weight matrix of the other side:
+Gamma_xy = lambda_xy / sqrt(Lambda_x Lambda_y) on the block, the
+constructive side of Spalek-Szegedy duality.  After each round ``certify``
+scores Gamma with ``adv_value`` and the rows p with ``mm_value``, keeps the
+best of each, and stops at the first round whose best values are within
+the target gap; otherwise tau grows by ``TAU_GROWTH``.  The best round is
+kept, not the last, because the Gamma read off raw multipliers peaks and
+then degrades once the slacks of the active pairs near the rounding of S.
+Any Gamma is a true lower bound and any p a true upper bound, so the
+bracket is valid whichever round supplies them.
+
+The objective is log t, so tau is scale-free: a centred point is within a
+factor exp(m / tau) of the optimum, for m barrier terms (pairs plus row
+entries), and the path ends by itself after the round at which m / tau is
+at most 2**-52, about 20 rounds.  It is deterministic: it starts from the
+uniform rows and half the least pair sum, and no step draws a random number.
+The Newton system is written in the scaled steps dp = p du and dt = t dv,
+where every entry is a ratio such as sqrt(p_x(i) p_y(i)) / alpha_i over
+S_xy - t; in plain coordinates the barrier on p alone puts 1/p_x(i)**2 on
+the diagonal, which degenerates as inactive entries of p shrink.  The costs are scaled by the power of two that brings
+the largest into [1/2, 1), which is exact, and the reported values are
+re-evaluated on the true costs.  ``SolverOptions`` holds the one setting a
+certificate reports, the target gap; a certificate also reports its Newton
+steps and whether the gap or the end of the path stopped it.
 
 The module also carries the exact two-bit gate certificates, the read-once
 formula recursion built on them, and report-producing checks for composed
@@ -37,10 +45,7 @@ and iterated functions.
 
 from __future__ import annotations
 
-import functools
 import math
-import operator
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,70 +78,43 @@ from .boolfn import (
     leaf_indices,
     make_family,
 )
-from .specmat import SymMatrix, top_singular
+from .specmat import SymMatrix
 
 #: Default slack added on top of certificate gaps in verification reports.
 VERIFY_SLACK = 1e-2
 
-#: Largest arity the optimizers take: the dual's pair arrays grow as 4**n.
+#: Largest arity the optimizer takes: the Newton system has 2**n (n + 1) + 1 rows.
 ARITY_CAP = 5
 
-#: Annealing schedule of both searches: temperature and step size fall
-#: geometrically from start to end over the iteration budget.  A soft-max
-#: over N terms at temperature T is off by at most T ln N, and the dual's
-#: max runs over at most 16 * 16 = 4**(ARITY_CAP - 1) pairs, so the end
-#: temperature keeps that bias, 1e-4 ln 256 = 5.5e-4, below the default
-#: target gap of 1e-3.
-TEMP_START, TEMP_END = 1.0, 1e-4
-STEP_START, STEP_END = 0.5, 1e-4
+#: Factor by which the barrier weight tau grows between centering rounds.
+TAU_GROWTH = 8.0
+
+#: A round's centering ends once the squared Newton decrement is at most
+#: ``CENTERED``, once backtracking finds no ascent step of at least
+#: ``SHORTEST_STEP`` times the Newton step, or after ``ROUND_STEPS`` Newton
+#: solves.  The last is a backstop for the final rounds, where the slacks of
+#: the active pairs are within rounding of S and the steps follow the
+#: noise: over 129 tables run to the end of the path, one such round would
+#: have taken 128 steps, and every other round took at most 20.
+CENTERED = 1e-9
+SHORTEST_STEP = 2.0**-10
+ROUND_STEPS = 50
+
+#: Costs below this fraction of the largest are raised to it on the path,
+#: which keeps every pair sum S_xy finite.  The certificates are scored on
+#: the true costs, so this can loosen the bracket but never invalidate it.
+COST_FLOOR = 2.0**-1000
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """The settings of a search; the certificate reports all four.
+    """The one setting of a certificate: the absolute gap at which it stops."""
 
-    Restarts run in order and are independent given the seed (restart r
-    draws from ``seed + r``), so runs are reproducible.  ``restarts`` and
-    ``iterations`` are a budget: ``certify`` stops as soon as its bracket
-    is within ``target_gap``, in whichever restart that happens.
-    """
-
-    restarts: int = 8
-    iterations: int = 5000
-    seed: int = 0
     target_gap: float = 1e-3
 
     def __post_init__(self):
-        if self.restarts < 1 or self.iterations < 1:
-            raise ValueError("restarts and iterations must be positive")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if not (math.isfinite(self.target_gap) and self.target_gap > 0):
             raise ValueError("target gap must be positive and finite")
-
-
-def _geometric(start: float, end: float, t: int, total: int) -> float:
-    if total <= 1:
-        return end
-    return start * (end / start) ** (t / (total - 1))
-
-
-@functools.lru_cache(maxsize=2)
-def _schedule(n: int, ascent: bool, beta2: float) -> tuple[array, array, array, array]:
-    """The per-step scalars of an n-step search, as four columns over t.
-
-    They are the temperature, the step size (negated for a descent) and the
-    two Adam bias corrections 1 - 0.9**(t+1) and 1 - beta2**(t+1).  Every
-    restart, and every search with the same budget and side, shares them.
-    """
-    sign = 1.0 if ascent else -1.0
-    steps = range(n)
-    return (
-        array("d", (_geometric(TEMP_START, TEMP_END, t, n) for t in steps)),
-        array("d", (_geometric(STEP_START, STEP_END, t, n) * sign for t in steps)),
-        array("d", (1.0 - 0.9 ** (t + 1) for t in steps)),
-        array("d", (1.0 - beta2 ** (t + 1) for t in steps)),
-    )
 
 
 def _check_arity(f: BooleanFunction) -> None:
@@ -145,11 +123,11 @@ def _check_arity(f: BooleanFunction) -> None:
 
 
 def _check_costs(alpha: CostVector) -> None:
-    """Reject costs whose sum is not a float before any search step.
+    """Reject costs whose sum is not a float before any Newton step.
 
     The witness p_x(i) = alpha_i / sum(alpha) has value at most sum(alpha),
     so a finite sum leaves room for a finite upper bound; past it the
-    searches only overflow on the way to a bracket that is not finite.
+    bracket cannot be finite.
     """
     try:
         math.fsum(alpha.costs)  # the costs are finite, so only overflow can fail
@@ -157,174 +135,113 @@ def _check_costs(alpha: CostVector) -> None:
         raise ValueError("bracket not finite: the costs sum past the float range") from None
 
 
-def _search(
-    step,
-    shape,
-    opts: SolverOptions,
-    *,
-    ascent: bool,
-    floor: float,
-    decay: tuple[float, float],
-):
-    """Annealed soft-max/Adam search, as a generator of the best point so far.
+def _path(f: BooleanFunction, alpha: CostVector):
+    """The barrier path, as a generator of (Newton steps so far, lambda, p).
 
-    The variables are logits whose soft-max along the last axis gives the
-    probabilities ``p``; after the shift by their maximum they are clipped
-    below at ``floor``.  ``step(p)`` returns the objective value at ``p``
-    and a function that maps the temperature to the gradient with respect
-    to the logits.  ``decay`` is the second-moment decay and its complement,
-    as each side writes it (1 - 0.99 != 0.01 in floating point).  Restarts
-    run in order, restart r drawing from ``seed + r``.
-
-    After every step the generator yields the best (value, probabilities)
-    found so far, across restarts, the earliest winning ties; its last item
-    is the search's result.  A consumer that stops early skips the rest of
-    the steps, and of the restarts.
-    """
-    better = operator.gt if ascent else operator.lt
-    beta2, rate2 = decay
-    schedule = _schedule(opts.iterations, ascent, beta2)
-    best_val, best_p = (-math.inf if ascent else math.inf), None
-    for r in range(opts.restarts):
-        rng = np.random.default_rng(opts.seed + r)
-        z = 0.3 * rng.standard_normal(shape)
-        mom = np.zeros(shape)
-        sq = np.zeros(shape)
-        for temp, rate, fix1, fix2 in zip(*schedule):
-            z -= z.max(axis=-1, keepdims=True)
-            np.maximum(z, floor, out=z)  # the upper clip at 0 is a no-op after the shift
-            p = np.exp(z)
-            p /= p.sum(axis=-1, keepdims=True)
-            val, gradient = step(p)
-            if better(val, best_val):
-                best_val, best_p = val, p  # p is fresh each step and never written to
-            elif best_p is None:
-                # Values that are all inf or NaN (costs near the float limits)
-                # still return a certificate; the caller's evaluation rejects it.
-                best_p = p
-            yield best_val, best_p
-
-            # Adam, in place: mom = 0.9 mom + 0.1 gz, sq = beta2 sq + rate2 gz gz,
-            # z += rate (mom/fix1) / (sqrt(sq/fix2) + 1e-12), each product and
-            # sum rounded as in that order.
-            gz = gradient(temp)
-            mom *= 0.9
-            mom += 0.1 * gz
-            g2 = rate2 * gz
-            g2 *= gz
-            sq *= beta2
-            sq += g2
-            move = mom / fix1
-            move *= rate
-            den = sq / fix2
-            np.sqrt(den, out=den)
-            den += 1e-12
-            move /= den
-            z += move
-
-
-def _adv_step(f: BooleanFunction, a: np.ndarray):
-    """The primal objective on the f^-1(0) x f^-1(1) block B, and its gradient.
-
-    The free weights are B in row-major order, w = sqrt(q/2) for the
-    soft-max probabilities q, so Gamma = [[0, B], [B^T, 0]] has unit
-    Frobenius norm.  Each step takes the top singular triples of
-    [B, B o M_1, ..., B o M_n] in one batched solve, where M_i marks the
-    pairs that differ at bit i; a bit whose M_i is empty never enters the
-    min, and is dropped up front.  With the min over bits smoothed by an
-    annealed soft-min, the gradient in B is sum_k c_k (x_k y_k^T) o M_k.
+    It yields after every centering round: the pair multipliers lambda on
+    the (m0, m1) block and the rows p in domain order, both fresh arrays.
+    Its last item is the round at which (pairs + entries of p) / tau is at
+    most 2**-52.  The variables are p, row-major, then t; a Newton step
+    solves for (du, dv) with dp = p du and dt = t dv, and holds each row sum
+    of p at one (correcting any drift) through one multiplier per row.
     """
     zeros, ones = f.classes
-    masks = f.bits[zeros].T[:, :, None] != f.bits[ones].T[:, None, :]  # (n, m0, m1)
-    shape = masks.shape[1:]
-    live = masks.any(axis=(1, 2))
-    a = a[live]
-    stack_masks = np.concatenate([np.ones((1,) + shape), masks[live]])
+    rows, n = len(f.domain), f.arity
+    a = alpha.as_array()
+    a = np.maximum(np.ldexp(a, -math.frexp(a.max())[1]), COST_FLOOR)
+    w = (f.bits[zeros][:, None, :] != f.bits[ones][None, :, :]) / a  # (m0, m1, n)
+    k = rows * n  # index of t
+    # The row-major index in p of every entry of each class's rows, (m, n),
+    # and the row each entry of p belongs to.
+    zi = zeros[:, None] * n + np.arange(n)
+    oi = ones[:, None] * n + np.arange(n)
+    owner = np.repeat(np.arange(rows), n)
 
-    def step(q: np.ndarray):
-        w = np.sqrt(q / 2.0)  # ||Gamma||_F = 1 exactly
-        sigma, x, y = top_singular(w.reshape(shape) * stack_masks)
-        whole, masked = sigma[0], sigma[1:]
-        terms = a * whole / masked
-        low = terms.min()
+    def slack(p: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The pair terms c_xyi, whose sum over i is S_xy, and S - t."""
+        c = w * np.sqrt(p[zeros][:, None, :] * p[ones][None, :, :])
+        return c, c.sum(axis=2) - t
 
-        def gradient(temp: float) -> np.ndarray:
-            soft = np.exp(-(terms - low) / temp)
-            soft /= soft.sum()
-            coef = np.empty(sigma.size)
-            coef[0] = float((soft * a / masked).sum())
-            coef[1:] = -soft * a * whole / masked**2
-            gb = (coef[:, None, None] * x[:, :, None] * y[:, None, :] * stack_masks).sum(axis=0)
-            gq = gb.ravel() / np.maximum(4.0 * w, 1e-150)
-            return q * (gq - float((q * gq).sum()))
+    def newton(p: np.ndarray, t: float, tau: float):
+        """The scaled Newton step (du, dv), its squared decrement and S - t.
 
-        return float(low), gradient
+        With h_xyi = c_xyi / (2 (S_xy - t)), the gradient of log(S_xy - t) is
+        h_xyi at p_x(i) and at p_y(i), and -t / (S_xy - t) at t.  Its negated
+        Hessian is the outer product of that gradient, plus h_xyi / 2 times
+        [[1, -1], [-1, 1]] on the entries p_x(i) and p_y(i) of each term; the
+        outer products are summed block by block, as a pair's gradient lives
+        on its two rows and t.  The barrier on p adds 1 to the gradient and
+        to the diagonal, and tau log t adds tau to both at t.
+        """
+        c, g = slack(p, t)
+        lam = 1.0 / g
+        h = c * (lam / 2.0)[:, :, None]
+        ht = -t * lam
+        grad = np.ones(k + 1)
+        grad[zi] += h.sum(axis=1)
+        grad[oi] += h.sum(axis=0)
+        grad[k] = tau + ht.sum()
+        kkt = np.zeros((k + 1 + rows,) * 2)
+        kkt[zi[:, :, None], zi[:, None, :]] = np.einsum("xyi,xyj->xij", h, h)
+        kkt[oi[:, :, None], oi[:, None, :]] = np.einsum("xyi,xyj->yij", h, h)
+        cross = np.einsum("xyi,xyj->xiyj", h, h)
+        kkt[zi[:, :, None, None], oi] = cross
+        kkt[oi[:, :, None, None], zi] = cross.transpose(2, 3, 0, 1)
+        kkt[zi, k] = kkt[k, zi] = np.einsum("xyi,xy->xi", h, ht)
+        kkt[oi, k] = kkt[k, oi] = np.einsum("xyi,xy->yi", h, ht)
+        kkt[k, k] = (ht * ht).sum() + tau
+        kkt[zi, zi] += 1.0 + h.sum(axis=1) / 2.0
+        kkt[oi, oi] += 1.0 + h.sum(axis=0) / 2.0
+        kkt[zi[:, None, :], oi[None, :, :]] -= h / 2.0
+        kkt[oi[None, :, :], zi[:, None, :]] -= h / 2.0
+        kkt[k + 1 + owner, np.arange(k)] = kkt[np.arange(k), k + 1 + owner] = p.ravel()
+        step = np.linalg.solve(kkt, np.concatenate([grad, 1.0 - p.sum(axis=1)]))[: k + 1]
+        return step[:k].reshape(p.shape), step[k], float(grad @ step), g
 
-    return step
+    p = np.full((rows, n), 1.0 / n)
+    t = 0.5 * float(slack(p, 0.0)[1].min())
+    terms = zeros.size * ones.size + k
+    tau, steps = 1.0, 0
+    while True:
+        for _ in range(ROUND_STEPS):
+            du, dv, dec, g = newton(p, t, tau)
+            if dec <= CENTERED:
+                break
+            # Backtrack to a strictly feasible point that gains a hundredth of
+            # the predicted increase; the gain is summed from ratios, which
+            # keeps it accurate where the barrier's terms nearly cancel.
+            s = 1.0
+            while s >= SHORTEST_STEP:
+                p1, t1 = p * (1.0 + s * du), t * (1.0 + s * dv)
+                if p1.min() > 0.0 and t1 > 0.0:
+                    g1 = slack(p1, t1)[1]
+                    if g1.min() > 0.0:
+                        gain = tau * math.log(t1 / t) + np.log(g1 / g).sum() + np.log(p1 / p).sum()
+                        if gain >= 0.01 * s * dec:
+                            break
+                s /= 2.0
+            else:
+                break
+            p, t = p1, t1
+            steps += 1
+        yield steps, 1.0 / slack(p, t)[1], p
+        if terms / tau <= 2.0**-52:
+            return
+        tau *= TAU_GROWTH
 
 
-def _adv_search(f: BooleanFunction, alpha: CostVector, opts: SolverOptions):
-    """The primal search over the f^-1(0) x f^-1(1) block (see ``_search``).
-
-    Soft-max logits keep every weight positive (a zero weight can drop a
-    bit's term from the min and strand the ascent there), and moment-rescaled
-    steps revive nearly-dead weights, whose gradient shrinks with them.
-    """
+def _gamma_from(f: BooleanFunction, lam: np.ndarray) -> AdversaryMatrix:
+    """The weight matrix lambda_xy / sqrt(Lambda_x Lambda_y) of the pair multipliers."""
     zeros, ones = f.classes
-    step = _adv_step(f, alpha.as_array())
-    return _search(step, zeros.size * ones.size, opts, ascent=True, floor=-30.0, decay=(0.99, 0.01))
-
-
-def _gamma_from(f: BooleanFunction, q: np.ndarray) -> AdversaryMatrix:
-    """The weight matrix of the primal probabilities q, B = sqrt(q/2) row-major."""
-    zeros, ones = f.classes
+    block = lam / np.sqrt(lam.sum(axis=1))[:, None] / np.sqrt(lam.sum(axis=0))[None, :]
     g = np.zeros((len(f.domain),) * 2)
-    g[np.ix_(zeros, ones)] = np.sqrt(q / 2.0).reshape(zeros.size, ones.size)
-    g[np.ix_(ones, zeros)] = g[np.ix_(zeros, ones)].T
+    g[np.ix_(zeros, ones)] = block
+    g[np.ix_(ones, zeros)] = block.T
     return AdversaryMatrix(f, SymMatrix(f.domain, g))
 
 
-def _mm_step(f: BooleanFunction, a: np.ndarray):
-    """The dual objective on the per-row distributions p, and its gradient.
-
-    Every f^-1(0) x f^-1(1) pair (x, y) has value 1 / sum_i [x_i != y_i]
-    sqrt(p_x(i) p_y(i)) / alpha_i; the max over pairs is smoothed by an
-    annealed soft-max.  Pair arrays are laid out as the (m0, m1) block, so
-    each row's gradient is a sum over one axis of it.
-    """
-    zeros, ones = f.classes
-    m0, m1 = zeros.size, ones.size
-    diff = (f.bits[zeros][:, None, :] != f.bits[ones][None, :, :]).reshape(m0 * m1, -1)
-
-    def step(p: np.ndarray):
-        pz, po = p[zeros], p[ones]
-        r_pair = np.sqrt((pz[:, None, :] * po[None, :, :]).reshape(m0 * m1, -1)) * diff
-        v = 1.0 / (r_pair / a).sum(axis=1)
-        top = v.max()
-
-        def gradient(temp: float) -> np.ndarray:
-            sw = np.exp((v - top) / temp)
-            sw /= sw.sum()
-            contrib = (sw[:, None] * (v**2)[:, None] * r_pair / a / 2.0).reshape(m0, m1, -1)
-            gp = np.empty_like(p)
-            gp[zeros] = (-contrib / np.maximum(pz, 1e-300)[:, None, :]).sum(axis=1)
-            gp[ones] = (-contrib / np.maximum(po, 1e-300)[None, :, :]).sum(axis=0)
-            return p * (gp - (p * gp).sum(axis=1, keepdims=True))
-
-        return float(top), gradient
-
-    return step
-
-
-def _mm_search(f: BooleanFunction, alpha: CostVector, opts: SolverOptions):
-    """The dual search over the per-row distributions (see ``_search``)."""
-    step = _mm_step(f, alpha.as_array())
-    shape = (len(f.domain), f.arity)
-    return _search(step, shape, opts, ascent=False, floor=-60.0, decay=(0.999, 0.001))
-
-
 def _witness_from(f: BooleanFunction, p: np.ndarray) -> MinimaxWitness:
-    """The witness of the dual probabilities p, one row per input in domain order."""
+    """The witness of the rows p, one row per input in domain order."""
     return MinimaxWitness(f, {x: tuple(p[i] / p[i].sum()) for i, x in enumerate(f.domain)})
 
 
@@ -332,10 +249,10 @@ def _witness_from(f: BooleanFunction, p: np.ndarray) -> MinimaxWitness:
 class BoundCertificate:
     """A two-sided bracket: feasible matrix below, feasible witness above.
 
-    ``steps`` is the number of lockstep steps the searches took, across
-    restarts, and ``stop`` says why they stopped: ``"gap"`` when their best
-    values met the target gap (or no pair needed a search), ``"budget"``
-    when every restart ran to the end without meeting it.
+    ``steps`` is the number of Newton steps the barrier path took, and
+    ``stop`` says why it stopped: ``"gap"`` when the best values met the
+    target gap (or no pair needed a path), ``"end"`` when the path ran to
+    its end without meeting it.
     """
 
     function: BooleanFunction
@@ -378,26 +295,19 @@ class BoundCertificate:
             "upper": {"value": self.upper_value, "witness": witness_to_dict(self.upper_witness)},
             "gap": self.gap,
             "tight": self.tight,
-            "solver": {
-                "seed": self.options.seed,
-                "restarts": self.options.restarts,
-                "iterations": self.options.iterations,
-                "target_gap": self.options.target_gap,
-            },
+            "solver": {"target_gap": self.options.target_gap},
             "search": {"steps": self.steps, "stop": self.stop},
         }
 
 
 def certify(f: BooleanFunction, alpha, opts: SolverOptions | None = None) -> BoundCertificate:
-    """Run both searches in lockstep and package the bracket.
+    """Follow the barrier path and package the best bracket it gives.
 
-    The primal and dual searches take one step each in turn, and stop at the
-    first step where the best upper value so far is within the target gap of
-    the best lower value so far: anything tighter costs time without
-    improving the guarantee.  The stop spans restarts, so the restarts left
-    are skipped; a bracket that never meets the gap runs both searches to
-    the end.  The reported values are re-evaluated on the certificates
-    built from the two best points.
+    After every round the weight matrix and the witness of that round are
+    scored with ``adv_value`` and ``mm_value``; each side keeps its best
+    (the earliest on ties), and the path stops at the first round where the
+    best upper value is within the target gap of the best lower value:
+    anything tighter costs time without improving the guarantee.
     """
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
@@ -405,14 +315,17 @@ def certify(f: BooleanFunction, alpha, opts: SolverOptions | None = None) -> Bou
     _check_costs(alpha)
     steps, stop = 0, "gap"
     if not f.is_constant:
-        searches = zip(_adv_search(f, alpha, opts), _mm_search(f, alpha, opts))
-        for steps, ((low, q), (up, p)) in enumerate(searches, start=1):
-            if up - low <= opts.target_gap:
+        lower, upper, stop = -math.inf, math.inf, "end"
+        for steps, lam, p in _path(f, alpha):
+            round_gamma, round_witness = _gamma_from(f, lam), _witness_from(f, p)
+            low, up = adv_value(round_gamma, alpha), mm_value(round_witness, alpha)
+            if low > lower:
+                lower, gamma = low, round_gamma
+            if up < upper:
+                upper, witness = up, round_witness
+            if upper - lower <= opts.target_gap:
+                stop = "gap"
                 break
-        else:
-            stop = "budget"
-        gamma, witness = _gamma_from(f, q), _witness_from(f, p)
-        lower, upper = adv_value(gamma, alpha), mm_value(witness, alpha)
     else:
         gamma, witness, lower, upper = zero_gamma(f), uniform_witness(f), 0.0, 0.0
     return BoundCertificate(

@@ -15,15 +15,14 @@ array without a copy and checks its shape and labels only; its caller
 checks finiteness as it builds.  Outside input always goes through
 ``SymMatrix(...)``.
 
-``top_singular`` takes the top singular triple of every block in a stack
-from one batched eigensolve on the Gram matrices of the blocks' smaller
-side; ``block_norm`` is its single-block form, with the norm of the bipartite
-matrix [[0, B], [B^T, 0]] checked under the residual contract.  It solves on
-B scaled by a power of two that brings its largest entry into [1/2, 1), so
-the Gram matrix neither underflows nor overflows, and the scaling is exact.
-Adversary matrices are exactly of this form (zero on every pair with equal
-outputs), so neither ADV evaluation nor the primal search needs a solve on
-the full matrix.
+``block_norm`` takes the top singular triple of a rectangular block B from
+one eigensolve on the Gram matrix of its smaller side, and checks it as the
+top eigenpair of the bipartite matrix [[0, B], [B^T, 0]] under the residual
+contract.  It solves on B scaled by a power of two that brings its largest
+entry into [1/2, 1), so the Gram matrix neither underflows nor overflows,
+and the scaling is exact.  Adversary matrices are exactly of this form (zero
+on every pair with equal outputs), so ADV evaluation needs no solve on the
+full matrix.
 """
 
 from __future__ import annotations
@@ -193,40 +192,16 @@ def principal_eigenvector(a: SymMatrix) -> SpectralResult:
     return _checked(a.entries @ v, float(w[-1]), v)
 
 
-def top_singular(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Top singular triple (sigma, x, y) of every block in a (k, m0, m1) stack.
-
-    One batched eigensolve runs on the Gram matrices of the smaller side
-    (B B^T, or B^T B for tall blocks); the other singular vector is rebuilt
-    as B^T x (or B y) and normalized.  Returns sigma of shape (k,), x of
-    shape (k, m0) and y of shape (k, m1).  Every block must be nonzero.
-
-    A 1 x 1 Gram matrix (a block with one row or one column) skips the solve:
-    its eigenvalue is the entry and its eigenvector is 1, exactly what LAPACK
-    returns for it.
-    """
-    flip = stack.transpose(0, 2, 1)
-    tall = stack.shape[1] > stack.shape[2]
-    gram = flip @ stack if tall else stack @ flip
-    if gram.shape[-1] == 1:
-        w, vecs = gram[:, :, 0], np.ones_like(gram)
-    else:
-        w, vecs = np.linalg.eigh(gram)
-    small = vecs[:, :, -1]
-    other = ((stack if tall else flip) @ small[:, :, None])[:, :, 0]
-    other /= np.sqrt(np.einsum("ki,ki->k", other, other))[:, None]
-    x, y = (other, small) if tall else (small, other)
-    return np.sqrt(w[:, -1]), x, y
-
-
 def block_norm(b: np.ndarray) -> SpectralResult:
     """Largest singular value of a rectangular block B, as an eigenpair.
 
     The pair is that of the symmetric operator G = [[0, B], [B^T, 0]]:
     ``norm`` is sigma_max(B) = ||G|| and ``vector`` is (x, y)/sqrt(2) for the
-    top singular pair (x, y), taken from ``top_singular`` on a stack of one.
-    The residual contract is checked on G, with G v computed blockwise as
-    (B y, B^T x).  An all-zero block has norm 0 and no solve.
+    top singular pair (x, y).  The eigensolve runs on the Gram matrix of the
+    smaller side (B B^T, or B^T B for a tall block), and the other singular
+    vector is rebuilt as B^T x (or B y) and normalized.  The residual
+    contract is checked on G, with G v computed blockwise as (B y, B^T x).
+    An all-zero block has norm 0 and no solve.
 
     The solve and the residual run on B * 2**-e, with e the binary exponent
     of B's largest entry, so that neither the Gram matrix nor the residual
@@ -239,11 +214,15 @@ def block_norm(b: np.ndarray) -> SpectralResult:
         return SpectralResult(0.0, np.zeros(sum(b.shape)), 0.0)
     _, e = math.frexp(max(float(b.max()), -float(b.min())))
     b = np.ldexp(b, -e)
-    sigma, x, y = top_singular(b[None])
-    x, y = x[0], y[0]
+    tall = b.shape[0] > b.shape[1]
+    w, vecs = np.linalg.eigh(b.T @ b if tall else b @ b.T)
+    small = vecs[:, -1]
+    other = (b if tall else b.T) @ small
+    other /= np.linalg.norm(other)
+    x, y = (other, small) if tall else (small, other)
     v = np.concatenate([x, y]) / math.sqrt(2.0)
     gv = np.concatenate([b @ y, b.T @ x]) / math.sqrt(2.0)
-    return _checked(gv, float(sigma[0]), v, e)
+    return _checked(gv, math.sqrt(float(w[-1])), v, e)
 
 
 # --------------------------------------------------------------------------

@@ -41,26 +41,25 @@ def test_parse_error_is_usage_error(capsys):
 
 
 def test_bound_matches_library(capsys):
-    code, report, _ = invoke(capsys, ["bound", "--family", "or", "--n", "2", "--restarts", "2"])
+    code, report, _ = invoke(capsys, ["bound", "--family", "or", "--n", "2", "--gap", "0.01"])
     assert code == 0
-    cert = certify(make_family("or", 2), (1.0, 1.0), SolverOptions(restarts=2))
-    got = report["results"]["certificate"]
-    assert got["lower"]["value"] == cert.lower_value
-    assert got["upper"]["value"] == cert.upper_value
-    assert report["seed"] == 0
+    cert = certify(make_family("or", 2), (1.0, 1.0), SolverOptions(target_gap=0.01))
+    assert report["results"]["certificate"] == json.loads(json.dumps(cert.to_dict()))
+    assert report["schema"] == "advbound-report/2"
+    assert list(report) == ["schema", "tool", "command", "inputs", "inputs_digest", "results", "timing"]
     assert report["inputs"]["alpha"] == [1.0, 1.0]
 
 
 def test_bound_with_costs(capsys):
     code, report, _ = invoke(
         capsys,
-        ["bound", "--family", "and", "--n", "2", "--alpha", "3,4", "--restarts", "2", "--seed", "5"],
+        ["bound", "--family", "and", "--n", "2", "--alpha", "3,4"],
     )
     assert code == 0
     got = report["results"]["certificate"]
     assert got["lower"]["value"] <= 5.0 + 1e-9
     assert 5.0 <= got["upper"]["value"] + 1e-9
-    assert report["seed"] == 5
+    assert got["tight"] is True and got["search"]["stop"] == "gap"
 
 
 def test_bound_input_validation(capsys):
@@ -81,7 +80,7 @@ def test_bound_rejects_bad_target_gap(capsys, gap):
 def test_bound_from_table_file(capsys, tmp_path):
     path = tmp_path / "parity.json"
     path.write_text(json.dumps(function_to_dict(make_family("parity", 2))))
-    code, report, _ = invoke(capsys, ["bound", "--table", str(path), "--restarts", "2"])
+    code, report, _ = invoke(capsys, ["bound", "--table", str(path)])
     assert code == 0
     got = report["results"]["certificate"]
     assert got["lower"]["value"] <= 2.0 + 1e-9 <= got["upper"]["value"] + 2e-9
@@ -91,16 +90,36 @@ def test_bound_from_table_file(capsys, tmp_path):
     "argv", [["--family", "or", "--n", "2"], ["--formula", "x1&~x1"]], ids=["or2", "constant"]
 )
 def test_negative_seed_is_a_usage_error_before_any_certify(capsys, monkeypatch, argv):
-    # or2 failed inside numpy at the first step; the constant function takes
-    # no step, so it printed "seed": -1 with exit code 0
+    # The path draws no random number, so there is no --seed: any seed,
+    # negative or not, is an unknown argument.
     def no_work(*args, **kwargs):
-        raise AssertionError("the seed must be checked before any certify")
+        raise AssertionError("the seed must be rejected before any certify")
 
     monkeypatch.setattr(cli, "certify", no_work)
-    code, report, err = invoke(capsys, ["bound", *argv, "--seed", "-1"])
-    assert code == 2
-    assert report is None
-    assert err.startswith("error:") and "seed must be non-negative" in err
+    for seed in ("-1", "0", "5"):
+        code, report, err = invoke(capsys, ["bound", *argv, "--seed", seed])
+        assert code == 2
+        assert report is None
+        assert f"unrecognized arguments: --seed {seed}" in err
+
+
+def drop_timing(text: str) -> dict:
+    report = json.loads(text)
+    report.pop("timing")
+    return report
+
+
+def test_restarts_flag_is_accepted_and_changes_nothing(capsys):
+    # Kept for callers that still pass it; the report differs only in the
+    # echoed command and the timing.
+    base = ["bound", "--family", "and", "--n", "3", "--alpha", "1,2,3"]
+    assert run(base) == 0
+    plain = drop_timing(capsys.readouterr().out)
+    assert run(base + ["--restarts", "1"]) == 0
+    flagged = drop_timing(capsys.readouterr().out)
+    assert flagged.pop("command") == base + ["--restarts", "1"]
+    plain.pop("command")
+    assert json.dumps(flagged) == json.dumps(plain)
 
 
 #: Truth tables whose numbers are not integral.  0.7 and 1.9 were truncated to
@@ -191,7 +210,6 @@ def test_verify_composition_passes(capsys):
             "--outer", "family:and:2",
             "--inner", "family:or:2",
             "--inner", "family:or:2",
-            "--restarts", "2",
         ],
     )
     assert code == 0
@@ -203,7 +221,7 @@ def test_verify_composition_passes(capsys):
 def test_verify_iteration_passes(capsys):
     code, report, _ = invoke(
         capsys,
-        ["verify-iteration", "--family", "nand", "--n", "2", "--d", "2", "--restarts", "2"],
+        ["verify-iteration", "--family", "nand", "--n", "2", "--d", "2"],
     )
     assert code == 0
     assert report["results"]["ok"] is True
@@ -211,7 +229,7 @@ def test_verify_iteration_passes(capsys):
 
 def test_verify_iteration_depth_cap(capsys):
     code, _, err = invoke(
-        capsys, ["verify-iteration", "--family", "nand", "--n", "2", "--d", "3", "--restarts", "2"]
+        capsys, ["verify-iteration", "--family", "nand", "--n", "2", "--d", "3"]
     )
     assert code == 2
     assert "error:" in err
@@ -288,12 +306,48 @@ def test_verify_iteration_on_a_partial_table_certifies_nothing(capsys, monkeypat
 def test_cost_extremes_are_usage_errors(capsys, alpha, message):
     # 1e-320: 1/alpha overflowed and the bracket came out as NaN with exit code 0.
     # 1e308: every dual value is inf, and the upper bound with it.
-    code, report, err = invoke(
-        capsys, ["bound", "--family", "or", "--n", "2", "--alpha", alpha, "--restarts", "1"]
-    )
+    code, report, err = invoke(capsys, ["bound", "--family", "or", "--n", "2", "--alpha", alpha])
     assert code == 2
     assert report is None
     assert "error:" in err and message in err and "Traceback" not in err
+
+
+def bound_or2(capsys, alpha: str) -> dict:
+    """The certificate of ``bound --family or --n 2 --alpha ALPHA``, which must exit 0.
+
+    The suite turns RuntimeWarnings into errors, so a warning fails the caller."""
+    code, report, _ = invoke(capsys, ["bound", "--family", "or", "--n", "2", "--alpha", alpha])
+    assert code == 0
+    return report["results"]["certificate"]
+
+
+def test_huge_equal_costs_bracket_the_exact_value_without_warnings(capsys):
+    # Adam's second moment overflowed here: about 5000 RuntimeWarnings, and
+    # the bracket [1.19e200, 2.13e200] after the full budget.
+    cert = bound_or2(capsys, "1e200,1e200")
+    exact = math.hypot(1e200, 1e200)
+    assert cert["lower"]["value"] <= exact * (1 + 1e-12)
+    assert exact <= cert["upper"]["value"] * (1 + 1e-12)
+    assert cert["gap"] <= 1e-12 * exact  # tight relative to the value, not to the absolute target
+
+
+def test_cost_ratio_beyond_the_path_ends_untight_but_valid(capsys):
+    # 1e300 against 1 used to raise two RuntimeWarnings.  The cheap bit's
+    # weight would have to fall below 1e-300 of the other's, which the
+    # barrier does not reach: the path runs to its end with a loose lower side.
+    cert = bound_or2(capsys, "1e300,1")
+    assert cert["search"]["stop"] == "end" and cert["tight"] is False
+    assert cert["lower"]["value"] <= 1e300 * (1 + 1e-12) <= cert["upper"]["value"] * (1 + 2e-12)
+    assert 0.0 < cert["lower"]["value"]
+
+
+def test_expensive_bit_still_gives_a_tight_bracket(capsys):
+    # The absolute gap at 1e3 was 0.047 after the full budget.
+    cert = bound_or2(capsys, "1e3,1")
+    exact = math.hypot(1e3, 1.0)
+    assert cert["tight"] is True and cert["search"]["stop"] == "gap"
+    assert cert["gap"] <= 1e-5
+    assert cert["lower"]["value"] <= exact * (1 + 1e-12) and exact <= cert["upper"]["value"] * (1 + 1e-12)
 
 
 @pytest.mark.parametrize(
@@ -422,12 +476,18 @@ def test_reports_identical_except_timing(capsys):
 
 
 def test_bound_deterministic_across_runs(capsys):
-    argv = ["bound", "--family", "or", "--n", "2", "--restarts", "2"]
-    _, first, _ = invoke(capsys, argv)
-    _, second, _ = invoke(capsys, argv)
-    first.pop("timing")
-    second.pop("timing")
-    assert first == second
+    # byte for byte, apart from the timing, on a 5-bit table and a cost
+    # vector that runs the path to its end
+    for argv in (
+        ["bound", "--formula", "(x1&x2)|(x3&~x4)|~x5"],
+        ["bound", "--family", "or", "--n", "2", "--alpha", "1e300,1"],
+    ):
+        texts = []
+        for _ in range(2):
+            assert run(argv) == 0
+            out = capsys.readouterr().out
+            texts.append(out[: out.index('"timing"')])
+        assert texts[0] == texts[1]
 
 
 def test_digest_tracks_inputs(capsys):

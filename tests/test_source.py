@@ -97,6 +97,31 @@ def test_exported_names_exist():
     assert [name for name in advbound.__all__ if not hasattr(advbound, name)] == []
 
 
+#: Randomness in the package: the solve must be deterministic, with no seed
+#: to report.
+RANDOM = re.compile(r"\bnp\.random\b|\bdefault_rng\b")
+
+
+def random_uses(source: str) -> list[int]:
+    """Line numbers that draw on numpy's random generators."""
+    return [n for n, line in enumerate(source.splitlines(), 1) if RANDOM.search(line)]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_draws_random_numbers(path):
+    assert random_uses(path.read_text()) == []
+
+
+def test_random_use_scan_sees_them():
+    source = (
+        "rng = np.random.default_rng(0)\n"
+        "from numpy.random import default_rng\n"
+        "x = np.randomize\n"
+        "z = 0.3 * np.random.standard_normal(4)\n"
+    )
+    assert random_uses(source) == [1, 2, 4]
+
+
 TESTS = Path(__file__).resolve().parent
 
 #: A warning filter that ignores: tier-1 turns RuntimeWarnings into errors, and

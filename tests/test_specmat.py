@@ -20,7 +20,6 @@ from advbound.specmat import (
     matrix_to_dict,
     principal_eigenvector,
     spectral_norm,
-    top_singular,
 )
 
 LABELS4 = ("00", "01", "10", "11")
@@ -278,6 +277,10 @@ def test_block_norm_matches_assembled_operator(shape):
     direct = np.linalg.norm(full.entries @ v - res.norm * v)
     assert abs(res.residual - direct) <= 1e-12 * max(1.0, res.norm)
     assert res.residual <= RESIDUAL_TOL * max(1.0, res.norm)
+    # (x, y) = sqrt(2) v is a singular pair of B: B y = sigma x and B^T x = sigma y
+    x, y = np.split(math.sqrt(2.0) * v, [shape[0]])
+    assert np.allclose(b @ y, res.norm * x, rtol=0.0, atol=1e-10)
+    assert np.allclose(b.T @ x, res.norm * y, rtol=0.0, atol=1e-10)
 
 
 @pytest.mark.parametrize("shape", [(4, 2), (2, 4), (0, 3), (3, 0)])
@@ -287,50 +290,6 @@ def test_block_norm_zero_block(shape):
     assert res.vector.shape == (sum(shape),)
     if all(shape):
         assert spectral_norm(bipartite(np.zeros(shape))).norm == 0.0
-
-
-@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5), (1, 6), (6, 1), (1, 1)])
-def test_top_singular_matches_block_norm_and_dense(shape):
-    rng = np.random.default_rng(sum(shape) * 7 + shape[1])
-    stack = rng.uniform(0.0, 1.0, (4,) + shape) * (rng.random((4,) + shape) < 0.7)
-    stack[:, 0, 0] = 1.0  # every block nonzero
-    sigma, x, y = top_singular(stack)
-    assert sigma.shape == (4,) and x.shape == (4, shape[0]) and y.shape == (4, shape[1])
-    for k, b in enumerate(stack):
-        single = block_norm(b)
-        assert sigma[k] == pytest.approx(single.norm, rel=1e-12)
-        assert sigma[k] == pytest.approx(spectral_norm(bipartite(b)).norm, rel=1e-12)
-        assert np.linalg.norm(x[k]) == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(y[k]) == pytest.approx(1.0, abs=1e-12)
-        # a singular pair of B: B y = sigma x and B^T x = sigma y
-        assert np.allclose(b @ y[k], sigma[k] * x[k], rtol=0.0, atol=1e-10)
-        assert np.allclose(b.T @ x[k], sigma[k] * y[k], rtol=0.0, atol=1e-10)
-        v = np.concatenate([x[k], y[k]]) / math.sqrt(2.0)
-        assert min(np.abs(v - single.vector).max(), np.abs(v + single.vector).max()) <= 1e-10
-
-
-def eigh_top_singular(stack):
-    """top_singular with every Gram matrix through eigh, 1 x 1 ones included."""
-    flip = stack.transpose(0, 2, 1)
-    tall = stack.shape[1] > stack.shape[2]
-    w, vecs = np.linalg.eigh(flip @ stack if tall else stack @ flip)
-    small = vecs[:, :, -1]
-    other = ((stack if tall else flip) @ small[:, :, None])[:, :, 0]
-    other /= np.sqrt(np.einsum("ki,ki->k", other, other))[:, None]
-    x, y = (other, small) if tall else (small, other)
-    return np.sqrt(w[:, -1]), x, y
-
-
-@pytest.mark.parametrize("shape", [(1, 5), (5, 1), (1, 1), (1, 2), (2, 1)])
-def test_top_singular_of_a_one_by_one_gram_is_the_eigh_result(shape):
-    # The 1 x 1 Gram shortcut skips eigh; its bits must be the ones eigh gives.
-    rng = np.random.default_rng(3 * shape[0] + shape[1])
-    for scale in (1e-150, 1e-3, 1.0, 1e150):
-        stack = rng.uniform(0.0, 1.0, (6,) + shape) * scale
-        stack[:, 0, 0] += scale  # every block nonzero
-        got, want = top_singular(stack), eigh_top_singular(stack)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 def test_block_norm_contract_enforced(monkeypatch):
