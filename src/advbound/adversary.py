@@ -27,11 +27,13 @@ functions to the composed function: weight matrices multiply entrywise
 through the blocks, eigenvectors multiply through the block outputs, and
 witness distributions multiply block by block.  Each builder gathers its
 inputs through the row index arrays of ``CompositionSpec.composed``, built
-once per spec.  ``compose_gamma`` writes the composed matrix once, in place,
-over blocks of ``COMPOSE_CHUNK`` rows; the result is exactly symmetric by
-construction, so it becomes a ``SymMatrix`` without a copy or a symmetry
-check.  The composed quantities obey exact product laws, which the checks
-in this module verify numerically.
+once per spec.  ``compose_gamma`` computes only the nonzero entries of the
+composed matrix, as Cartesian products of the nonzero entries of the inner
+factors, at most ``COMPOSE_PIECE`` at a time, and writes them into a zeroed
+output; the result is exactly symmetric by construction, so it becomes a
+``SymMatrix`` without a copy or a symmetry check.  The composed quantities
+obey exact product laws, which the checks in this module verify
+numerically.
 
 ``MinimaxWitness`` checks all its rows at once with array operations, and
 walks them one by one only to name the first bad row; its
@@ -45,7 +47,7 @@ import mmap
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -71,11 +73,12 @@ COMPOSE_TOL = 1e-8
 #: Each output class of a principal eigenvector carries half the mass.
 HALF_MASS_TOL = 1e-8
 
-#: Rows of the composed matrix that ``compose_gamma`` fills per step.  At 4096
-#: rows, 16, 32 and 64 were equally fast (32 by a hair), 128 and 256 were 5-15%
-#: slower and 512 was 25% slower: one 32-row strip of a gathered factor is
-#: 1 MB, which stays in cache between its take and its multiply.
-COMPOSE_CHUNK = 32
+#: Entries of the composed matrix that ``compose_gamma`` expands per step; each
+#: temporary of a step holds at most this many.  On and2 o (parity6, parity6),
+#: 2.2M nonzero entries at 4096 rows, 2**12 to 2**16 all took 0.05-0.08 s,
+#: while the traced peak grew with the piece: 0.42 MB at 2**12, 0.67 MB at
+#: 2**13, 1.05 MB at 2**14 and 3.3 MB at 2**16.
+COMPOSE_PIECE = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -377,6 +380,54 @@ def _mapped_zeros(n: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=float, count=n * n).reshape(n, n)
 
 
+def _class_entries(factor: np.ndarray, g: BooleanFunction, stride: int) -> list:
+    """The nonzero entries of ``factor`` by the output classes of their row
+    and column: item [s][t] is (row offsets, column offsets, values) for
+    rows in g^-1(s) and columns in g^-1(t), with the row indices of g scaled
+    by ``stride``."""
+    entries = []
+    for rows in g.classes:
+        entries.append([])
+        for cols in g.classes:
+            block = factor[np.ix_(rows, cols)]
+            u, v = np.nonzero(block)
+            entries[-1].append((rows[u] * stride, cols[v] * stride, block[u, v]))
+    return entries
+
+
+def _expand(value: float, parts: Sequence) -> Iterator:
+    """The Cartesian product of ``parts``, at most ``COMPOSE_PIECE`` entries
+    at a time, as (row offsets, column offsets, values).
+
+    Each part is a (row offsets, column offsets, values) triple; a product
+    entry sums the offsets of its picks and multiplies ``value`` by their
+    values in part order.  The longest run of trailing parts whose product
+    fits in a piece, leaving at least the first part, is broadcast whole;
+    the leading parts are walked in runs of flat indices.
+    """
+    sizes = [vals.size for _, _, vals in parts]
+    if 0 in sizes:
+        return
+    lead, tail = len(parts), 1
+    while lead > 1 and tail * sizes[lead - 1] <= COMPOSE_PIECE:
+        lead -= 1
+        tail *= sizes[lead]
+    count = math.prod(sizes[:lead])
+    step = max(1, COMPOSE_PIECE // tail)
+    for start in range(0, count, step):
+        picks = np.unravel_index(np.arange(start, min(start + step, count)), sizes[:lead])
+        rows, cols, vals = 0, 0, value
+        for (r, c, v), pick in zip(parts, picks):
+            rows = rows + r[pick]
+            cols = cols + c[pick]
+            vals = vals * v[pick]
+        for r, c, v in parts[lead:]:
+            rows = (rows[:, None] + r).ravel()
+            cols = (cols[:, None] + c).ravel()
+            vals = (vals[:, None] * v).ravel()
+        yield rows, cols, vals
+
+
 def compose_gamma(
     gamma_f: AdversaryMatrix,
     gammas_g: Sequence[AdversaryMatrix],
@@ -389,37 +440,47 @@ def compose_gamma(
     diagonal term survives, and there the outer factor supplies the zero, so
     this single formula covers both the same-output and crossing blocks.
 
-    The product is written into one output array, ``COMPOSE_CHUNK`` rows at
-    a time: the outer factor's gathered rows first, then each inner factor's
-    multiplied in, in block order.  Each chunk is checked finite once its
-    last factor is in, while it is still in cache.  Entries (x, y) and (y, x)
-    multiply the same numbers in the same order, so the result is exactly
-    symmetric and becomes a ``SymMatrix`` without a copy or any re-check.
+    Only the nonzero products are built.  The composed rows with outer row a
+    are those whose inner rows lie in the output classes a_1, ..., a_k, so
+    for each nonzero outer entry G_f[a, b] the product runs over the nonzero
+    entries of each F_i with row in class a_i and column in class b_i: a
+    Cartesian product, expanded ``COMPOSE_PIECE`` entries at a time.  Each
+    entry multiplies the outer value, then F_1, F_2, ..., in block order, as
+    a whole-matrix product would; each piece is checked finite and then
+    written into a zeroed output.  Entries (x, y) and (y, x) multiply the
+    same numbers in the same order, so the result is exactly symmetric and
+    becomes a ``SymMatrix`` without a copy or any re-check.
+
+    Entries with a zero factor are never computed, so they are +0.0 even
+    where G_f holds -0.0 (a whole-matrix product would write -0.0 there), and
+    a partial product that overflows before a zero factor does not turn the
+    entry into NaN.
     """
     _check_blocks(spec, gammas_g, "matrix", "matrices", gamma_f=gamma_f)
     require_valid(gamma_f)
     for gam in gammas_g:
         require_valid(gam)
     rows = spec.composed
-    outer, outer_row = gamma_f.matrix.entries, rows.outer_row
-    factors = []
-    for gam, idx in zip(gammas_g, rows.inner_row):
-        norm = spectral_norm(gam.matrix).norm
-        factors.append((gam.matrix.entries + norm * np.eye(gam.matrix.dim), idx))
-    n = outer_row.size
+    sizes = [len(g.domain) for g in spec.inner]
+    entries = []
+    for i, (gam, g) in enumerate(zip(gammas_g, spec.inner)):
+        factor = gam.matrix.entries + spectral_norm(gam.matrix).norm * np.eye(gam.matrix.dim)
+        entries.append(_class_entries(factor, g, math.prod(sizes[i + 1 :])))
+    # lookup[the row-major grid index of a tuple of inner rows] is its
+    # composed row; every tuple the expansion makes is a composed row.
+    n = rows.outer_row.size
+    lookup = np.zeros(math.prod(sizes), dtype=np.int64)
+    lookup[np.ravel_multi_index(rows.inner_row, sizes)] = np.arange(n)
     out = _mapped_zeros(n)
-    gathered = np.empty((min(n, COMPOSE_CHUNK), n))
-    # The indices are valid by construction; mode="clip" lets take write into
-    # its output unbuffered, which the default "raise" does not.
-    for start in range(0, n, COMPOSE_CHUNK):
-        stop = min(start + COMPOSE_CHUNK, n)
-        chunk, part = out[start:stop], gathered[: stop - start]
-        np.take(outer[outer_row[start:stop]], outer_row, axis=1, out=chunk, mode="clip")
-        for factor, idx in factors:
-            np.take(factor[idx[start:stop]], idx, axis=1, out=part, mode="clip")
-            chunk *= part
-        if not np.isfinite(chunk).all():  # finite factors can still overflow
-            raise ValueError("entries must be finite")
+    flat_out = out.reshape(-1)
+    outer = gamma_f.matrix.entries
+    outer_bits = spec.outer.bits.tolist()
+    for a, b in zip(*np.nonzero(outer)):
+        parts = [e[s][t] for e, s, t in zip(entries, outer_bits[a], outer_bits[b])]
+        for r, c, vals in _expand(outer[a, b], parts):
+            if not np.isfinite(vals).all():  # finite factors can still overflow
+                raise ValueError("entries must be finite")
+            flat_out[lookup[r] * n + lookup[c]] = vals
     h = rows.function
     return AdversaryMatrix(h, SymMatrix._trusted(h.domain, out))
 

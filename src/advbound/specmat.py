@@ -18,11 +18,13 @@ checks finiteness as it builds.  Outside input always goes through
 ``block_norm`` takes the top singular triple of a rectangular block B from
 one eigensolve on the Gram matrix of its smaller side, and checks it as the
 top eigenpair of the bipartite matrix [[0, B], [B^T, 0]] under the residual
-contract.  It solves on B scaled by a power of two that brings its largest
-entry into [1/2, 1), so the Gram matrix neither underflows nor overflows,
-and the scaling is exact.  Adversary matrices are exactly of this form (zero
-on every pair with equal outputs), so ADV evaluation needs no solve on the
-full matrix.
+contract.  It first drops the all-zero rows and columns of B, which carry
+zero singular-vector entries, so a sparse block costs a solve the size of
+its support.  It solves on B scaled by a power of two that brings its
+largest entry into [1/2, 1), so the Gram matrix neither underflows nor
+overflows, and the scaling is exact.  Adversary matrices are exactly of
+this form (zero on every pair with equal outputs), so ADV evaluation needs
+no solve on the full matrix.
 """
 
 from __future__ import annotations
@@ -203,6 +205,12 @@ def block_norm(b: np.ndarray) -> SpectralResult:
     contract is checked on G, with G v computed blockwise as (B y, B^T x).
     An all-zero block has norm 0 and no solve.
 
+    All-zero rows and columns of B are dropped before the solve.  Their
+    singular-vector entries are 0 and the trimmed block has the same G v on
+    the rest, so the norm and the residual are the trimmed block's, and
+    ``vector`` is its vector with zeros put back in place.  A block whose
+    support is a matching trims to a square block with one entry per row.
+
     The solve and the residual run on B * 2**-e, with e the binary exponent
     of B's largest entry, so that neither the Gram matrix nor the residual
     underflows or overflows; sigma and the residual are scaled back by 2**e.
@@ -210,8 +218,15 @@ def block_norm(b: np.ndarray) -> SpectralResult:
     bits of ``block_norm(B)`` scaled by 2**k.
     """
     b = np.asarray(b, dtype=float)
-    if not np.any(b):
-        return SpectralResult(0.0, np.zeros(sum(b.shape)), 0.0)
+    if b.size == 0 or not b.all():  # a dense block, the common case, skips this
+        rows, cols = b.any(axis=1), b.any(axis=0)
+        if not rows.any():
+            return SpectralResult(0.0, np.zeros(sum(b.shape)), 0.0)
+        if not (rows.all() and cols.all()):
+            trimmed = block_norm(b[np.ix_(rows, cols)])
+            vector = np.zeros(sum(b.shape))
+            vector[np.concatenate([rows, cols])] = trimmed.vector
+            return SpectralResult(trimmed.norm, vector, trimmed.residual)
     _, e = math.frexp(max(float(b.max()), -float(b.min())))
     b = np.ldexp(b, -e)
     tall = b.shape[0] > b.shape[1]

@@ -3,6 +3,7 @@
 import json
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -918,25 +919,79 @@ def test_compose_gamma_output_is_symmetric_and_read_only(compose_reference_cases
         entries[0, 0] = 1.0
 
 
-@pytest.mark.parametrize("chunk", ["first", "second"])
-def test_compose_gamma_rejects_an_overflowing_product(chunk):
-    # Finite factors whose product overflows.  In "second", the and2 weight
-    # 1e200 sits between its hub 11 and spoke 10, so over (id, or_k) every
-    # overflowing entry lies in a row with x_1 = 1: all in the second chunk.
-    if chunk == "first":
+def crossing_gamma(f, weight=1.0):
+    """``weight`` on every pair with different outputs, 0 elsewhere."""
+    return random_gamma(f, np.random.default_rng(0), weight, weight)
+
+
+def test_compose_gamma_of_a_dense_composition_stays_small():
+    # Every crossing pair of and2 o (parity6, parity6) is nonzero: 2.2M of the
+    # 16.7M entries.  The output lives in a memory map of its own, which
+    # tracemalloc does not see; everything else compose_gamma allocates does.
+    par6 = make_family("parity", 6)
+    spec = CompositionSpec(AND2, (par6, par6))
+    gamma_f, gammas_g = crossing_gamma(AND2), [crossing_gamma(par6), crossing_gamma(par6)]
+    spec.composed  # built once per spec, before the measurement
+    tracemalloc.start()
+    try:
+        got = compose_gamma(gamma_f, gammas_g, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.matrix.dim == 4096
+    assert peak <= 2 * 2**20
+    want = reference_compose_gamma(gamma_f, gammas_g, spec)
+    assert same_bits(got.matrix.entries, want.matrix.entries)
+
+
+def test_compose_gamma_writes_positive_zeros_where_the_outer_matrix_has_negative_ones():
+    # validate accepts -0.0.  A whole-matrix product writes -0.0 * F = -0.0;
+    # compose_gamma skips zero factors and leaves +0.0 there.
+    e = gadget(AND2, 1.0, 2.0).matrix.entries.copy()
+    e[0, 3] = e[3, 0] = -0.0
+    gamma_f = AdversaryMatrix(AND2, SymMatrix(AND2.domain, e))
+    assert validate(gamma_f).ok
+    spec = CompositionSpec(AND2, (OR2, PARITY2))
+    rng = np.random.default_rng(5)
+    gammas_g = [random_gamma(OR2, rng), random_gamma(PARITY2, rng)]
+    got = compose_gamma(gamma_f, gammas_g, spec).matrix.entries
+    want = reference_compose_gamma(gamma_f, gammas_g, spec).matrix.entries
+    assert np.signbit(want).any()
+    assert not np.signbit(got).any()
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("where", ["first", "later_pair", "later_piece"])
+def test_compose_gamma_rejects_an_overflowing_product(where):
+    # Finite factors whose product overflows.
+    if where == "first":
         spec = CompositionSpec(AND2, (OR2, OR2))
         _, gamma_f, _ = gadget_cost_adv("and", (1e200, 1e200))
         _, inner, _ = gadget_cost_adv("or", (1e100, 1e100))
         gammas_g = [inner, inner]
-    else:
-        ork = make_family("or", adversary.COMPOSE_CHUNK.bit_length() - 1)
-        spec = CompositionSpec(AND2, (ID1, ork))
-        _, gamma_f, _ = gadget_cost_adv("and", (1.0, 1e200))
+    elif where == "later_pair":
+        # Outer pairs come in row-major order: (01, 11) with weight 1, whose
+        # products stay near 1e150, then (10, 11) with weight 1e200.
+        spec = CompositionSpec(AND2, (ID1, ID1))
+        gamma_f = gadget(AND2, 1.0, 1e200)
         e = np.array([[0.0, 1e75], [1e75, 0.0]])
-        gammas_g = [
-            AdversaryMatrix(ID1, SymMatrix(ID1.domain, e)),
-            random_gamma(ork, np.random.default_rng(0), 1e75, 2e75),
-        ]
+        gammas_g = [AdversaryMatrix(ID1, SymMatrix(ID1.domain, e))] * 2
+    else:
+        # One outer pair, (00, 11), whose expansion takes several pieces;
+        # only the last entry of F_1's crossing block is large, so only the
+        # last piece overflows.
+        k = 2
+        while 2 ** (4 * (k - 1)) <= adversary.COMPOSE_PIECE:
+            k += 1
+        par = make_family("parity", k)
+        spec = CompositionSpec(AND2, (par, par))
+        e = np.zeros((4, 4))
+        e[0, 3] = e[3, 0] = 1.0
+        gamma_f = AdversaryMatrix(AND2, SymMatrix(AND2.domain, e))
+        first = crossing_gamma(par).matrix.entries.copy()
+        zeros, ones = par.classes
+        first[zeros[-1], ones[-1]] = first[ones[-1], zeros[-1]] = 1e160
+        gammas_g = [AdversaryMatrix(par, SymMatrix(par.domain, first)), crossing_gamma(par, 1e150)]
     # The overflow warnings are numpy's; the error is the check's.
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="^entries must be finite$"):

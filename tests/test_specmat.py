@@ -292,6 +292,40 @@ def test_block_norm_zero_block(shape):
         assert spectral_norm(bipartite(np.zeros(shape))).norm == 0.0
 
 
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7), (6, 6), (1, 6), (6, 1)])
+def test_block_norm_drops_all_zero_rows_and_columns(shape):
+    rng = np.random.default_rng(60 + sum(shape))
+    b = rng.uniform(0.1, 1.0, shape)
+    rows, cols = rng.random(shape[0]) < 0.6, rng.random(shape[1]) < 0.6
+    rows[0] = cols[-1] = True  # a nonzero trimmed block
+    if shape[0] > 1:
+        rows[-1] = False
+    if shape[1] > 1:
+        cols[0] = False
+    b[~rows] = 0.0
+    b[:, ~cols] = 0.0
+    got, trimmed = block_norm(b), block_norm(b[np.ix_(rows, cols)])
+    assert got.norm == trimmed.norm
+    assert got.residual == trimmed.residual
+    assert got.vector.shape == (sum(shape),)
+    kept = np.concatenate([rows, cols])
+    assert np.all(got.vector[~kept] == 0.0)
+    assert got.vector[kept].tobytes() == trimmed.vector.tobytes()
+
+
+@pytest.mark.parametrize("size", [1, 5, 40])
+def test_block_norm_of_a_matching_is_its_largest_entry(size):
+    # One nonzero per row and column, scattered through a larger block.
+    rng = np.random.default_rng(size)
+    b = np.zeros((size + 3, size + 7))
+    rows = rng.choice(size + 3, size, replace=False)
+    cols = rng.choice(size + 7, size, replace=False)
+    b[rows, cols] = rng.uniform(0.1, 10.0, size) * rng.choice([-1.0, 1.0], size)
+    got = block_norm(b)
+    assert got.norm == np.abs(b).max()
+    assert np.count_nonzero(got.vector) == 2
+
+
 def test_block_norm_contract_enforced(monkeypatch):
     monkeypatch.setattr(specmat, "RESIDUAL_TOL", 0.0)
     b = np.random.default_rng(4).uniform(0.0, 1.0, (6, 4))
