@@ -11,7 +11,7 @@ from .boolfn import (
     parse_formula,
     split_input,
 )
-from .specmat import SpectralResult, SymMatrix, difference_mask, hadamard, principal_eigenvector, spectral_norm
+from .specmat import SpectralResult, SymMatrix, principal_eigenvector, spectral_norm
 from .adversary import (
     AdversaryMatrix,
     CostVector,
@@ -55,10 +55,8 @@ __all__ = [
     "compose_functions",
     "compose_gamma",
     "compose_minimax",
-    "difference_mask",
     "formula_to_function",
     "gadget_cost_adv",
-    "hadamard",
     "iterate_function",
     "make_family",
     "masked_compose_check",

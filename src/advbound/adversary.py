@@ -20,11 +20,11 @@ pairs only.  ``adv_value`` takes its norms on that block, and each masked
 norm on the two sub-blocks whose rows and columns differ at the bit;
 ``mm_value`` gets every pair's overlap sum from one matrix product on the
 block, and ``validate`` inspects only the two same-output blocks for the
-zero pattern.
+zero pattern.  Masks and classes come from ``BooleanFunction.bits``/``classes``.
 
 Composition lifts certificates from an outer function and per-block inner
 functions to the composed function: weight matrices multiply entrywise
-through the blocks, eigenvectors multiply through the block outputs, and
+through the blocks, eigenvectors multiply through the inner rows, and
 witness distributions multiply block by block.  Each builder gathers its
 inputs through the row index arrays of ``CompositionSpec.composed``, built
 once per spec.  ``compose_gamma`` computes only the nonzero entries of the
@@ -33,7 +33,7 @@ factors, at most ``COMPOSE_PIECE`` at a time, and writes them into a zeroed
 output; the result is exactly symmetric by construction, so it becomes a
 ``SymMatrix`` without a copy or a symmetry check.  The composed quantities
 obey exact product laws, which the checks in this module verify
-numerically.
+numerically, with every norm on a crossing block.
 
 ``MinimaxWitness`` checks all its rows at once with array operations, and
 walks them one by one only to name the first bad row; its
@@ -57,10 +57,9 @@ from .specmat import (
     SpectralResult,
     SymMatrix,
     block_norm,
-    difference_mask,
-    hadamard,
     matrix_from_dict,
     matrix_to_dict,
+    require_numbers,
     spectral_norm,
 )
 
@@ -190,11 +189,12 @@ def validate(gamma: AdversaryMatrix) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations), f.is_constant, zero)
 
 
-def require_valid(gamma: AdversaryMatrix) -> None:
-    """Raise unless gamma is valid or all zero (the value-0 certificate)."""
+def require_valid(gamma: AdversaryMatrix) -> ValidationReport:
+    """Raise unless gamma is valid or all zero (the value-0 certificate);
+    return its report."""
     report = validate(gamma)
     if report.ok or report.zero_matrix:
-        return
+        return report
     raise ValueError("invalid adversary matrix: " + "; ".join(report.violations))
 
 
@@ -222,8 +222,7 @@ def adv_value(gamma: AdversaryMatrix, alpha) -> float:
     """
     f = gamma.function
     alpha = as_costs(alpha, f.arity)
-    require_valid(gamma)
-    if not np.any(gamma.matrix.entries):
+    if require_valid(gamma).zero_matrix:
         return 0.0
     zeros, ones = f.classes
     block = gamma.matrix.entries[np.ix_(zeros, ones)]
@@ -487,28 +486,22 @@ def compose_gamma(
 
 @dataclass(frozen=True, eq=False)
 class EigvecParts:
-    """A unit eigenvector split by the function's output classes."""
+    """A unit eigenvector; its half on output class b is ``vector[function.classes[b]]``."""
 
     function: BooleanFunction
-    whole: np.ndarray
-    half0: np.ndarray
-    half1: np.ndarray
+    vector: np.ndarray
 
     @classmethod
     def from_vector(cls, function: BooleanFunction, vector: np.ndarray) -> "EigvecParts":
         v = np.asarray(vector, dtype=float)
         if v.shape != (len(function.domain),):
             raise ValueError("vector length must match the domain")
-        zeros, ones = function.classes
-        half0, half1 = np.zeros_like(v), np.zeros_like(v)
-        half0[zeros], half1[ones] = v[zeros], v[ones]
-        return cls(function, v, half0, half1)
+        return cls(function, v)
 
 
 def _check_half_mass(parts: EigvecParts) -> None:
-    if not np.array_equal(parts.whole, parts.half0 + parts.half1):
-        raise ValueError("eigenvector halves do not add up to the whole")
-    for b, half in ((0, parts.half0), (1, parts.half1)):
+    for b, idx in enumerate(parts.function.classes):
+        half = parts.vector[idx]
         mass = float(half @ half)
         if abs(mass - 0.5) > HALF_MASS_TOL:
             raise ValueError(
@@ -523,18 +516,18 @@ def compose_eigenvector(
 ) -> np.ndarray:
     """Principal eigenvector of the composed matrix, built by products.
 
-    Entry by entry, delta_h[x] = delta_f[xt] * prod_i delta_{g_i}[x^i] taken
-    from the half matching the block's output.  Each inner eigenvector must
-    put squared mass 1/2 on each output class; the result then has squared
-    norm 1/2**k.
+    Entry by entry, delta_h[x] = delta_f[xt] * prod_i delta_{g_i}[x^i], from
+    the half of delta_{g_i} on the output class of x^i, which is the whole
+    vector's entry there.  Each inner eigenvector must put squared mass 1/2
+    on each output class; the result then has squared norm 1/2**k.
     """
     _check_blocks(spec, deltas_g, "eigenvector", "eigenvectors")
     for parts in deltas_g:
         _check_half_mass(parts)
     rows = spec.composed
     out = delta_f.vector[rows.outer_row]
-    for parts, idx, value in zip(deltas_g, rows.inner_row, rows.inner_value):
-        out *= np.where(value == 0, parts.half0[idx], parts.half1[idx])
+    for parts, idx in zip(deltas_g, rows.inner_row):
+        out *= parts.vector[idx]
     return out
 
 
@@ -576,46 +569,54 @@ class MaskedCompositionReport:
         return self.entrywise_ok and self.norm_ok and self.ratio_ok
 
 
+def _masked(gamma: AdversaryMatrix, i: int) -> AdversaryMatrix:
+    """G o D_i: G zeroed on the pairs whose inputs agree at bit i."""
+    bit = gamma.function.bits[:, i - 1]
+    m = gamma.matrix
+    return AdversaryMatrix(gamma.function, SymMatrix(m.labels, m.entries * (bit[:, None] != bit)))
+
+
+def _norm(gamma: AdversaryMatrix) -> float:
+    """||G|| of a valid G: the top singular value of its f^-1(0) x f^-1(1) block."""
+    zeros, ones = gamma.function.classes
+    return block_norm(gamma.matrix.entries[np.ix_(zeros, ones)]).norm
+
+
 def masked_compose_check(
     gamma_f: AdversaryMatrix,
     gammas_g: Sequence[AdversaryMatrix],
     spec: CompositionSpec,
     ell: int,
 ) -> MaskedCompositionReport:
-    """Verify the masked factorization of the composed matrix at position ell."""
+    """Verify the masked factorization of the composed matrix at position ell,
+    which is position q of block p: G_h o D_ell against the composition of
+    G_f o D_p with G_{g_p} o D_q.  Every norm is taken on a crossing block."""
     p, q = spec.block_of(ell)
     gamma_h = compose_gamma(gamma_f, gammas_g, spec)
-    h = gamma_h.function
-    lhs = hadamard(gamma_h.matrix, difference_mask(h.domain, ell))
-
-    # The right-hand side composes the masked outer matrix with the masked
-    # p-th inner matrix in place of the original.
-    masked_f = hadamard(gamma_f.matrix, difference_mask(spec.outer.domain, p))
-    masked_p = hadamard(gammas_g[p - 1].matrix, difference_mask(spec.inner[p - 1].domain, q))
+    lhs = _masked(gamma_h, ell)
+    masked_f = _masked(gamma_f, p)
+    masked_p = _masked(gammas_g[p - 1], q)
     masked_gammas = list(gammas_g)
-    masked_gammas[p - 1] = AdversaryMatrix(spec.inner[p - 1], masked_p)
-    rhs = compose_gamma(AdversaryMatrix(spec.outer, masked_f), masked_gammas, spec).matrix.entries
-    inner_norms = [
-        spectral_norm(gam.matrix).norm for i, gam in enumerate(gammas_g) if i != p - 1
-    ]
+    masked_gammas[p - 1] = masked_p
+    rhs = compose_gamma(masked_f, masked_gammas, spec).matrix.entries
 
-    if lhs.dim:
-        scale = max(float(np.abs(lhs.entries).max()), float(np.abs(rhs).max()))
-        diff = float(np.abs(lhs.entries - rhs).max())
+    if rhs.size:
+        scale = max(float(np.abs(lhs.matrix.entries).max()), float(np.abs(rhs).max()))
+        diff = float(np.abs(lhs.matrix.entries - rhs).max())
     else:
         scale = diff = 0.0
     entrywise_ok = diff <= COMPOSE_TOL * scale if scale > 0 else True
 
-    norm_lhs = spectral_norm(lhs).norm
-    norm_rhs = spectral_norm(masked_f).norm * spectral_norm(masked_p).norm
-    for norm in inner_norms:
-        norm_rhs *= norm
+    norm_f, norm_p = _norm(masked_f), _norm(masked_p)
+    norm_lhs = _norm(lhs)
+    norm_rhs = norm_f * norm_p
+    for i, gam in enumerate(gammas_g):
+        if i != p - 1:
+            norm_rhs *= _norm(gam)
     norm_ok = _rel_close(norm_lhs, norm_rhs, COMPOSE_TOL)
 
-    ratio_lhs = _ratio(spectral_norm(gamma_h.matrix).norm, norm_lhs)
-    ratio_rhs = _ratio(spectral_norm(gamma_f.matrix).norm, spectral_norm(masked_f).norm) * _ratio(
-        spectral_norm(gammas_g[p - 1].matrix).norm, spectral_norm(masked_p).norm
-    )
+    ratio_lhs = _ratio(_norm(gamma_h), norm_lhs)
+    ratio_rhs = _ratio(_norm(gamma_f), norm_f) * _ratio(_norm(gammas_g[p - 1]), norm_p)
     ratio_ok = _rel_close(ratio_lhs, ratio_rhs, COMPOSE_TOL)
 
     return MaskedCompositionReport(
@@ -687,7 +688,9 @@ def witness_to_dict(witness: MinimaxWitness) -> dict:
 
 def witness_from_dict(data: Mapping, function: BooleanFunction) -> MinimaxWitness:
     try:
-        rows = {str(r["x"]): tuple(float(q) for q in r["p"]) for r in data["rows"]}
-    except (KeyError, TypeError) as exc:
+        raw = {str(r["x"]): r["p"] for r in data["rows"]}
+        require_numbers(raw.values(), "probabilities")
+        rows = {x: tuple(float(q) for q in p) for x, p in raw.items()}
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed witness: {exc}") from None
     return MinimaxWitness(function, rows)

@@ -134,12 +134,6 @@ class BooleanFunction:
         return len(set(self.values)) <= 1
 
     @classmethod
-    def from_table(cls, n: int, table: Mapping[str, int]) -> "BooleanFunction":
-        """Build from a mapping; rows are ordered lexicographically."""
-        keys = sorted(table)
-        return cls(n, tuple(keys), tuple(int(table[k]) for k in keys))
-
-    @classmethod
     def total(cls, n: int, predicate) -> "BooleanFunction":
         dom = tuple("".join(bits) for bits in itertools.product("01", repeat=n))
         return cls(n, dom, tuple(int(bool(predicate(x))) for x in dom))
@@ -372,8 +366,8 @@ def ast_to_dict(ast: FormulaAst) -> dict:
 # product of the inner domain orders (the last block varies fastest), which is
 # the order of ``itertools.product`` over the inner domains.
 # ``CompositionSpec.composed`` builds the composed function and, per composed
-# row, its outer row, inner rows and inner outputs, once per spec, as numpy
-# index arrays; every composition builder reads them from there.
+# row, its outer row and inner rows, once per spec, as numpy index arrays;
+# every composition builder reads them from there.
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,15 +375,14 @@ class ComposedRows:
     """The composed function of a spec and where each of its rows comes from.
 
     Row r of ``function.domain`` concatenates row ``inner_row[i, r]`` of each
-    inner domain i; ``inner_value[i, r]`` is inner function i's output there,
-    and ``outer_row[r]`` is the row of the outer domain those outputs spell.
+    inner domain i, and ``outer_row[r]`` is the row of the outer domain that
+    the inner functions' outputs there spell.
     The arrays are read-only, so one instance can be shared by every caller.
     """
 
     function: BooleanFunction
     outer_row: np.ndarray  # (N,)
     inner_row: np.ndarray  # (k, N)
-    inner_value: np.ndarray  # (k, N), 0 or 1
 
 
 @dataclass(frozen=True)
@@ -440,25 +433,25 @@ class CompositionSpec:
             raise ValueError(f"composed arity {n} exceeds the cap {MAX_ARITY}")
         k = len(self.inner)
         inner_row = np.indices([len(g.domain) for g in self.inner]).reshape(k, -1)
-        inner_value = np.stack(
+        outputs = np.stack(
             [np.array(g.values, dtype=np.int64)[r] for g, r in zip(self.inner, inner_row)]
         )
         # Inner outputs, read as a k-bit number, index a table of outer rows;
         # -1 marks outputs outside the outer domain.
         lookup = np.full(2**k, -1, dtype=np.int64)
         lookup[[int(x, 2) for x in self.outer.domain]] = np.arange(len(self.outer.domain))
-        outer_row = lookup[(inner_value << np.arange(k - 1, -1, -1)[:, None]).sum(axis=0)]
+        outer_row = lookup[(outputs << np.arange(k - 1, -1, -1)[:, None]).sum(axis=0)]
         keep = outer_row >= 0
-        outer_row, inner_row, inner_value = outer_row[keep], inner_row[:, keep], inner_value[:, keep]
+        outer_row, inner_row = outer_row[keep], inner_row[:, keep]
         # One n-byte string per row: the inner domains' characters, side by side.
         bits = np.hstack([g.bits[r] for g, r in zip(self.inner, inner_row)])
         chars = bits.astype(np.uint8) + ord("0")
         domain = chars.view(f"S{n}").ravel().astype(str).tolist()
         values = np.array(self.outer.values, dtype=np.int64)[outer_row].tolist()
-        for a in (outer_row, inner_row, inner_value):
+        for a in (outer_row, inner_row):
             a.flags.writeable = False
         h = BooleanFunction(n, tuple(domain), tuple(values))
-        return ComposedRows(h, outer_row, inner_row, inner_value)
+        return ComposedRows(h, outer_row, inner_row)
 
 
 def split_input(x: str, spec: CompositionSpec) -> tuple[tuple[str, ...], str]:

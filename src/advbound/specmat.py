@@ -24,14 +24,16 @@ its support.  It solves on B scaled by a power of two that brings its
 largest entry into [1/2, 1), so the Gram matrix neither underflows nor
 overflows, and the scaling is exact.  Adversary matrices are exactly of
 this form (zero on every pair with equal outputs), so ADV evaluation needs
-no solve on the full matrix.
+no solve on the full matrix, and no mask: the adversary layer reads its
+masks from the input bits of its functions.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -114,9 +116,6 @@ class SymMatrix:
     def dim(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
 
 @dataclass(frozen=True, eq=False)
 class SpectralResult:
@@ -125,23 +124,6 @@ class SpectralResult:
     norm: float
     vector: np.ndarray
     residual: float
-
-
-def hadamard(a: SymMatrix, b: SymMatrix) -> SymMatrix:
-    """Entrywise product; labels must agree exactly."""
-    if a.labels != b.labels:
-        raise ValueError("hadamard requires identical labels")
-    return SymMatrix(a.labels, a.entries * b.entries)
-
-
-def difference_mask(labels: Sequence[str], i: int) -> SymMatrix:
-    """0/1 matrix with 1 where the labels differ at position i (1-based)."""
-    labels = tuple(labels)
-    if labels and not 1 <= i <= len(labels[0]):
-        raise ValueError(f"position {i} out of range 1..{len(labels[0])}")
-    chars = np.array([list(s) for s in labels]) if labels else np.empty((0, 0), dtype=str)
-    col = chars[:, i - 1] if labels else np.empty(0, dtype=str)
-    return SymMatrix(labels, (col[:, None] != col[None, :]).astype(float))
 
 
 def _oriented(v: np.ndarray) -> np.ndarray:
@@ -248,11 +230,22 @@ def matrix_to_dict(a: SymMatrix) -> dict:
     return {"labels": list(a.labels), "entries": a.entries.tolist()}
 
 
+def require_numbers(rows: Iterable, name: str) -> None:
+    """Raise ValueError unless every item of every row is a real number but
+    not a bool, as a JSON number is; ``float`` would read "1" and true as 1.0."""
+    for row in rows:
+        for t in set(map(type, row)):
+            if not issubclass(t, numbers.Real) or issubclass(t, bool):
+                bad = next(v for v in row if type(v) is t)
+                raise ValueError(f"{name} must be numbers, got {bad!r}")
+
+
 def matrix_from_dict(data: Mapping) -> SymMatrix:
     try:
         labels = tuple(str(s) for s in data["labels"])
+        require_numbers(data["entries"], "entries")
         entries = np.array(data["entries"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix: {exc}") from None
     # SymMatrix checks symmetry exactly; serialized input gets no slack.
     return SymMatrix(labels, entries)

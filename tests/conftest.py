@@ -1,4 +1,5 @@
-"""Seeded random generators shared across the test modules."""
+"""Seeded random generators and independent references shared across the
+test modules."""
 
 from __future__ import annotations
 
@@ -20,6 +21,23 @@ from advbound.boolfn import (
     validate_bits,
 )
 from advbound.specmat import SymMatrix, spectral_norm
+
+
+def difference_mask(labels, i: int) -> SymMatrix:
+    """Reference: the 0/1 matrix with 1 where the labels differ at position i
+    (1-based), read from the label characters, not from ``bits``."""
+    labels = tuple(labels)
+    if labels and not 1 <= i <= len(labels[0]):
+        raise ValueError(f"position {i} out of range 1..{len(labels[0])}")
+    chars = np.array([list(s) for s in labels]) if labels else np.empty((0, 0), dtype=str)
+    col = chars[:, i - 1] if labels else np.empty(0, dtype=str)
+    return SymMatrix(labels, (col[:, None] != col[None, :]).astype(float))
+
+
+def hadamard(a: SymMatrix, b: SymMatrix) -> SymMatrix:
+    """Reference: the entrywise product of two matrices with equal labels."""
+    assert a.labels == b.labels
+    return SymMatrix(a.labels, a.entries * b.entries)
 
 
 def random_function(rng: np.random.Generator, n: int, nonconstant: bool = True) -> BooleanFunction:

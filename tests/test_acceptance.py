@@ -30,12 +30,12 @@ from advbound.solver import (
     verify_iteration,
 )
 from advbound.specmat import (
-    difference_mask,
-    hadamard,
     principal_eigenvector,
     spectral_norm,
 )
 from conftest import (
+    difference_mask,
+    hadamard,
     random_composition_case,
     random_costs,
     random_function,

@@ -1,5 +1,6 @@
 """Bound evaluation, duality, and the composition identities."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -47,13 +48,13 @@ from advbound.specmat import (
     SpectralResult,
     SymMatrix,
     _is_symmetric,
-    difference_mask,
-    hadamard,
     principal_eigenvector,
     spectral_norm,
 )
 from conftest import (
     composition_cases,
+    difference_mask,
+    hadamard,
     loop_check_witness,
     loop_composition,
     random_composition_case,
@@ -714,8 +715,10 @@ def test_compose_eigenvector_argument_checks():
 def test_eigvec_parts_from_vector():
     v = np.array([0.0, 0.5, 0.5, math.sqrt(0.5)])
     parts = EigvecParts.from_vector(AND2, v)
-    assert np.array_equal(parts.whole, parts.half0 + parts.half1)
-    assert parts.half1.tolist() == [0.0, 0.0, 0.0, pytest.approx(math.sqrt(0.5))]
+    assert [f.name for f in dataclasses.fields(parts)] == ["function", "vector"]
+    assert parts.function == AND2
+    assert same_bits(parts.vector, v)
+    assert parts.vector[AND2.classes[1]].tolist() == [pytest.approx(math.sqrt(0.5))]
     with pytest.raises(ValueError):
         EigvecParts.from_vector(AND2, np.zeros(3))
 
@@ -744,6 +747,41 @@ def test_masked_compose_check_random_cases():
         for ell in range(1, total + 1):
             report = masked_compose_check(gamma_f, gammas_g, spec, ell)
             assert report.ok, (seed, ell)
+
+
+def dense_masked_norms(gamma_f, gammas_g, spec, ell):
+    """Reference: (norm_lhs, norm_rhs, ratio_lhs, ratio_rhs) of the masked
+    factorization, every norm from a dense eigensolve on a matrix masked by
+    its labels."""
+
+    def norm(m):
+        return spectral_norm(m).norm
+
+    def ratio(num, den):
+        return math.inf if den == 0.0 else num / den
+
+    p, q = spec.block_of(ell)
+    gamma_h = compose_gamma(gamma_f, gammas_g, spec).matrix
+    inner = gammas_g[p - 1].matrix
+    masked_h = norm(hadamard(gamma_h, difference_mask(gamma_h.labels, ell)))
+    masked_f = norm(hadamard(gamma_f.matrix, difference_mask(gamma_f.matrix.labels, p)))
+    masked_p = norm(hadamard(inner, difference_mask(inner.labels, q)))
+    norm_rhs = masked_f * masked_p
+    for i, gam in enumerate(gammas_g):
+        if i != p - 1:
+            norm_rhs *= norm(gam.matrix)
+    ratio_rhs = ratio(norm(gamma_f.matrix), masked_f) * ratio(norm(inner), masked_p)
+    return masked_h, norm_rhs, ratio(norm(gamma_h), masked_h), ratio_rhs
+
+
+def test_masked_compose_check_norms_match_dense_reference():
+    for seed in range(20):
+        spec, gamma_f, gammas_g = random_composition_case(seed)
+        for ell in range(1, spec.total_arity + 1):
+            report = masked_compose_check(gamma_f, gammas_g, spec, ell)
+            got = (report.norm_lhs, report.norm_rhs, report.ratio_lhs, report.ratio_rhs)
+            want = dense_masked_norms(gamma_f, gammas_g, spec, ell)
+            assert got == pytest.approx(want, rel=1e-12), (seed, ell)
 
 
 def test_masked_compose_check_infinite_ratio():
@@ -818,10 +856,16 @@ def loop_compose_gamma(gamma_f, gammas_g, spec):
 
 
 def loop_compose_eigenvector(delta_f, deltas_g, spec):
+    """The paper's form: each inner factor is read from the half of the inner
+    eigenvector on the output class of the block, each half zero outside its
+    class."""
     _, outer_row, inner_row, inner_value = loop_composition(spec)
     out = delta_f.vector[outer_row].copy()
     for i, parts in enumerate(deltas_g):
-        out *= np.where(inner_value[i] == 0, parts.half0[inner_row[i]], parts.half1[inner_row[i]])
+        halves = [np.zeros_like(parts.vector) for _ in (0, 1)]
+        for half, idx in zip(halves, parts.function.classes):
+            half[idx] = parts.vector[idx]
+        out *= np.where(inner_value[i] == 0, halves[0][inner_row[i]], halves[1][inner_row[i]])
     return out
 
 
@@ -877,6 +921,20 @@ def test_compose_builders_match_row_loop(name):
     got = compose_eigenvector(delta_f, deltas_g, spec)
     assert same_bits(got, loop_compose_eigenvector(delta_f, deltas_g, spec))
     assert got is not delta_f.vector and got.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITION_CASES))
+def test_bit_mask_matches_label_mask(name):
+    spec = COMPOSITION_CASES[name]
+    rng = np.random.default_rng(3)
+    for f in (spec.composed.function, spec.outer, *spec.inner):
+        a = rng.uniform(0.5, 1.0, (len(f.domain), len(f.domain)))
+        gamma = AdversaryMatrix(f, SymMatrix(f.domain, a + a.T))
+        for i in range(1, f.arity + 1):
+            got = adversary._masked(gamma, i)
+            want = hadamard(gamma.matrix, difference_mask(f.domain, i))
+            assert got.function == f
+            assert same_bits(got.matrix.entries, want.entries), (f, i)
 
 
 @pytest.fixture(scope="module")
@@ -1074,6 +1132,14 @@ def test_gamma_from_dict_requires_some_function():
     with pytest.raises(ValueError):
         gamma_from_dict(data)
     assert gamma_from_dict(data, function=AND2).function == AND2
+
+
+@pytest.mark.parametrize("q", ["1", True, 10**400], ids=["string", "boolean", "huge_integer"])
+def test_witness_from_dict_rejects_probabilities_that_are_not_numbers(q):
+    # float() read "1" and true as 1.0, and raised OverflowError on 10**400.
+    data = {"rows": [{"x": "0", "p": [q]}, {"x": "1", "p": [1.0]}]}
+    with pytest.raises(ValueError, match="^malformed witness: "):
+        witness_from_dict(data, ID1)
 
 
 def test_witness_json_roundtrip():

@@ -1,5 +1,6 @@
 """Truth tables, the formula grammar, and composition plumbing."""
 
+import dataclasses
 import json
 import math
 
@@ -241,13 +242,13 @@ def test_composed_index_matches_row_loop(name):
     rows = spec.composed
     assert rows.function == h
     assert compose_functions(spec) is rows.function
-    for got, want in (
-        (rows.outer_row, outer_row),
-        (rows.inner_row, inner_row),
-        (rows.inner_value, inner_value),
-    ):
+    for got, want in ((rows.outer_row, outer_row), (rows.inner_row, inner_row)):
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+    # Each inner row's output is the loop's inner value: what compose_eigenvector
+    # relies on when it reads each factor from the whole inner vector.
+    for g, idx, want in zip(spec.inner, rows.inner_row, inner_value):
+        assert np.array_equal(np.array(g.values, dtype=int)[idx], want)
 
 
 def test_composed_index_cases_cover_their_shapes():
@@ -264,7 +265,8 @@ def test_composed_index_is_built_once_and_read_only():
     spec = CompositionSpec(make_family("and", 2), (make_family("or", 2),) * 2)
     rows = spec.composed
     assert spec.composed is rows
-    for a in (rows.outer_row, rows.inner_row, rows.inner_value):
+    assert [f.name for f in dataclasses.fields(rows)] == ["function", "outer_row", "inner_row"]
+    for a in (rows.outer_row, rows.inner_row):
         with pytest.raises(ValueError, match="read-only"):
             a[...] = 0
     assert compose_functions(spec) == BooleanFunction.total(

@@ -430,6 +430,27 @@ def test_check_gamma_non_object_json(capsys, tmp_path, text):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+#: Matrix entries that are not JSON numbers.  np.array(..., dtype=float) read
+#: "1" and true as 1.0, so the first two passed with exit 0; a 400-digit
+#: integer overflowed float() with a traceback.
+NON_NUMBER_ENTRIES = {
+    "strings": '[["0", "1"], ["1", "0"]]',
+    "booleans": "[[0, true], [true, 0]]",
+    "huge_integer": f"[[0, 1{'0' * 400}], [1{'0' * 400}, 0]]",
+}
+
+
+@pytest.mark.parametrize("entries", NON_NUMBER_ENTRIES.values(), ids=NON_NUMBER_ENTRIES.keys())
+def test_check_gamma_rejects_entries_that_are_not_numbers(capsys, tmp_path, entries):
+    path = tmp_path / "m.json"
+    path.write_text('{"labels": ["0", "1"], "entries": %s}' % entries)
+    argv = ["check-gamma", "--matrix", str(path), "--family", "id", "--n", "1"]
+    code, report, err = invoke(capsys, argv)
+    assert code == 2
+    assert report is None
+    assert err.startswith("error: malformed matrix:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "formula",
     ["~" * 3000 + "x1", "(" * 3000 + "x1" + ")" * 3000, "&".join(["x1"] * 3000)],

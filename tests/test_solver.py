@@ -27,7 +27,8 @@ from advbound.solver import (
     verify_composition,
     verify_iteration,
 )
-from advbound.specmat import difference_mask, hadamard, spectral_norm
+from advbound.specmat import spectral_norm
+from conftest import difference_mask, hadamard
 
 AND2 = make_family("and", 2)
 OR2 = make_family("or", 2)

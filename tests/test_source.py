@@ -93,6 +93,60 @@ def test_unread_private_name_scan_sees_them():
     assert unread_private_names(sources) == ["a.py:_C", "a.py:_g", "a.py:_y"]
 
 
+def public_definitions(tree: ast.Module) -> set[str]:
+    """Module-level functions and classes, and the methods of module-level
+    classes, whose names do not start with an underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(
+                n.name for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+            )
+    return {n for n in names if not n.startswith("_")}
+
+
+def unread_public_names(sources: dict[str, str], readers: list[str], exported) -> list[str]:
+    """``module:name`` for each public definition that no module of
+    ``sources``, no source in ``readers`` and no name in ``exported`` reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set(exported).union(
+        *map(read_names, trees.values()), *(read_names(ast.parse(r)) for r in readers)
+    )
+    return sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in public_definitions(tree)
+        if name not in read
+    )
+
+
+PERFBENCH = SOURCE.parent.parent / "perfbench"
+
+
+def test_no_unread_public_names():
+    sources = {p.name: p.read_text() for p in SOURCE.glob("*.py")}
+    readers = [p.read_text() for p in PERFBENCH.glob("*.py")]
+    assert readers
+    assert unread_public_names(sources, readers, advbound.__all__) == []
+
+
+def test_unread_public_name_scan_sees_them():
+    sources = {
+        "a.py": (
+            "def f():\n    pass\n"
+            "def g():\n    return f()\n"
+            "class C:\n    def m(self):\n        pass\n"
+            "    def n(self):\n        pass\n    def _p(self):\n        pass\n"
+            "class D:\n    pass\n"
+            "def _h():\n    pass\n"
+        ),
+        "b.py": "from .a import g\n",
+    }
+    assert unread_public_names(sources, ["x.n()\n"], ["D"]) == ["a.py:C", "a.py:m"]
+
+
 def test_exported_names_exist():
     assert [name for name in advbound.__all__ if not hasattr(advbound, name)] == []
 

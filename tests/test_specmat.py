@@ -14,13 +14,12 @@ from advbound.specmat import (
     _checked,
     _is_symmetric,
     block_norm,
-    difference_mask,
-    hadamard,
     matrix_from_dict,
     matrix_to_dict,
     principal_eigenvector,
     spectral_norm,
 )
+from conftest import difference_mask, hadamard
 
 LABELS4 = ("00", "01", "10", "11")
 
@@ -108,39 +107,6 @@ def test_trusted_symmatrix_still_checks_shape_labels_and_finiteness(labels, entr
     # it builds (test_compose_gamma_rejects_an_overflowing_product).
     with pytest.raises(ValueError, match=message):
         SymMatrix._trusted(labels, entries)
-
-
-def test_index_lookup():
-    m = SymMatrix(LABELS4, np.zeros((4, 4)))
-    assert m.index("10") == 2
-
-
-def test_difference_mask_two_bits():
-    d1 = difference_mask(LABELS4, 1)
-    expected = np.array(
-        [
-            [0, 0, 1, 1],
-            [0, 0, 1, 1],
-            [1, 1, 0, 0],
-            [1, 1, 0, 0],
-        ],
-        dtype=float,
-    )
-    assert np.array_equal(d1.entries, expected)
-    d2 = difference_mask(LABELS4, 2)
-    assert d2.entries[0, 1] == 1.0 and d2.entries[0, 2] == 0.0
-    with pytest.raises(ValueError):
-        difference_mask(LABELS4, 3)
-    with pytest.raises(ValueError):
-        difference_mask(LABELS4, 0)
-
-
-def test_hadamard():
-    a = SymMatrix(("0", "1"), np.array([[1.0, 2.0], [2.0, 3.0]]))
-    b = SymMatrix(("0", "1"), np.array([[0.0, 4.0], [4.0, 1.0]]))
-    assert np.array_equal(hadamard(a, b).entries, [[0.0, 8.0], [8.0, 3.0]])
-    with pytest.raises(ValueError):
-        hadamard(a, SymMatrix(("a", "b"), np.zeros((2, 2))))
 
 
 def test_gadget_spectrum_three_four():
