@@ -35,9 +35,10 @@ output; the result is exactly symmetric by construction, so it becomes a
 obey exact product laws, which the checks in this module verify
 numerically, with every norm on a crossing block.
 
-``MinimaxWitness`` checks all its rows at once with array operations, and
-walks them one by one only to name the first bad row; its
-``matrix_rows()`` array is built once and read-only.
+``MinimaxWitness`` holds its rows as one read-only (rows, arity) array in
+domain order.  It checks them all at once with array operations, and walks
+them one by one only to name the first bad row.  Builders pass that array;
+a mapping from labels to rows is read only from JSON and literals.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ import math
 import mmap
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -173,7 +173,7 @@ def validate(gamma: AdversaryMatrix) -> ValidationReport:
     rows, cols = [], []
     for b, idx in enumerate(f.classes):
         if negative or sums[idx, b].sum() > 0:
-            r, c = np.nonzero(np.triu(_gather(a, idx) != 0))
+            r, c = np.nonzero(np.triu(a[np.ix_(idx, idx)] != 0))
             rows.append(idx[r])
             cols.append(idx[c])
     if rows:
@@ -249,24 +249,40 @@ def adv_value(gamma: AdversaryMatrix, alpha) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MinimaxWitness:
-    """One probability distribution over bit positions per domain row."""
+    """One probability distribution over bit positions per domain row.
+
+    ``p`` is given as a mapping from every domain label to its row, or as a
+    (rows, arity) array in domain order, and is stored as a read-only float
+    array in domain order; an array is copied.
+    """
 
     function: BooleanFunction
-    p: dict[str, tuple[float, ...]]
+    p: np.ndarray
 
     def __post_init__(self):
         f = self.function
-        if set(self.p) != set(f.domain):
-            raise ValueError("witness rows must cover the domain exactly")
-        rows = _probability_rows(list(self.p.values()), f.arity)
+        if isinstance(self.p, Mapping):
+            if set(self.p) != set(f.domain):
+                raise ValueError("witness rows must cover the domain exactly")
+            rows = _probability_rows([self.p[x] for x in f.domain], f.arity)
+        else:
+            shape = np.shape(self.p)
+            if shape != (len(f.domain), f.arity):
+                raise ValueError(
+                    f"witness array has shape {shape}, expected {(len(f.domain), f.arity)}"
+                )
+            rows = _probability_rows(self.p, f.arity)
         if rows is not None:
-            if list(self.p) == list(f.domain):
-                # Already in domain order: the array ``_rows`` would build.
-                rows.flags.writeable = False
-                self.__dict__["_rows"] = rows
+            rows.flags.writeable = False
+            object.__setattr__(self, "p", rows)
             return
-        # Some row is bad: walk the rows to name the first one.
-        for x, row in self.p.items():
+        # Some row is bad: walk the rows, a mapping in its own order and an
+        # array in domain order, to name the first one.
+        if isinstance(self.p, Mapping):
+            named = self.p.items()
+        else:
+            named = zip(f.domain, np.asarray(self.p).tolist())
+        for x, row in named:
             if len(row) != f.arity:
                 raise ValueError(f"row {x!r} has {len(row)} entries, expected {f.arity}")
             if any(q < 0 for q in row):
@@ -275,24 +291,19 @@ class MinimaxWitness:
                 raise ValueError(f"row {x!r} sums to {sum(row)!r}, not 1")
             if not all(math.isfinite(q) for q in row):
                 raise ValueError(f"row {x!r} has a non-finite probability")
-
-    @cached_property
-    def _rows(self) -> np.ndarray:
-        f = self.function
-        rows = np.array([self.p[x] for x in f.domain], dtype=float)
-        rows = rows.reshape(len(f.domain), f.arity)
-        rows.flags.writeable = False
-        return rows
+        raise ValueError("witness probabilities must be real numbers")
 
     def matrix_rows(self) -> np.ndarray:
         """Read-only (rows, arity) array of the distributions, in domain order."""
-        return self._rows
+        return self.p
 
 
-def _probability_rows(rows: list, arity: int) -> np.ndarray | None:
-    """The rows as a float (len(rows), arity) array if every row is a finite,
-    nonnegative distribution summing to one within ``PROB_SUM_TOL``; None for
-    any bad row, and for rows that are ragged or not numbers."""
+def _probability_rows(rows, arity: int) -> np.ndarray | None:
+    """A new float (len(rows), arity) array of the rows if every row is a
+    finite, nonnegative distribution summing to one within ``PROB_SUM_TOL``;
+    None for any bad row, and for rows that are ragged or not numbers."""
+    if len(rows) == 0:  # np.array([]) has shape (0,)
+        return np.empty((0, arity))
     try:
         a = np.array(rows)
     except (TypeError, ValueError):
@@ -308,8 +319,7 @@ def _probability_rows(rows: list, arity: int) -> np.ndarray | None:
 
 
 def uniform_witness(f: BooleanFunction) -> MinimaxWitness:
-    row = tuple(1.0 / f.arity for _ in range(f.arity))
-    return MinimaxWitness(f, {x: row for x in f.domain})
+    return MinimaxWitness(f, np.full((len(f.domain), f.arity), 1.0 / f.arity))
 
 
 def mm_value(witness: MinimaxWitness, alpha) -> float:
@@ -329,7 +339,7 @@ def mm_value(witness: MinimaxWitness, alpha) -> float:
     zeros, ones = f.classes
     if zeros.size == 0 or ones.size == 0:
         return 0.0
-    q = np.sqrt(witness.matrix_rows())
+    q = np.sqrt(witness.p)
     qz, b0 = q[zeros] / alpha.as_array(), f.bits[zeros]
     qo, b1 = q[ones], f.bits[ones]
     left = np.hstack([qz * b0, qz * ~b0])
@@ -340,12 +350,6 @@ def mm_value(witness: MinimaxWitness, alpha) -> float:
 
 # --------------------------------------------------------------------------
 # Composition
-
-
-def _gather(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """a[np.ix_(idx, idx)] as two takes, rows then columns: the same array
-    in about half the time at 4096 rows."""
-    return np.take(np.take(a, idx, axis=0), idx, axis=1)
 
 
 def _check_blocks(spec: CompositionSpec, inner: Sequence, noun: str, nouns: str, **outer) -> None:
@@ -647,15 +651,11 @@ def compose_minimax(
     """
     _check_blocks(spec, ps_g, "witness", "witnesses", p_f=p_f)
     rows = spec.composed
-    weights = p_f.matrix_rows()[rows.outer_row]
+    weights = p_f.p[rows.outer_row]
     p = np.hstack(
-        [
-            weights[:, i, None] * w.matrix_rows()[idx]
-            for i, (w, idx) in enumerate(zip(ps_g, rows.inner_row))
-        ]
+        [weights[:, i, None] * w.p[idx] for i, (w, idx) in enumerate(zip(ps_g, rows.inner_row))]
     )
-    h = rows.function
-    return MinimaxWitness(h, dict(zip(h.domain, map(tuple, p.tolist()))))
+    return MinimaxWitness(rows.function, p)
 
 
 # --------------------------------------------------------------------------
@@ -679,16 +679,13 @@ def gamma_from_dict(data: Mapping, function: BooleanFunction | None = None) -> A
 
 
 def witness_to_dict(witness: MinimaxWitness) -> dict:
-    return {
-        "rows": [
-            {"x": x, "p": list(witness.p[x])} for x in witness.function.domain
-        ]
-    }
+    rows = zip(witness.function.domain, witness.p.tolist())
+    return {"rows": [{"x": x, "p": p} for x, p in rows]}
 
 
 def witness_from_dict(data: Mapping, function: BooleanFunction) -> MinimaxWitness:
     try:
-        raw = {str(r["x"]): r["p"] for r in data["rows"]}
+        raw = {r["x"]: r["p"] for r in data["rows"]}
         require_numbers(raw.values(), "probabilities")
         rows = {x: tuple(float(q) for q in p) for x, p in raw.items()}
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

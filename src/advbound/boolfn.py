@@ -119,12 +119,6 @@ class BooleanFunction:
         except KeyError:
             raise ValueError(f"{x!r} is outside the domain") from None
 
-    def index(self, x: str) -> int:
-        try:
-            return self._index[x]
-        except KeyError:
-            raise ValueError(f"{x!r} is outside the domain") from None
-
     @property
     def is_total(self) -> bool:
         return len(self.domain) == 2**self.arity
@@ -522,7 +516,7 @@ def function_from_dict(data: Mapping) -> BooleanFunction:
         if n > MAX_ARITY:
             raise ValueError(f"arity {n} exceeds the cap {MAX_ARITY}")
         rows = data["rows"]
-        dom = tuple(str(r["x"]) for r in rows)
+        dom = tuple(r["x"] for r in rows)
         vals = tuple(_integral(r["f"], "f") for r in rows)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed truth table: {exc}") from None

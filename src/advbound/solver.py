@@ -242,7 +242,7 @@ def _gamma_from(f: BooleanFunction, lam: np.ndarray) -> AdversaryMatrix:
 
 def _witness_from(f: BooleanFunction, p: np.ndarray) -> MinimaxWitness:
     """The witness of the rows p, one row per input in domain order."""
-    return MinimaxWitness(f, {x: tuple(p[i] / p[i].sum()) for i, x in enumerate(f.domain)})
+    return MinimaxWitness(f, p / p.sum(axis=1, keepdims=True))
 
 
 @dataclass(frozen=True, eq=False)

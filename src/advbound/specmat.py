@@ -71,6 +71,8 @@ def _check_labels(labels: tuple[str, ...], a: np.ndarray) -> None:
     d = len(labels)
     if a.shape != (d, d):
         raise ValueError(f"entries shape {a.shape} does not match {d} labels")
+    if not set(map(type, labels)) <= {str}:
+        raise ValueError("labels must be strings")
     if len(set(labels)) != d:
         raise ValueError("labels must be distinct")
     if d and len({len(s) for s in labels}) != 1:
@@ -242,7 +244,7 @@ def require_numbers(rows: Iterable, name: str) -> None:
 
 def matrix_from_dict(data: Mapping) -> SymMatrix:
     try:
-        labels = tuple(str(s) for s in data["labels"])
+        labels = tuple(data["labels"])
         require_numbers(data["entries"], "entries")
         entries = np.array(data["entries"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -72,6 +72,11 @@ def random_witness(f: BooleanFunction, rng: np.random.Generator) -> MinimaxWitne
     return MinimaxWitness(f, rows)
 
 
+def witness_rows(w: MinimaxWitness) -> dict[str, tuple[float, ...]]:
+    """The witness's rows by domain label, as tuples."""
+    return dict(zip(w.function.domain, map(tuple, w.p.tolist())))
+
+
 def random_costs(rng: np.random.Generator, n: int) -> tuple[float, ...]:
     return tuple(float(c) for c in rng.uniform(0.2, 3.0, size=n))
 
@@ -164,9 +169,9 @@ def loop_composition(spec: CompositionSpec):
     inner_value = np.empty((k, len(dom)), dtype=int)
     for r, x in enumerate(h.domain):
         blocks, tilde = split_input(x, spec)
-        outer_row[r] = spec.outer.index(tilde)
+        outer_row[r] = spec.outer.domain.index(tilde)
         for i, (g, b) in enumerate(zip(spec.inner, blocks)):
-            inner_row[i, r] = g.index(b)
+            inner_row[i, r] = g.domain.index(b)
             inner_value[i, r] = int(tilde[i])
     return h, outer_row, inner_row, inner_value
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from fractions import Fraction
 import math
 import sys
 import tracemalloc
@@ -63,6 +64,7 @@ from conftest import (
     random_gamma,
     random_witness,
     reference_compose_gamma,
+    witness_rows,
 )
 
 AND2 = make_family("and", 2)
@@ -382,7 +384,7 @@ def test_block_cases_cover_the_sub_block_shapes():
         all(np.any(s) for s in bit_sub_blocks(gamma, i)) for i in range(gamma.function.arity)
     )
     gamma = BLOCK_CASES["and3_uniform"][0]
-    assert gamma.function.classes[1].tolist() == [gamma.function.index("111")]
+    assert gamma.function.classes[1].tolist() == [gamma.function.domain.index("111")]
     for i in range(3):
         low, high = bit_sub_blocks(gamma, i)
         assert high.size == 0 and np.any(low)
@@ -577,6 +579,67 @@ def test_witness_rows_are_cached_read_only_in_domain_order():
     assert not in_order.flags.writeable and same_bits(in_order, got)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (4, 1), (4,)], ids=["rows", "arity", "flat"])
+def test_witness_array_of_the_wrong_shape_is_rejected(shape):
+    with pytest.raises(ValueError, match=r"^witness array has shape .*, expected \(4, 2\)$"):
+        MinimaxWitness(AND2, np.full(shape, 0.5))
+
+
+#: The cases of ``WITNESS_FAILURES`` whose rows all have the function's arity.
+RECTANGULAR_FAILURES = sorted(
+    name
+    for name, (f, rows) in WITNESS_FAILURES.items()
+    if all(len(row) == f.arity for row in rows.values())
+)
+
+
+@pytest.mark.parametrize("name", RECTANGULAR_FAILURES)
+def test_witness_array_check_names_the_first_bad_row_in_domain_order(name):
+    f, rows = WITNESS_FAILURES[name]
+    in_order = {x: rows[x] for x in f.domain}
+    with pytest.raises(ValueError) as want:
+        loop_check_witness(f, in_order)
+    with pytest.raises(ValueError) as got:
+        MinimaxWitness(f, np.array(list(in_order.values())))
+    assert str(got.value) == str(want.value)
+
+
+def test_witness_names_the_first_bad_row_in_its_own_order():
+    # A mapping is walked in its own order, an array in domain order.
+    rows = {"10": (0.5, -0.5), "00": (0.5, 0.5), "01": (0.3, 0.3), "11": (0.5, 0.5)}
+    with pytest.raises(ValueError, match="^row '10' has a negative probability$"):
+        MinimaxWitness(AND2, rows)
+    with pytest.raises(ValueError, match="^row '01' sums to 0.6, not 1$"):
+        MinimaxWitness(AND2, np.array([rows[x] for x in AND2.domain]))
+
+
+def test_witness_array_is_stored_as_a_read_only_copy():
+    given = np.array([[0.25, 0.75], [1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    kept = given.copy()
+    w = MinimaxWitness(AND2, given)
+    assert not w.p.flags.writeable and not np.shares_memory(w.p, given)
+    assert given.flags.writeable and same_bits(w.p, given)
+    given[0] = (0.5, 0.5)
+    assert same_bits(w.p, kept)
+    assert w.matrix_rows() is w.p
+    assert same_bits(MinimaxWitness(ID1, np.ones((2, 1), dtype=int)).p, np.ones((2, 1)))
+
+
+def test_witness_rows_that_are_not_floats_are_rejected():
+    # The row checks accept a Fraction; the array check does not.
+    with pytest.raises(ValueError, match="^witness probabilities must be real numbers$"):
+        MinimaxWitness(ID1, {"0": (Fraction(1),), "1": (1.0,)})
+
+
+@pytest.mark.parametrize(
+    "f", [ID1, AND2, make_family("parity", 5), BooleanFunction(3, ("010", "111"), (0, 1))]
+)
+def test_uniform_witness_matches_the_label_dict_route(f):
+    row = tuple(1.0 / f.arity for _ in range(f.arity))
+    want = MinimaxWitness(f, {x: row for x in f.domain})
+    assert same_bits(uniform_witness(f).p, want.p)
+
+
 # --------------------------------------------------------------------------
 # composition of matrices
 
@@ -585,10 +648,10 @@ def composed_entry_oracle(gamma_f, gammas_g, spec, x, y):
     """Two-case form: inner entry on crossing blocks, norm * identity otherwise."""
     bx, tx = split_input(x, spec)
     by, ty = split_input(y, spec)
-    out = gamma_f.matrix.entries[spec.outer.index(tx), spec.outer.index(ty)]
+    out = gamma_f.matrix.entries[spec.outer.domain.index(tx), spec.outer.domain.index(ty)]
     for g, gam, xb, yb in zip(spec.inner, gammas_g, bx, by):
         if g(xb) != g(yb):
-            out *= gam.matrix.entries[g.index(xb), g.index(yb)]
+            out *= gam.matrix.entries[g.domain.index(xb), g.domain.index(yb)]
         elif xb == yb:
             out *= spectral_norm(gam.matrix).norm
         else:
@@ -811,7 +874,7 @@ def test_compose_minimax_identity_inner_is_identity():
     spec = CompositionSpec(OR2, (ID1, ID1))
     composed = compose_minimax(or_witness(), [wid, wid], spec)
     assert composed.function == OR2
-    assert all(composed.p[x] == or_witness().p[x] for x in OR2.domain)
+    assert same_bits(composed.p, or_witness().p)
 
 
 def test_compose_minimax_and_of_ors():
@@ -871,14 +934,37 @@ def loop_compose_eigenvector(delta_f, deltas_g, spec):
 
 def loop_compose_minimax(p_f, ps_g, spec):
     h = loop_composition(spec)[0]
+    rows_f, rows_g = witness_rows(p_f), [witness_rows(w) for w in ps_g]
     rows = {}
     for x in h.domain:
         blocks, tilde = split_input(x, spec)
         row = []
-        for weight, w, b in zip(p_f.p[tilde], ps_g, blocks):
-            row.extend(weight * q for q in w.p[b])
+        for weight, w, b in zip(rows_f[tilde], rows_g, blocks):
+            row.extend(weight * q for q in w[b])
         rows[x] = tuple(row)
     return h, rows
+
+
+def dict_compose_minimax(p_f, ps_g, spec):
+    """The composed witness built as ``compose_minimax`` once built it, through
+    a mapping from labels to tuples."""
+    rows = spec.composed
+    weights = p_f.p[rows.outer_row]
+    p = np.hstack(
+        [weights[:, i, None] * w.p[idx] for i, (w, idx) in enumerate(zip(ps_g, rows.inner_row))]
+    )
+    h = rows.function
+    return MinimaxWitness(h, dict(zip(h.domain, map(tuple, p.tolist()))))
+
+
+@pytest.mark.parametrize("name", sorted(COMPOSITION_CASES))
+def test_compose_minimax_matches_the_label_dict_route(name):
+    spec = COMPOSITION_CASES[name]
+    rng = np.random.default_rng(100 + sorted(COMPOSITION_CASES).index(name))
+    p_f = random_witness(spec.outer, rng)
+    ps_g = [random_witness(g, rng) for g in spec.inner]
+    got = compose_minimax(p_f, ps_g, spec)
+    assert same_bits(got.p, dict_compose_minimax(p_f, ps_g, spec).p)
 
 
 def balanced_parts(f, rng):
@@ -911,8 +997,8 @@ def test_compose_builders_match_row_loop(name):
     got = compose_minimax(p_f, ps_g, spec)
     h, want = loop_compose_minimax(p_f, ps_g, spec)
     assert got.function == h
-    assert list(got.p) == list(h.domain)
-    assert all(same_bits(got.p[x], want[x]) for x in h.domain)
+    assert list(want) == list(h.domain)
+    assert same_bits(got.p, np.array(list(want.values()), dtype=float).reshape(-1, h.arity))
 
     if any(g.is_constant for g in spec.inner):
         return  # a constant inner function has no balanced eigenvector
@@ -1146,6 +1232,14 @@ def test_witness_json_roundtrip():
     w = or_witness()
     data = json.loads(json.dumps(witness_to_dict(w)))
     again = witness_from_dict(data, OR2)
-    assert all(again.p[x] == w.p[x] for x in OR2.domain)
+    assert same_bits(again.p, w.p)
     with pytest.raises(ValueError):
         witness_from_dict({"rows": [{"x": "00"}]}, OR2)
+
+
+@pytest.mark.parametrize("x", [0, None], ids=["integer", "null"])
+def test_witness_from_dict_rows_must_be_strings(x):
+    # str() read the row 0 as "0".
+    data = {"rows": [{"x": x, "p": [1.0]}, {"x": "1", "p": [1.0]}]}
+    with pytest.raises(ValueError, match="^witness rows must cover the domain exactly$"):
+        witness_from_dict(data, ID1)

@@ -394,6 +394,13 @@ def test_truth_table_json_malformed():
             function_from_dict({"n": n, "rows": [{"x": "00", "f": f}]})
 
 
+@pytest.mark.parametrize("x", [11, None, ["1", "1"]], ids=["integer", "null", "list"])
+def test_truth_table_json_rows_must_be_strings(x):
+    # str() read the row 11 as "11", so the table was accepted.
+    with pytest.raises(ValueError, match="^not a bit string: "):
+        function_from_dict({"n": 2, "rows": [{"x": x, "f": 1}, {"x": "10", "f": 0}]})
+
+
 def test_truth_table_arity_cap():
     assert function_from_dict({"n": MAX_ARITY, "rows": []}).arity == MAX_ARITY
     for n in (MAX_ARITY + 1, 10**9):

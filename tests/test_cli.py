@@ -451,6 +451,28 @@ def test_check_gamma_rejects_entries_that_are_not_numbers(capsys, tmp_path, entr
     assert err.startswith("error: malformed matrix:") and "Traceback" not in err
 
 
+def test_bound_rejects_truth_table_rows_that_are_not_strings(capsys, tmp_path):
+    # str() read the rows 11 and 10 as "11" and "10", so this exited 0.
+    path = tmp_path / "t.json"
+    path.write_text('{"n": 2, "rows": [{"x": 11, "f": 1}, {"x": 10, "f": 0}]}')
+    code, report, err = invoke(capsys, ["bound", "--table", str(path)])
+    assert code == 2
+    assert report is None
+    assert err.startswith("error: not a bit string: 11") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("labels", ["[0, 1]", '[["0"], ["1"]]'], ids=["integers", "lists"])
+def test_check_gamma_rejects_labels_that_are_not_strings(capsys, tmp_path, labels):
+    # str() read the labels 0 and 1 as "0" and "1", so this exited 0.
+    path = tmp_path / "m.json"
+    path.write_text('{"labels": %s, "entries": [[0, 1], [1, 0]]}' % labels)
+    argv = ["check-gamma", "--matrix", str(path), "--family", "id", "--n", "1"]
+    code, report, err = invoke(capsys, argv)
+    assert code == 2
+    assert report is None
+    assert err.startswith("error: labels must be strings") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "formula",
     ["~" * 3000 + "x1", "(" * 3000 + "x1" + ")" * 3000, "&".join(["x1"] * 3000)],

@@ -9,7 +9,15 @@ import numpy as np
 import pytest
 
 from advbound import solver
-from advbound.adversary import CostVector, adv_value, mm_value, uniform_witness, validate, zero_gamma
+from advbound.adversary import (
+    CostVector,
+    MinimaxWitness,
+    adv_value,
+    mm_value,
+    uniform_witness,
+    validate,
+    zero_gamma,
+)
 from advbound.boolfn import (
     BooleanFunction,
     CompositionSpec,
@@ -28,7 +36,7 @@ from advbound.solver import (
     verify_iteration,
 )
 from advbound.specmat import spectral_norm
-from conftest import difference_mask, hadamard
+from conftest import difference_mask, hadamard, witness_rows
 
 AND2 = make_family("and", 2)
 OR2 = make_family("or", 2)
@@ -190,7 +198,21 @@ def test_tight_certify_stops_at_the_first_step_that_meets_the_gap(rounds, f):
         cert.lower_matrix.matrix.entries,
         solver._gamma_from(f, rounds[lows.index(max(lows))][1]).matrix.entries,
     )
-    assert cert.upper_witness.p == solver._witness_from(f, rounds[ups.index(min(ups))][2]).p
+    assert np.array_equal(
+        cert.upper_witness.p, solver._witness_from(f, rounds[ups.index(min(ups))][2]).p
+    )
+
+
+def test_witness_from_matches_the_per_row_division():
+    # One division by the column of row sums gives the bits of dividing each
+    # row by its own sum, as the label-dict route did.
+    rng = np.random.default_rng(7)
+    for arity in range(1, 6):
+        f = make_family("parity", arity)
+        for _ in range(200):
+            p = rng.uniform(0.0, 1.0, (len(f.domain), arity)) ** rng.uniform(1.0, 30.0)
+            want = MinimaxWitness(f, {x: tuple(p[i] / p[i].sum()) for i, x in enumerate(f.domain)})
+            assert np.array_equal(solver._witness_from(f, p).p, want.p)
 
 
 def path_rounds(f):
@@ -318,7 +340,7 @@ def test_certify_with_an_empty_class_takes_no_step(rounds, f):
     assert rounds == [] and cert.steps == 0 and cert.stop == "gap"
     assert cert.lower_value == cert.upper_value == 0.0
     assert np.array_equal(cert.lower_matrix.matrix.entries, zero_gamma(f).matrix.entries)
-    assert cert.upper_witness.p == uniform_witness(f).p
+    assert np.array_equal(cert.upper_witness.p, uniform_witness(f).p)
 
 
 def test_certify_deterministic():
@@ -327,7 +349,7 @@ def test_certify_deterministic():
     assert b.lower_value == a.lower_value
     assert b.upper_value == a.upper_value
     assert np.array_equal(b.lower_matrix.matrix.entries, a.lower_matrix.matrix.entries)
-    assert b.upper_witness.p == a.upper_witness.p
+    assert np.array_equal(b.upper_witness.p, a.upper_witness.p)
     assert b.to_dict() == a.to_dict()
 
 
@@ -438,17 +460,19 @@ def test_gadget_or_mirrors_and():
     dom = gamma.function.domain
     assert e[dom.index("10"), dom.index("00")] == 1.0
     assert e[dom.index("01"), dom.index("00")] == math.sqrt(2.0)
-    assert witness.p["10"] == (1.0, 0.0)
-    assert witness.p["01"] == (0.0, 1.0)
-    assert witness.p["00"] == witness.p["11"] == (pytest.approx(1.0 / 3.0), pytest.approx(2.0 / 3.0))
+    rows = witness_rows(witness)
+    assert rows["10"] == (1.0, 0.0)
+    assert rows["01"] == (0.0, 1.0)
+    assert rows["00"] == rows["11"] == (pytest.approx(1.0 / 3.0), pytest.approx(2.0 / 3.0))
 
 
 def test_gadget_witness_split():
     _, _, witness = gadget_cost_adv("and", (3.0, 4.0))
-    assert witness.p["11"] == (pytest.approx(9.0 / 25.0), pytest.approx(16.0 / 25.0))
-    assert witness.p["00"] == witness.p["11"]
-    assert witness.p["01"] == (1.0, 0.0)
-    assert witness.p["10"] == (0.0, 1.0)
+    rows = witness_rows(witness)
+    assert rows["11"] == (pytest.approx(9.0 / 25.0), pytest.approx(16.0 / 25.0))
+    assert rows["00"] == rows["11"]
+    assert rows["01"] == (1.0, 0.0)
+    assert rows["10"] == (0.0, 1.0)
 
 
 def test_gadget_witness_split_is_the_unscaled_formula():
@@ -459,7 +483,7 @@ def test_gadget_witness_split_is_the_unscaled_formula():
         b1, b2 = float(b1), float(b2)
         value = math.hypot(b1, b2)
         _, _, witness = gadget_cost_adv("or", (b1, b2))
-        assert witness.p["00"] == (b1 * b1 / (value * value), b2 * b2 / (value * value))
+        assert witness_rows(witness)["00"] == (b1 * b1 / (value * value), b2 * b2 / (value * value))
 
 
 @pytest.mark.parametrize("beta", [(1e200, 1e200), (1e-200, 1e-200), (1e300, 1e-300)])
@@ -467,7 +491,7 @@ def test_gadget_witness_survives_extreme_costs(beta):
     value, gamma, witness = gadget_cost_adv("and", beta)
     assert value == math.hypot(*beta)
     assert np.all(np.isfinite(witness.matrix_rows()))
-    split = witness.p["11"]
+    split = witness_rows(witness)["11"]
     assert sum(split) == pytest.approx(1.0, abs=1e-15)
     if beta[0] == beta[1]:
         assert split == (0.5, 0.5)

@@ -1,6 +1,7 @@
 """Static checks on the package source and on the tests."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -145,6 +146,65 @@ def test_unread_public_name_scan_sees_them():
         "b.py": "from .a import g\n",
     }
     assert unread_public_names(sources, ["x.n()\n"], ["D"]) == ["a.py:C", "a.py:m"]
+
+
+#: The package modules the benchmark reads from.
+PACKAGE_MODULES = ("adversary", "boolfn", "cli", "solver", "specmat")
+SUBMODULES = {f"advbound.{m}" for m in PACKAGE_MODULES}
+
+
+def package_reads(source: str) -> set[tuple[str, str]]:
+    """(module, name) for each name that ``source`` imports from a module of
+    ``PACKAGE_MODULES`` or reads as an attribute of one it imported.  A star
+    import and an attribute store read no name."""
+    tree = ast.parse(source)
+    aliases, reads = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "advbound":
+            aliases.update(
+                (a.asname or a.name, a.name) for a in node.names if a.name in PACKAGE_MODULES
+            )
+        elif isinstance(node, ast.ImportFrom) and node.module in SUBMODULES:
+            reads.update((node.module.split(".")[1], a.name) for a in node.names if a.name != "*")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            reads.add((aliases[node.value.id], node.attr))
+    return reads
+
+
+def missing_package_names(sources: list[str]) -> list[str]:
+    """``module.name`` for each name the sources read from the package that
+    the package does not have."""
+    reads = set().union(*map(package_reads, sources))
+    return sorted(
+        f"{module}.{name}"
+        for module, name in reads
+        if not hasattr(importlib.import_module(f"advbound.{module}"), name)
+    )
+
+
+def test_benchmark_reads_only_names_the_package_has():
+    readers = [p.read_text() for p in PERFBENCH.glob("*.py")]
+    assert readers
+    assert missing_package_names(readers) == []
+
+
+def test_missing_package_name_scan_sees_them():
+    source = (
+        "from advbound import adversary as adv, solver\n"
+        "from advbound.specmat import SymMatrix, gone_class\n"
+        "from advbound.boolfn import *\n"
+        "adv.mm_value(adv.gone_function())\n"
+        "solver.certify(x).gone_field\n"
+        "solver.gone_store = 1\n"
+        "specmat.gone_unimported\n"
+    )
+    assert missing_package_names([source]) == ["adversary.gone_function", "specmat.gone_class"]
 
 
 def test_exported_names_exist():

@@ -337,3 +337,12 @@ def test_matrix_json_rejects_asymmetry_and_garbage():
         matrix_from_dict({"labels": ["0", "1"]})
     with pytest.raises(ValueError):
         matrix_from_dict({"labels": ["0", "1"], "entries": "nope"})
+
+
+@pytest.mark.parametrize(
+    "labels", [[0, 1], [None, "1"], [["0"], ["1"]]], ids=["integers", "null", "lists"]
+)
+def test_matrix_json_labels_must_be_strings(labels):
+    # str() read the labels 0 and 1 as "0" and "1".
+    with pytest.raises(ValueError, match="^labels must be strings$"):
+        matrix_from_dict({"labels": labels, "entries": [[0.0, 1.0], [1.0, 0.0]]})
