@@ -17,15 +17,21 @@ checks finiteness as it builds.  Outside input always goes through
 
 ``block_norm`` takes the top singular triple of a rectangular block B from
 one eigensolve on the Gram matrix of its smaller side, and checks it as the
-top eigenpair of the bipartite matrix [[0, B], [B^T, 0]] under the residual
-contract.  It first drops the all-zero rows and columns of B, which carry
-zero singular-vector entries, so a sparse block costs a solve the size of
-its support.  It solves on B scaled by a power of two that brings its
-largest entry into [1/2, 1), so the Gram matrix neither underflows nor
-overflows, and the scaling is exact.  Adversary matrices are exactly of
-this form (zero on every pair with equal outputs), so ADV evaluation needs
-no solve on the full matrix, and no mask: the adversary layer reads its
-masks from the input bits of its functions.
+top eigenpair of the bipartite matrix G = [[0, B], [B^T, 0]] under the
+residual contract.  A block with a zero entry is taken apart instead: its
+nonzero entries form a bipartite graph between rows and columns, G is the
+direct sum of that graph's connected components, and ``edge_norm`` solves
+each component of more than one entry on its own small dense block (a
+single entry needs no solve) and keeps the largest.  Rows and columns
+without an entry belong to no component, so a sparse block costs solves the
+size of its components.  Each dense solve runs on its block scaled by a
+power of two that brings the largest entry into [1/2, 1), so the Gram
+matrix neither underflows nor overflows, and the scaling is exact.
+Adversary matrices are exactly of this form (zero on every pair with equal
+outputs), so ADV evaluation needs no solve on the full matrix, and no mask:
+the adversary layer reads its masks from the input bits of its functions,
+and hands a masked sparse block to ``edge_norm`` as the subset of its
+nonzero entries that the mask keeps.
 """
 
 from __future__ import annotations
@@ -189,28 +195,37 @@ def block_norm(b: np.ndarray) -> SpectralResult:
     contract is checked on G, with G v computed blockwise as (B y, B^T x).
     An all-zero block has norm 0 and no solve.
 
-    All-zero rows and columns of B are dropped before the solve.  Their
-    singular-vector entries are 0 and the trimmed block has the same G v on
-    the rest, so the norm and the residual are the trimmed block's, and
-    ``vector`` is its vector with zeros put back in place.  A block whose
-    support is a matching trims to a square block with one entry per row.
+    A block with a zero entry is solved by ``edge_norm`` from its nonzero
+    entries, one connected component of their bipartite pattern at a time:
+    all-zero rows and columns cost nothing, and a block whose support is a
+    matching costs no eigensolve.  A block without a zero entry is solved
+    whole.
 
-    The solve and the residual run on B * 2**-e, with e the binary exponent
-    of B's largest entry, so that neither the Gram matrix nor the residual
-    underflows or overflows; sigma and the residual are scaled back by 2**e.
-    Scaling by a power of two is exact, so ``block_norm(B * 2**k)`` has the
-    bits of ``block_norm(B)`` scaled by 2**k.
+    Each solve and its residual run on the solved block (B, or a component)
+    scaled by 2**-e, with e the binary exponent of its largest entry, so
+    that neither the Gram matrix nor the residual underflows or overflows;
+    sigma and the residual are scaled back by 2**e.  Scaling by a power of
+    two is exact, so ``block_norm(B * 2**k)`` has the bits of
+    ``block_norm(B)`` scaled by 2**k.
     """
     b = np.asarray(b, dtype=float)
-    if b.size == 0 or not b.all():  # a dense block, the common case, skips this
-        rows, cols = b.any(axis=1), b.any(axis=0)
-        if not rows.any():
-            return SpectralResult(0.0, np.zeros(sum(b.shape)), 0.0)
-        if not (rows.all() and cols.all()):
-            trimmed = block_norm(b[np.ix_(rows, cols)])
-            vector = np.zeros(sum(b.shape))
-            vector[np.concatenate([rows, cols])] = trimmed.vector
-            return SpectralResult(trimmed.norm, vector, trimmed.residual)
+    if b.size and b.all():  # a dense block, the common case
+        return _dense_norm(b)
+    return edge_norm(*nonzero_entries(b), b.shape)
+
+
+def nonzero_entries(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, columns, values) of the nonzero entries of a 2-D array, in
+    row-major order."""
+    # flatnonzero of a bool array is several times faster than nonzero of
+    # the floats, or than a 2-D nonzero.
+    flat = np.flatnonzero(b != 0)
+    rows, cols = np.divmod(flat, b.shape[1])
+    return rows, cols, b.ravel()[flat]
+
+
+def _dense_norm(b: np.ndarray) -> SpectralResult:
+    """``block_norm`` of a nonempty block, by one eigensolve on the whole of it."""
     _, e = math.frexp(max(float(b.max()), -float(b.min())))
     b = np.ldexp(b, -e)
     tall = b.shape[0] > b.shape[1]
@@ -222,6 +237,87 @@ def block_norm(b: np.ndarray) -> SpectralResult:
     v = np.concatenate([x, y]) / math.sqrt(2.0)
     gv = np.concatenate([b @ y, b.T @ x]) / math.sqrt(2.0)
     return _checked(gv, math.sqrt(float(w[-1])), v, e)
+
+
+def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """For each of n vertices, the least vertex of its connected component
+    in the graph with edges (u[k], v[k]).
+
+    Min-label propagation: every root hooks to the least root across its
+    edges, then pointer jumping points every vertex at its root again.  Each
+    round lowers some label until every edge joins equal labels.
+    """
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            return label
+        low = np.minimum(lu, lv)
+        np.minimum.at(label, lu, low)
+        np.minimum.at(label, lv, low)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+
+
+def edge_norm(
+    rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]
+) -> SpectralResult:
+    """``block_norm`` of the block of ``shape`` whose nonzero entries are
+    ``values`` at (``rows``, ``cols``), all other entries zero.
+
+    The nonzero pattern is a bipartite graph between rows and columns, and
+    G is the direct sum of its connected components, so ||G|| is the largest
+    component norm.  A component of one entry has the norm |entry| and the
+    vector (1, sign(entry))/sqrt(2) on its row and column, with residual 0,
+    and costs no solve.  Each larger component is gathered, rows and columns
+    in ascending order, into a small dense block solved as ``block_norm``
+    solves a dense block, under the residual contract.  The result is the
+    component of the largest norm, the first in order of least row on a
+    tie, with zeros elsewhere in ``vector``; the components share no row and
+    no column, so its residual is that of the whole operator.  Rows and
+    columns without an entry are in no component, and an empty edge list
+    gives norm 0.
+    """
+    size = shape[0] + shape[1]
+    if rows.size == 0:
+        return SpectralResult(0.0, np.zeros(size), 0.0)
+    # Vertices: the rows, then the columns offset by shape[0], numbered
+    # compactly in that order, so every component lists its rows first.
+    verts, ends = np.unique(np.concatenate([rows, cols + shape[0]]), return_inverse=True)
+    u, v = ends[: rows.size], ends[rows.size :]
+    _, comp = np.unique(_component_labels(u, v, verts.size), return_inverse=True)
+    count = int(comp.max()) + 1
+    # rank[w]: position of vertex w within its component; rows_in[k]: rows of k.
+    vorder = np.argsort(comp, kind="stable")
+    vstart = np.concatenate([[0], np.cumsum(np.bincount(comp, minlength=count))])
+    rank = np.empty(verts.size, dtype=np.intp)
+    rank[vorder] = np.arange(verts.size) - vstart[comp[vorder]]
+    rows_in = np.bincount(comp[verts < shape[0]], minlength=count)
+    ecomp = comp[u]
+    eorder = np.argsort(ecomp, kind="stable")
+    edges = np.bincount(ecomp, minlength=count)
+    estart = np.concatenate([[0], np.cumsum(edges)])
+    sigma = np.empty(count)
+    single = edges == 1
+    sigma[single] = np.abs(values[eorder[estart[:-1][single]]])
+    solved = {}
+    for k in np.flatnonzero(~single).tolist():
+        e = eorder[estart[k] : estart[k + 1]]
+        block = np.zeros((rows_in[k], vstart[k + 1] - vstart[k] - rows_in[k]))
+        block[rank[u[e]], rank[v[e]] - rows_in[k]] = values[e]
+        solved[k] = _dense_norm(block)
+        sigma[k] = solved[k].norm
+    k = int(np.argmax(sigma))
+    vector = np.zeros(size)
+    if k in solved:
+        vector[verts[vorder[vstart[k] : vstart[k + 1]]]] = solved[k].vector
+        return SpectralResult(solved[k].norm, vector, solved[k].residual)
+    e = eorder[estart[k]]
+    vector[verts[[u[e], v[e]]]] = np.array([1.0, math.copysign(1.0, values[e])]) / math.sqrt(2.0)
+    return SpectralResult(float(sigma[k]), vector, 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from advbound.boolfn import (
     BooleanFunction,
     CompositionSpec,
     Leaf,
+    Or,
     compose_functions,
     formula_to_function,
     make_family,
@@ -303,12 +304,19 @@ def test_adv_value_is_scale_free(scale):
 
 
 def test_adv_value_rejects_a_zero_norm_of_a_nonzero_matrix(monkeypatch):
-    def lost(b):
-        return SpectralResult(0.0, np.zeros(sum(b.shape)), 0.0)
+    # The uniform AND2 block has no zero entry and is solved whole by
+    # block_norm; the gadget's block has one and is solved by edge_norm.
+    def lost(*args):
+        return SpectralResult(0.0, np.zeros(0), 0.0)
 
-    monkeypatch.setattr(adversary, "block_norm", lost)
-    with pytest.raises(EigensolverError, match="norm of a nonzero matrix evaluated to 0"):
-        adv_value(gadget(AND2, 1.0, 1.0), (1.0, 1.0))
+    for solver, gamma in [
+        ("block_norm", uniform_gamma(AND2)),
+        ("edge_norm", gadget(AND2, 1.0, 1.0)),
+    ]:
+        with monkeypatch.context() as patch:
+            patch.setattr(adversary, solver, lost)
+            with pytest.raises(EigensolverError, match="norm of a nonzero matrix evaluated to 0"):
+                adv_value(gamma, (1.0, 1.0))
 
 
 def dense_adv_value(gamma, alpha):
@@ -422,6 +430,28 @@ def test_adv_value_composed_read_once_arity8():
     assert gamma.function.values == formula_to_function(ast, 8).values
     assert value == pytest.approx(want, rel=1e-12)
     assert adv_value(gamma, costs) == pytest.approx(want, rel=1e-9)
+
+
+def alternating_tree(n, gate_and, first=1):
+    """Balanced tree on x_first..x_{first+n-1}, its gates alternating AND/OR by level."""
+    if n == 1:
+        return Leaf(first)
+    left = (n + 1) // 2
+    op = And if gate_and else Or
+    return op(
+        alternating_tree(left, not gate_and, first),
+        alternating_tree(n - left, not gate_and, first + left),
+    )
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10])
+def test_adv_value_of_composed_trees_matches_dense_reference(n):
+    rng = np.random.default_rng(90 + n)
+    costs = tuple(rng.uniform(0.5, 2.0, n).tolist())
+    gamma, _ = compose_tree(alternating_tree(n, n % 2 == 0), costs)
+    zeros, ones = gamma.function.classes
+    assert not gamma.matrix.entries[np.ix_(zeros, ones)].all()  # solved from its entries
+    assert adv_value(gamma, costs) == pytest.approx(dense_adv_value(gamma, costs), rel=1e-12)
 
 
 # --------------------------------------------------------------------------
@@ -1225,6 +1255,13 @@ def test_witness_from_dict_rejects_probabilities_that_are_not_numbers(q):
     # float() read "1" and true as 1.0, and raised OverflowError on 10**400.
     data = {"rows": [{"x": "0", "p": [q]}, {"x": "1", "p": [1.0]}]}
     with pytest.raises(ValueError, match="^malformed witness: "):
+        witness_from_dict(data, ID1)
+
+
+def test_witness_from_dict_rejects_duplicate_rows():
+    # The last row for "0" was kept, so its NaN twin was never checked.
+    data = {"rows": [{"x": "0", "p": [math.nan]}, {"x": "0", "p": [1.0]}, {"x": "1", "p": [1.0]}]}
+    with pytest.raises(ValueError, match="^malformed witness: duplicate domain entry '0'$"):
         witness_from_dict(data, ID1)
 
 

@@ -224,7 +224,8 @@ def bipartite(b):
     full = np.zeros((r + c, r + c))
     full[:r, r:] = b
     full[r:, :r] = b.T
-    return SymMatrix(tuple(f"{i:05b}" for i in range(r + c)), full)
+    width = max(1, (r + c - 1).bit_length())
+    return SymMatrix(tuple(f"{i:0{width}b}" for i in range(r + c)), full)
 
 
 @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5), (1, 6), (6, 1)])
@@ -290,6 +291,97 @@ def test_block_norm_of_a_matching_is_its_largest_entry(size):
     got = block_norm(b)
     assert got.norm == np.abs(b).max()
     assert np.count_nonzero(got.vector) == 2
+
+
+def component_block(rng, shape):
+    """A block whose nonzero pattern is connected: a staircase from corner
+    to corner joins every row and column, and a random third of the other
+    entries is filled in."""
+    r, c = shape
+    b = rng.uniform(0.1, 1.0, shape) * (rng.random(shape) < 0.3)
+    i = j = 0
+    while True:
+        b[i, j] = rng.uniform(0.1, 1.0)
+        if (i, j) == (r - 1, c - 1):
+            return b * rng.choice([-1.0, 1.0], shape)
+        if j == c - 1 or (i < r - 1 and rng.random() < r / (r + c)):
+            i += 1
+        else:
+            j += 1
+
+
+def scatter(rng, pieces, ordered=False, extra=(2, 3)):
+    """The direct sum of ``pieces`` plus ``extra`` empty rows and columns,
+    under random row and column permutations; also each piece's rows and
+    columns in the result.  With ``ordered``, each piece keeps the order of
+    its rows and of its columns."""
+    shape = (sum(p.shape[0] for p in pieces) + extra[0], sum(p.shape[1] for p in pieces) + extra[1])
+    b = np.zeros(shape)
+    rows, cols = rng.permutation(shape[0]), rng.permutation(shape[1])
+    spots, r0, c0 = [], 0, 0
+    for p in pieces:
+        pr, pc = rows[r0 : r0 + p.shape[0]], cols[c0 : c0 + p.shape[1]]
+        if ordered:
+            pr, pc = np.sort(pr), np.sort(pc)
+        b[np.ix_(pr, pc)] = p
+        spots.append((pr, pc))
+        r0, c0 = r0 + p.shape[0], c0 + p.shape[1]
+    return b, spots
+
+
+COMPONENT_CASES = {
+    "singles": [(1, 1)] * 6,
+    "mixed": [(1, 1), (3, 2), (1, 4), (5, 5), (1, 1), (2, 7)],
+    "one_dense": [(6, 4)],
+    "dense_and_sparse": [(4, 6), (7, 3), (1, 1)],
+    "many": [(1, 1)] * 5 + [(2, 2)] * 5 + [(3, 4), (8, 6), (4, 9)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMPONENT_CASES))
+@pytest.mark.parametrize("seed", range(4))
+def test_block_norm_of_disjoint_components(name, seed):
+    rng = np.random.default_rng(100 * seed + len(name))
+    pieces = [component_block(rng, shape) for shape in COMPONENT_CASES[name]]
+    if name == "dense_and_sparse":
+        pieces[0] = rng.uniform(0.1, 1.0, pieces[0].shape)  # no zero entry
+    b, spots = scatter(rng, pieces)
+    got = block_norm(b)
+    sigma = np.linalg.svd(b, compute_uv=False)[0]
+    assert got.norm == pytest.approx(sigma, rel=1e-12)
+    assert got.norm == pytest.approx(spectral_norm(bipartite(b)).norm, rel=1e-12)
+    v = got.vector
+    assert v.shape == (sum(b.shape),)
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    # (x, y) = sqrt(2) v is a top singular pair of B ...
+    x, y = np.split(math.sqrt(2.0) * v, [b.shape[0]])
+    assert np.allclose(b @ y, got.norm * x, rtol=0.0, atol=1e-12 * got.norm)
+    assert np.allclose(b.T @ x, got.norm * y, rtol=0.0, atol=1e-12 * got.norm)
+    # ... supported on the rows and columns of one piece,
+    support = np.flatnonzero(v)
+    owners = [
+        k for k, (pr, pc) in enumerate(spots)
+        if set(support) <= set(pr.tolist()) | set((pc + b.shape[0]).tolist())
+    ]
+    assert len(owners) == 1
+    # and its residual is the one taken on the whole operator.
+    full = bipartite(b).entries
+    direct = np.linalg.norm(full @ v - got.norm * v)
+    assert abs(got.residual - direct) <= 1e-12 * max(1.0, got.norm)
+    assert got.residual <= RESIDUAL_TOL * max(1.0, got.norm)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3), (4, 4)])
+def test_block_norm_tie_takes_the_component_of_the_least_row(shape):
+    rng = np.random.default_rng(sum(shape))
+    piece = component_block(rng, shape)
+    # Gathered in order, the three copies give the same bits.
+    b, spots = scatter(rng, [piece * 0.5, piece, piece, -piece], ordered=True)
+    got = block_norm(b)
+    assert got.norm == block_norm(piece).norm
+    tied = [k for k in (1, 2, 3) if spots[k][0].min() == min(spots[j][0].min() for j in (1, 2, 3))]
+    rows, cols = spots[tied[0]]
+    assert set(np.flatnonzero(got.vector)) <= set(rows.tolist()) | set((cols + b.shape[0]).tolist())
 
 
 def test_block_norm_contract_enforced(monkeypatch):
