@@ -162,8 +162,9 @@ def _path(f: BooleanFunction, alpha: CostVector):
         c = w * np.sqrt(p[zeros][:, None, :] * p[ones][None, :, :])
         return c, c.sum(axis=2) - t
 
-    def newton(p: np.ndarray, t: float, tau: float):
-        """The scaled Newton step (du, dv), its squared decrement and S - t.
+    def newton(p: np.ndarray, t: float, tau: float, c: np.ndarray, g: np.ndarray):
+        """The scaled Newton step (du, dv) at (p, t), given its ``slack`` (c, g),
+        and the step's squared decrement.
 
         With h_xyi = c_xyi / (2 (S_xy - t)), the gradient of log(S_xy - t) is
         h_xyi at p_x(i) and at p_y(i), and -t / (S_xy - t) at t.  Its negated
@@ -173,7 +174,6 @@ def _path(f: BooleanFunction, alpha: CostVector):
         on its two rows and t.  The barrier on p adds 1 to the gradient and
         to the diagonal, and tau log t adds tau to both at t.
         """
-        c, g = slack(p, t)
         lam = 1.0 / g
         h = c * (lam / 2.0)[:, :, None]
         ht = -t * lam
@@ -196,15 +196,16 @@ def _path(f: BooleanFunction, alpha: CostVector):
         kkt[oi[None, :, :], zi[:, None, :]] -= h / 2.0
         kkt[k + 1 + owner, np.arange(k)] = kkt[np.arange(k), k + 1 + owner] = p.ravel()
         step = np.linalg.solve(kkt, np.concatenate([grad, 1.0 - p.sum(axis=1)]))[: k + 1]
-        return step[:k].reshape(p.shape), step[k], float(grad @ step), g
+        return step[:k].reshape(p.shape), step[k], float(grad @ step)
 
     p = np.full((rows, n), 1.0 / n)
     t = 0.5 * float(slack(p, 0.0)[1].min())
+    c, g = slack(p, t)
     terms = zeros.size * ones.size + k
     tau, steps = 1.0, 0
     while True:
         for _ in range(ROUND_STEPS):
-            du, dv, dec, g = newton(p, t, tau)
+            du, dv, dec = newton(p, t, tau, c, g)
             if dec <= CENTERED:
                 break
             # Backtrack to a strictly feasible point that gains a hundredth of
@@ -214,7 +215,7 @@ def _path(f: BooleanFunction, alpha: CostVector):
             while s >= SHORTEST_STEP:
                 p1, t1 = p * (1.0 + s * du), t * (1.0 + s * dv)
                 if p1.min() > 0.0 and t1 > 0.0:
-                    g1 = slack(p1, t1)[1]
+                    c1, g1 = slack(p1, t1)
                     if g1.min() > 0.0:
                         gain = tau * math.log(t1 / t) + np.log(g1 / g).sum() + np.log(p1 / p).sum()
                         if gain >= 0.01 * s * dec:
@@ -222,9 +223,9 @@ def _path(f: BooleanFunction, alpha: CostVector):
                 s /= 2.0
             else:
                 break
-            p, t = p1, t1
+            p, t, c, g = p1, t1, c1, g1
             steps += 1
-        yield steps, 1.0 / slack(p, t)[1], p
+        yield steps, 1.0 / g, p
         if terms / tau <= 2.0**-52:
             return
         tau *= TAU_GROWTH
