@@ -598,10 +598,6 @@ class MaskedCompositionReport:
     ratio_rhs: float
     ratio_ok: bool
 
-    @property
-    def ok(self) -> bool:
-        return self.entrywise_ok and self.norm_ok and self.ratio_ok
-
 
 def _masked(gamma: AdversaryMatrix, i: int) -> AdversaryMatrix:
     """G o D_i: G zeroed on the pairs whose inputs agree at bit i."""

@@ -32,11 +32,17 @@ uniform rows and half the least pair sum, and no step draws a random number.
 The Newton system is written in the scaled steps dp = p du and dt = t dv,
 where every entry is a ratio such as sqrt(p_x(i) p_y(i)) / alpha_i over
 S_xy - t; in plain coordinates the barrier on p alone puts 1/p_x(i)**2 on
-the diagonal, which degenerates as inactive entries of p shrink.  The costs are scaled by the power of two that brings
-the largest into [1/2, 1), which is exact, and the reported values are
-re-evaluated on the true costs.  ``SolverOptions`` holds the one setting a
-certificate reports, the target gap; a certificate also reports its Newton
-steps and whether the gap or the end of the path stopped it.
+the diagonal, which degenerates as inactive entries of p shrink.  No pair
+joins two rows of one output class, so the system is never formed whole:
+the rows of the larger class are eliminated together, one (n + 1)-square
+system per row, and what remains is solved over the other class, t and its
+row sums (85 rows instead of 193 for a 5-bit table with classes of 18 and
+14, and n + 2 for and_n).  The costs are scaled by the power of two that
+brings the largest into [1/2, 1), which is exact, and the reported values
+are re-evaluated on the true costs.  ``SolverOptions`` holds the one setting
+a certificate reports, the target gap; a certificate also reports its
+Newton steps and rounds, the round that gave each side, and whether the
+gap or the end of the path stopped it.
 
 The module also carries the exact two-bit gate certificates, the read-once
 formula recursion built on them, and report-producing checks for composed
@@ -83,7 +89,10 @@ from .specmat import SymMatrix
 #: Default slack added on top of certificate gaps in verification reports.
 VERIFY_SLACK = 1e-2
 
-#: Largest arity the optimizer takes: the Newton system has 2**n (n + 1) + 1 rows.
+#: Largest arity the optimizer takes.  A Newton step solves one (n + 1)-row
+#: system for each input of the larger output class, then one of at most
+#: 2**(n - 1) (n + 1) + 1 rows over the other class; the whole system would
+#: have 2**n (n + 1) + 1.
 ARITY_CAP = 5
 
 #: Factor by which the barrier weight tau grows between centering rounds.
@@ -135,77 +144,137 @@ def _check_costs(alpha: CostVector) -> None:
         raise ValueError("bracket not finite: the costs sum past the float range") from None
 
 
+class _Barrier:
+    """The terms of one barrier path, its slacks and its Newton steps.
+
+    The rows of p are kept in class order: the larger output class, x, comes
+    first (f^-1(0) on a tie), then the other class, y, so that each class is
+    a slice of p.  ``order`` is the domain index of each row, and the pair
+    arrays are (mx, my): the (m0, m1) block, transposed when ``flip``.  The
+    costs are scaled by the power of two that brings the largest into
+    [1/2, 1), and raised to ``COST_FLOOR``.
+    """
+
+    def __init__(self, f: BooleanFunction, alpha: CostVector):
+        zeros, ones = f.classes
+        self.flip = ones.size > zeros.size
+        x, y = (ones, zeros) if self.flip else (zeros, ones)
+        self.order = np.concatenate([x, y])
+        a = alpha.as_array()
+        a = np.maximum(np.ldexp(a, -math.frexp(a.max())[1]), COST_FLOOR)
+        self.w = (f.bits[x][:, None, :] != f.bits[y][None, :, :]) / a  # (mx, my, n)
+        mx, my, n = self.w.shape
+        q = my * n + 1  # the step (du_y, dv) that the rows of x couple to
+        self.mx, self.q = mx, q
+        self.half_eye = np.eye(n)[:, None, :] / 2.0
+        # Buffers that every step overwrites block by block, and views of the
+        # blocks; what no step writes stays zero.  ``local`` holds the (n + 1)
+        # square system of each row of x, ``coupled`` its columns on (du_y, dv)
+        # and then its right-hand side, and ``schur`` the reduced system over
+        # (du_y, dv) and the sum constraints of y, with right-hand side ``rhs``.
+        self.local = np.zeros((mx, n + 1, n + 1))
+        self.local_h = self.local[:, :n, :n]
+        self.local_diag = np.einsum("xii->xi", self.local_h)
+        self.coupled = np.zeros((mx, n + 1, q + 1))
+        self.cross = self.coupled[:, :n, : q - 1].reshape(mx, n, my, n)
+        self.cross_t = self.coupled[:, :n, q - 1 : q]
+        self.grad_x, self.sums_x = self.coupled[:, :n, q], self.coupled[:, n, q]
+        self.schur = np.zeros((q + my,) * 2)
+        self.schur_h = np.einsum("yiyj->yij", self.schur[: q - 1, : q - 1].reshape(my, n, my, n))
+        self.schur_diag = np.einsum("ii->i", self.schur)[: q - 1].reshape(my, n)
+        self.schur_p = np.einsum("yyi->yi", self.schur[q:, : q - 1].reshape(my, my, n))
+        self.schur_pt = np.einsum("yiy->yi", self.schur[: q - 1, q:].reshape(my, n, my))
+        self.grad_q = np.zeros(q)
+        self.grad_y = self.grad_q[:-1].reshape(my, n)
+        self.rhs = np.zeros(q + my)
+
+    def slacks(self, p: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """The pair terms c_xyi, whose sum over i is S_xy, and S - t."""
+        c = self.w * np.sqrt(p[: self.mx, None, :] * p[None, self.mx :, :])
+        return c, c.sum(axis=2) - t
+
+    def newton(self, p: np.ndarray, t: float, tau: float, c: np.ndarray, g: np.ndarray):
+        """The scaled Newton step (du, dv) at (p, t), given its ``slacks`` (c, g),
+        and the step's squared decrement.
+
+        With h_xyi = c_xyi / (2 (S_xy - t)), the gradient of log(S_xy - t) is
+        h_xyi at p_x(i) and at p_y(i), and -t / (S_xy - t) at t.  Its negated
+        Hessian is the outer product of that gradient, plus h_xyi / 2 times
+        [[1, -1], [-1, 1]] on the entries p_x(i) and p_y(i) of each term.  The
+        barrier on p adds 1 to the gradient and to the diagonal, and tau log t
+        adds tau to both at t.
+
+        No pair joins two rows of one class, so each row x of the larger
+        class meets the rest only through its columns C_x on (du_y, dv).
+        With its own block and sum constraint, L_x = [[H_xx, p_x], [p_x', 0]],
+        and its right-hand side r_x, the rows of x are eliminated together:
+        one batched inverse gives L_x^-1 [C_x r_x] (a batched solve against
+        its q + 1 columns took five times as long on a 5-bit table), one product
+        sums C_x' L_x^-1 [C_x r_x] over x, the reduced system over (du_y, dv)
+        and the sum constraints of y is solved, and du_x = L_x^-1 (r_x - C_x z).
+        """
+        mx, q = self.mx, self.q
+        n = p.shape[1]
+        px, py = p[:mx], p[mx:]
+        half = 0.5 / g
+        h = c * half[:, :, None]
+        ht = (-2.0 * t) * half
+        hx, hy = h.transpose(0, 2, 1), h.transpose(1, 2, 0)
+        sx, sy = np.add.reduce(h, 1), np.add.reduce(h, 0)
+        # L_x, and [C_x r_x] with C_x on (du_y(j), dv) at row i of x: the pair
+        # term h_xyi h_xyj - [i = j] h_xyi / 2 and the border sum_y h_xyi ht_xy.
+        np.matmul(hx, h, out=self.local_h)
+        self.local_diag += 1.0 + sx / 2.0
+        self.local[:, :n, n] = self.local[:, n, :n] = px
+        np.multiply(hx[:, :, :, None], h[:, None, :, :] - self.half_eye, out=self.cross)
+        np.matmul(hx, ht[:, :, None], out=self.cross_t)
+        np.add(sx, 1.0, out=self.grad_x)
+        np.subtract(1.0, np.add.reduce(px, 1), out=self.sums_x)
+        # The reduced system: the (du_y, dv) block of H, less the sum of
+        # C_x' L_x^-1 C_x, bordered by the sum constraints of y.
+        solved = np.linalg.inv(self.local) @ self.coupled
+        red = self.coupled.reshape(-1, q + 1).T @ solved.reshape(-1, q + 1)
+        s = self.schur
+        np.negative(red[:q, :q], out=s[:q, :q])
+        self.schur_h += np.matmul(hy, h.transpose(1, 0, 2))
+        self.schur_diag += 1.0 + sy / 2.0
+        hyt = np.matmul(hy, ht.T[:, :, None]).ravel()
+        s[: q - 1, q - 1] += hyt
+        s[q - 1, : q - 1] += hyt
+        s[q - 1, q - 1] += np.vdot(ht, ht) + tau
+        self.schur_p[...] = self.schur_pt[...] = py
+        np.add(sy, 1.0, out=self.grad_y)
+        self.grad_q[-1] = tau + np.add.reduce(ht, None)
+        np.subtract(self.grad_q, red[:q, q], out=self.rhs[:q])
+        np.subtract(1.0, np.add.reduce(py, 1), out=self.rhs[q:])
+        z = np.linalg.solve(s, self.rhs)[:q]
+        # Back-substitute for du_x; the decrement is grad . (du, dv).
+        dux = solved[:, :n, q] - solved[:, :n, :q] @ z
+        dec = float(np.vdot(self.grad_x, dux) + self.grad_q @ z)
+        return np.concatenate([dux, z[:-1].reshape(-1, n)]), z[-1], dec
+
+
 def _path(f: BooleanFunction, alpha: CostVector):
     """The barrier path, as a generator of (Newton steps so far, lambda, p).
 
     It yields after every centering round: the pair multipliers lambda on
     the (m0, m1) block and the rows p in domain order, both fresh arrays.
     Its last item is the round at which (pairs + entries of p) / tau is at
-    most 2**-52.  The variables are p, row-major, then t; a Newton step
-    solves for (du, dv) with dp = p du and dt = t dv, and holds each row sum
-    of p at one (correcting any drift) through one multiplier per row.
+    most 2**-52.  The variables are p, in the class order of ``_Barrier``,
+    and t; a Newton step solves for (du, dv) with dp = p du and dt = t dv,
+    and holds each row sum of p at one (correcting any drift) through one
+    multiplier per row.
     """
-    zeros, ones = f.classes
-    rows, n = len(f.domain), f.arity
-    a = alpha.as_array()
-    a = np.maximum(np.ldexp(a, -math.frexp(a.max())[1]), COST_FLOOR)
-    w = (f.bits[zeros][:, None, :] != f.bits[ones][None, :, :]) / a  # (m0, m1, n)
-    k = rows * n  # index of t
-    # The row-major index in p of every entry of each class's rows, (m, n),
-    # and the row each entry of p belongs to.
-    zi = zeros[:, None] * n + np.arange(n)
-    oi = ones[:, None] * n + np.arange(n)
-    owner = np.repeat(np.arange(rows), n)
-
-    def slack(p: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """The pair terms c_xyi, whose sum over i is S_xy, and S - t."""
-        c = w * np.sqrt(p[zeros][:, None, :] * p[ones][None, :, :])
-        return c, c.sum(axis=2) - t
-
-    def newton(p: np.ndarray, t: float, tau: float, c: np.ndarray, g: np.ndarray):
-        """The scaled Newton step (du, dv) at (p, t), given its ``slack`` (c, g),
-        and the step's squared decrement.
-
-        With h_xyi = c_xyi / (2 (S_xy - t)), the gradient of log(S_xy - t) is
-        h_xyi at p_x(i) and at p_y(i), and -t / (S_xy - t) at t.  Its negated
-        Hessian is the outer product of that gradient, plus h_xyi / 2 times
-        [[1, -1], [-1, 1]] on the entries p_x(i) and p_y(i) of each term; the
-        outer products are summed block by block, as a pair's gradient lives
-        on its two rows and t.  The barrier on p adds 1 to the gradient and
-        to the diagonal, and tau log t adds tau to both at t.
-        """
-        lam = 1.0 / g
-        h = c * (lam / 2.0)[:, :, None]
-        ht = -t * lam
-        grad = np.ones(k + 1)
-        grad[zi] += h.sum(axis=1)
-        grad[oi] += h.sum(axis=0)
-        grad[k] = tau + ht.sum()
-        kkt = np.zeros((k + 1 + rows,) * 2)
-        kkt[zi[:, :, None], zi[:, None, :]] = np.einsum("xyi,xyj->xij", h, h)
-        kkt[oi[:, :, None], oi[:, None, :]] = np.einsum("xyi,xyj->yij", h, h)
-        cross = np.einsum("xyi,xyj->xiyj", h, h)
-        kkt[zi[:, :, None, None], oi] = cross
-        kkt[oi[:, :, None, None], zi] = cross.transpose(2, 3, 0, 1)
-        kkt[zi, k] = kkt[k, zi] = np.einsum("xyi,xy->xi", h, ht)
-        kkt[oi, k] = kkt[k, oi] = np.einsum("xyi,xy->yi", h, ht)
-        kkt[k, k] = (ht * ht).sum() + tau
-        kkt[zi, zi] += 1.0 + h.sum(axis=1) / 2.0
-        kkt[oi, oi] += 1.0 + h.sum(axis=0) / 2.0
-        kkt[zi[:, None, :], oi[None, :, :]] -= h / 2.0
-        kkt[oi[None, :, :], zi[:, None, :]] -= h / 2.0
-        kkt[k + 1 + owner, np.arange(k)] = kkt[np.arange(k), k + 1 + owner] = p.ravel()
-        step = np.linalg.solve(kkt, np.concatenate([grad, 1.0 - p.sum(axis=1)]))[: k + 1]
-        return step[:k].reshape(p.shape), step[k], float(grad @ step)
-
-    p = np.full((rows, n), 1.0 / n)
-    t = 0.5 * float(slack(p, 0.0)[1].min())
-    c, g = slack(p, t)
-    terms = zeros.size * ones.size + k
+    bar = _Barrier(f, alpha)
+    rank = np.argsort(bar.order)  # the row of p of each input, in domain order
+    p = np.full((len(f.domain), f.arity), 1.0 / f.arity)
+    t = 0.5 * float(bar.slacks(p, 0.0)[1].min())
+    c, g = bar.slacks(p, t)
+    terms = g.size + p.size
     tau, steps = 1.0, 0
     while True:
         for _ in range(ROUND_STEPS):
-            du, dv, dec = newton(p, t, tau, c, g)
+            du, dv, dec = bar.newton(p, t, tau, c, g)
             if dec <= CENTERED:
                 break
             # Backtrack to a strictly feasible point that gains a hundredth of
@@ -215,7 +284,7 @@ def _path(f: BooleanFunction, alpha: CostVector):
             while s >= SHORTEST_STEP:
                 p1, t1 = p * (1.0 + s * du), t * (1.0 + s * dv)
                 if p1.min() > 0.0 and t1 > 0.0:
-                    c1, g1 = slack(p1, t1)
+                    c1, g1 = bar.slacks(p1, t1)
                     if g1.min() > 0.0:
                         gain = tau * math.log(t1 / t) + np.log(g1 / g).sum() + np.log(p1 / p).sum()
                         if gain >= 0.01 * s * dec:
@@ -225,7 +294,8 @@ def _path(f: BooleanFunction, alpha: CostVector):
                 break
             p, t, c, g = p1, t1, c1, g1
             steps += 1
-        yield steps, 1.0 / g, p
+        lam = 1.0 / g
+        yield steps, lam.T if bar.flip else lam, p[rank]
         if terms / tau <= 2.0**-52:
             return
         tau *= TAU_GROWTH
@@ -250,10 +320,13 @@ def _witness_from(f: BooleanFunction, p: np.ndarray) -> MinimaxWitness:
 class BoundCertificate:
     """A two-sided bracket: feasible matrix below, feasible witness above.
 
-    ``steps`` is the number of Newton steps the barrier path took, and
-    ``stop`` says why it stopped: ``"gap"`` when the best values met the
-    target gap (or no pair needed a path), ``"end"`` when the path ran to
-    its end without meeting it.
+    ``steps`` is the number of Newton steps the barrier path took and
+    ``rounds`` the number of its rounds that were scored; ``lower_round``
+    and ``upper_round`` are the rounds, counted from 1, whose weight matrix
+    and witness were kept (all three are 0 when no pair needed a path).
+    ``stop`` says why the path stopped: ``"gap"`` when the best values met
+    the target gap (or no pair needed a path), ``"end"`` when the path ran
+    to its end without meeting it.
     """
 
     function: BooleanFunction
@@ -265,6 +338,9 @@ class BoundCertificate:
     options: SolverOptions
     steps: int
     stop: str
+    rounds: int
+    lower_round: int
+    upper_round: int
 
     def __post_init__(self):
         if not (math.isfinite(self.lower_value) and math.isfinite(self.upper_value)):
@@ -297,7 +373,13 @@ class BoundCertificate:
             "gap": self.gap,
             "tight": self.tight,
             "solver": {"target_gap": self.options.target_gap},
-            "search": {"steps": self.steps, "stop": self.stop},
+            "search": {
+                "steps": self.steps,
+                "stop": self.stop,
+                "rounds": self.rounds,
+                "lower_round": self.lower_round,
+                "upper_round": self.upper_round,
+            },
         }
 
 
@@ -314,16 +396,16 @@ def certify(f: BooleanFunction, alpha, opts: SolverOptions | None = None) -> Bou
     alpha = as_costs(alpha, f.arity)
     _check_arity(f)
     _check_costs(alpha)
-    steps, stop = 0, "gap"
+    steps, stop, rounds, lower_round, upper_round = 0, "gap", 0, 0, 0
     if not f.is_constant:
         lower, upper, stop = -math.inf, math.inf, "end"
-        for steps, lam, p in _path(f, alpha):
+        for rounds, (steps, lam, p) in enumerate(_path(f, alpha), 1):
             round_gamma, round_witness = _gamma_from(f, lam), _witness_from(f, p)
             low, up = adv_value(round_gamma, alpha), mm_value(round_witness, alpha)
             if low > lower:
-                lower, gamma = low, round_gamma
+                lower, gamma, lower_round = low, round_gamma, rounds
             if up < upper:
-                upper, witness = up, round_witness
+                upper, witness, upper_round = up, round_witness, rounds
             if upper - lower <= opts.target_gap:
                 stop = "gap"
                 break
@@ -339,6 +421,9 @@ def certify(f: BooleanFunction, alpha, opts: SolverOptions | None = None) -> Bou
         options=opts,
         steps=steps,
         stop=stop,
+        rounds=rounds,
+        lower_round=lower_round,
+        upper_round=upper_round,
     )
 
 

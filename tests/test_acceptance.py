@@ -125,7 +125,7 @@ def test_3_masked_factorization():
         for ell in range(1, spec.total_arity + 1):
             result = masked_compose_check(gamma_f, gammas_g, spec, ell)
             checked += 1
-            failures += 0 if result.ok else 1
+            failures += not (result.entrywise_ok and result.norm_ok and result.ratio_ok)
     ok = failures == 0
     report(
         3,

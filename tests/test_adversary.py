@@ -825,7 +825,7 @@ def test_masked_compose_check_frozen_case():
     unit = gadget(AND2, 1.0, 1.0)
     for ell in range(1, 5):
         report = masked_compose_check(unit, [unit, unit], spec, ell)
-        assert report.ok, (ell, report)
+        assert report.entrywise_ok and report.norm_ok and report.ratio_ok, (ell, report)
         assert report.block == (1 if ell <= 2 else 2)
         assert report.inner_pos == (ell - 1) % 2 + 1
         # whole/masked ratio is sqrt(2) outer times sqrt(2) inner
@@ -839,7 +839,7 @@ def test_masked_compose_check_random_cases():
         total = sum(g.arity for g in spec.inner)
         for ell in range(1, total + 1):
             report = masked_compose_check(gamma_f, gammas_g, spec, ell)
-            assert report.ok, (seed, ell)
+            assert report.entrywise_ok and report.norm_ok and report.ratio_ok, (seed, ell)
 
 
 def dense_masked_norms(gamma_f, gammas_g, spec, ell):
@@ -885,7 +885,7 @@ def test_masked_compose_check_infinite_ratio():
     report = masked_compose_check(gid, [inner], spec, 2)
     assert report.norm_lhs == 0.0 and report.norm_rhs == 0.0
     assert report.ratio_lhs == math.inf and report.ratio_rhs == math.inf
-    assert report.ok
+    assert report.entrywise_ok and report.norm_ok and report.ratio_ok
 
 
 def test_masked_compose_check_position_out_of_range():

@@ -27,7 +27,6 @@ from advbound.boolfn import (
     parse_formula,
 )
 from advbound.solver import (
-    BoundCertificate,
     SolverOptions,
     certify,
     gadget_cost_adv,
@@ -327,6 +326,96 @@ def test_rounds_end_on_the_central_path(rounds, f):
         assert np.allclose(mult, mult[:, :1], rtol=1e-4, atol=0.0), r
 
 
+def dense_step(f, alpha, p, t, tau):
+    """Reference: the scaled Newton step (du, dv) at (p, t), with p in domain
+    order, and its squared decrement, from the whole KKT system assembled
+    densely: the variables p row-major, then t, then one multiplier per row."""
+    zeros, ones = f.classes
+    rows, n = p.shape
+    a = np.array(alpha)
+    a = np.maximum(np.ldexp(a, -math.frexp(a.max())[1]), solver.COST_FLOOR)
+    w = (f.bits[zeros][:, None, :] != f.bits[ones][None, :, :]) / a
+    c = w * np.sqrt(p[zeros][:, None, :] * p[ones][None, :, :])
+    lam = 1.0 / (c.sum(axis=2) - t)
+    k = rows * n  # index of t
+    zi = zeros[:, None] * n + np.arange(n)
+    oi = ones[:, None] * n + np.arange(n)
+    owner = np.repeat(np.arange(rows), n)
+    h = c * (lam / 2.0)[:, :, None]
+    ht = -t * lam
+    grad = np.ones(k + 1)
+    grad[zi] += h.sum(axis=1)
+    grad[oi] += h.sum(axis=0)
+    grad[k] = tau + ht.sum()
+    kkt = np.zeros((k + 1 + rows,) * 2)
+    kkt[zi[:, :, None], zi[:, None, :]] = np.einsum("xyi,xyj->xij", h, h)
+    kkt[oi[:, :, None], oi[:, None, :]] = np.einsum("xyi,xyj->yij", h, h)
+    cross = np.einsum("xyi,xyj->xiyj", h, h)
+    kkt[zi[:, :, None, None], oi] = cross
+    kkt[oi[:, :, None, None], zi] = cross.transpose(2, 3, 0, 1)
+    kkt[zi, k] = kkt[k, zi] = np.einsum("xyi,xy->xi", h, ht)
+    kkt[oi, k] = kkt[k, oi] = np.einsum("xyi,xy->yi", h, ht)
+    kkt[k, k] = (ht * ht).sum() + tau
+    kkt[zi, zi] += 1.0 + h.sum(axis=1) / 2.0
+    kkt[oi, oi] += 1.0 + h.sum(axis=0) / 2.0
+    kkt[zi[:, None, :], oi[None, :, :]] -= h / 2.0
+    kkt[oi[None, :, :], zi[:, None, :]] -= h / 2.0
+    kkt[k + 1 + owner, np.arange(k)] = kkt[np.arange(k), k + 1 + owner] = p.ravel()
+    step = np.linalg.solve(kkt, np.concatenate([grad, 1.0 - p.sum(axis=1)]))[: k + 1]
+    return step[:k].reshape(p.shape), step[k], float(grad @ step)
+
+
+def eliminated_step(bar, p, t, tau):
+    """The step of ``_Barrier.newton`` at (p, t), with p and du in domain order."""
+    q = p[bar.order]
+    du, dv, dec = bar.newton(q, t, tau, *bar.slacks(q, t))
+    out = np.empty_like(du)
+    out[bar.order] = du
+    return out, dv, dec
+
+
+RANDOM5 = random_table(np.random.default_rng(11), 5, False)  # classes of 18 and 14
+
+#: One case of each shape of the eliminated system.
+STEP_CASES = {
+    "or2": (OR2, (1.0, 1.0)),  # m0 = 1: the three rows of f^-1(1) are eliminated
+    "and3_a123": (AND3, A123),
+    "parity3": (make_family("parity", 3), (1.0,) * 3),  # m0 = m1
+    "search5_a12121": (search5(), (1.0, 2.0, 1.0, 2.0, 1.0)),
+    "random5": (RANDOM5, (1.0,) * 5),
+    "random5_negated": (
+        BooleanFunction(5, RANDOM5.domain, tuple(1 - v for v in RANDOM5.values)),
+        (1.0,) * 5,
+    ),
+    "partial4": (random_table(np.random.default_rng(3), 4, True), (0.5, 1.0, 1.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("f,alpha", STEP_CASES.values(), ids=STEP_CASES.keys())
+def test_eliminated_step_matches_the_dense_kkt_solve(f, alpha):
+    zeros, ones = f.classes
+    bar = solver._Barrier(f, CostVector(alpha))
+    assert bar.flip == (ones.size > zeros.size)  # the larger class is eliminated
+    a = np.ldexp(np.array(alpha), -math.frexp(max(alpha))[1])
+    # The start of the path, a point whose rows do not sum to one, and the
+    # first step of each of the next rounds: at the end of a round, where t
+    # is read off the multipliers, with tau grown.
+    rows, n = len(f.domain), f.arity
+    p = np.full((rows, n), 1.0 / n)
+    start = float(loop_slack(f, a, p, np.full((zeros.size, ones.size), np.inf)).min())
+    drift = np.random.default_rng(rows).uniform(0.05, 1.0, (rows, n))
+    least = float(loop_slack(f, a, drift, np.full((zeros.size, ones.size), np.inf)).min())
+    points = [(p, start / 2.0, 1.0), (drift, 0.3 * least, solver.TAU_GROWTH**3)]
+    for r, (_, lam, p) in zip(range(6), solver._path(f, CostVector(alpha))):
+        points.append((p, float(loop_slack(f, a, p, lam).min()), solver.TAU_GROWTH ** (r + 1)))
+    for p, t, tau in points:
+        du, dv, dec = eliminated_step(bar, p, t, tau)
+        want_du, want_dv, want_dec = dense_step(f, alpha, p, t, tau)
+        got, want = np.append(du, dv), np.append(want_du, want_dv)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), tau
+        assert dec == pytest.approx(want_dec, rel=1e-10, abs=0.0)
+
+
 @pytest.mark.parametrize(
     "f",
     [
@@ -362,17 +451,7 @@ def test_optimizers_reject_large_arity(rounds):
 def test_certificate_rejects_inverted_bracket():
     cert = certify(ID1, (1.0,))
     with pytest.raises(ValueError):
-        BoundCertificate(
-            function=cert.function,
-            alpha=cert.alpha,
-            lower_matrix=cert.lower_matrix,
-            lower_value=2.0,
-            upper_witness=cert.upper_witness,
-            upper_value=1.0,
-            options=cert.options,
-            steps=cert.steps,
-            stop=cert.stop,
-        )
+        dataclasses.replace(cert, lower_value=2.0, upper_value=1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -380,17 +459,7 @@ def test_certificate_rejects_non_finite_values(bad):
     cert = certify(ID1, (1.0,))
     for lower, upper in ((bad, 1.0), (1.0, bad)):
         with pytest.raises(ValueError, match="not finite"):
-            BoundCertificate(
-                function=cert.function,
-                alpha=cert.alpha,
-                lower_matrix=cert.lower_matrix,
-                lower_value=lower,
-                upper_witness=cert.upper_witness,
-                upper_value=upper,
-                options=cert.options,
-                steps=cert.steps,
-                stop=cert.stop,
-            )
+            dataclasses.replace(cert, lower_value=lower, upper_value=upper)
 
 
 def test_certificate_to_dict_shape():
@@ -414,12 +483,23 @@ def test_certificate_to_dict_shape():
 def test_certificate_reports_its_steps_and_why_it_stopped(rounds, f, alpha, opts, stop):
     cert = certify(f, alpha, opts)
     steps = rounds[-1][0] if rounds else 0
-    assert cert.to_dict()["search"] == {"steps": steps, "stop": stop}
+    lows, ups = scored(f, alpha, rounds)
+    # each side's round, counted from 1: its best, the earliest on ties
+    lower_round = lows.index(max(lows)) + 1 if rounds else 0
+    upper_round = ups.index(min(ups)) + 1 if rounds else 0
+    assert cert.to_dict()["search"] == {
+        "steps": steps,
+        "stop": stop,
+        "rounds": len(rounds),
+        "lower_round": lower_round,
+        "upper_round": upper_round,
+    }
     if stop == "end":
         assert len(rounds) == path_rounds(f) and not cert.tight
+        assert lower_round < len(rounds)  # the lower side peaked before the end
     elif rounds:
-        lows, ups = scored(f, alpha, rounds)
         assert len(rounds) == first_tight_round(lows, ups, opts.target_gap) + 1
+        assert len(rounds) in (lower_round, upper_round)  # the last round closed the gap
     assert certify(f, alpha, opts).to_dict()["search"] == cert.to_dict()["search"]  # deterministic
 
 

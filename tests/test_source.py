@@ -5,6 +5,7 @@ import importlib
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import advbound
@@ -96,41 +97,131 @@ def test_unread_private_name_scan_sees_them():
 
 def public_definitions(tree: ast.Module) -> set[str]:
     """Module-level functions and classes, and the methods of module-level
-    classes, whose names do not start with an underscore."""
+    classes as ``Class.method``, whose names do not start with an underscore."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         if isinstance(node, ast.ClassDef):
             names.update(
-                n.name for n in node.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+                f"{node.name}.{n.name}"
+                for n in node.body
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
             )
-    return {n for n in names if not n.startswith("_")}
+    return {n for n in names if not n.rsplit(".", 1)[-1].startswith("_")}
 
 
-def unread_public_names(sources: dict[str, str], readers: list[str], exported) -> list[str]:
-    """``module:name`` for each public definition that no module of
-    ``sources``, no source in ``readers`` and no name in ``exported`` reads."""
+#: Names of the public methods of the builtin containers and of arrays.
+BUILTIN_METHODS = {
+    name for kind in (str, list, tuple, dict, np.ndarray) for name in dir(kind)
+    if not name.startswith("_")
+}
+
+
+def dataclass_fields(tree: ast.Module) -> set[str]:
+    """The fields of every class the module decorates with ``dataclass``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+            "dataclass" in {n.id for n in ast.walk(d) if isinstance(n, ast.Name)}
+            for d in node.decorator_list
+        ):
+            names.update(
+                n.target.id
+                for n in node.body
+                if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)
+            )
+    return names
+
+
+def shadowed_methods(sources: dict[str, str], readers: list[str]) -> list[str]:
+    """``module:Class.method`` for each public method whose name is also a
+    dataclass field of ``sources`` or ``readers``, or a method of a builtin
+    container or an array: a read of that name may be a read of the other."""
     trees = {module: ast.parse(source) for module, source in sources.items()}
-    read = set(exported).union(
-        *map(read_names, trees.values()), *(read_names(ast.parse(r)) for r in readers)
+    shadows = BUILTIN_METHODS.union(
+        *map(dataclass_fields, trees.values()),
+        *(dataclass_fields(ast.parse(r)) for r in readers),
     )
     return sorted(
         f"{module}:{name}"
         for module, tree in trees.items()
         for name in public_definitions(tree)
-        if name not in read
+        if "." in name and name.rsplit(".", 1)[1] in shadows
     )
 
 
+def unread_public_names(
+    sources: dict[str, str], readers: list[str], exported, listed
+) -> list[str]:
+    """``module:name`` for each public definition that no module of
+    ``sources``, no source in ``readers`` and no name in ``exported`` reads.
+    A shadowed method counts as read only when it is in ``listed``."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set(exported).union(
+        *map(read_names, trees.values()), *(read_names(ast.parse(r)) for r in readers)
+    )
+    shadowed = set(shadowed_methods(sources, readers))
+    return sorted(
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in public_definitions(tree)
+        if (
+            f"{module}:{name}" not in listed
+            if f"{module}:{name}" in shadowed
+            else name.rsplit(".", 1)[-1] not in read
+        )
+    )
+
+
+def misnamed_readers(files: dict[str, str], listed: dict[str, str]) -> list[str]:
+    """The entries of ``listed`` whose reader, ``module:function`` or
+    ``module:Class.method`` in ``files``, does not read the method's name."""
+    bad = []
+    for method, reader in listed.items():
+        name = method.rsplit(".", 1)[1]
+        module, qualname = reader.split(":")
+        scope = [ast.parse(files.get(module, ""))]
+        for part in qualname.split("."):
+            scope = [
+                n
+                for node in scope
+                for n in node.body
+                if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                and n.name == part
+            ]
+        if not any(
+            isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and n.attr == name
+            for node in scope
+            for n in ast.walk(node)
+        ):
+            bad.append(method)
+    return bad
+
+
 PERFBENCH = SOURCE.parent.parent / "perfbench"
+
+#: The public methods whose name is shadowed (``shadowed_methods``), each with
+#: a function of the package or the benchmark that reads it.
+SHADOWED_READERS = {
+    "adversary.py:CostVector.block": "solver.py:verify_composition",
+    "solver.py:CompositionReport.ok": "cli.py:_cmd_verify_composition",
+}
 
 
 def test_no_unread_public_names():
     sources = {p.name: p.read_text() for p in SOURCE.glob("*.py")}
     readers = [p.read_text() for p in PERFBENCH.glob("*.py")]
     assert readers
-    assert unread_public_names(sources, readers, advbound.__all__) == []
+    assert unread_public_names(sources, readers, advbound.__all__, SHADOWED_READERS) == []
+
+
+def test_listed_shadowed_methods_are_shadowed_and_read_by_their_readers():
+    sources = {p.name: p.read_text() for p in SOURCE.glob("*.py")}
+    bench = {p.name: p.read_text() for p in PERFBENCH.glob("*.py")}
+    assert not sources.keys() & bench.keys()
+    assert set(SHADOWED_READERS) <= set(shadowed_methods(sources, list(bench.values())))
+    assert misnamed_readers(sources | bench, SHADOWED_READERS) == []
 
 
 def test_unread_public_name_scan_sees_them():
@@ -145,7 +236,29 @@ def test_unread_public_name_scan_sees_them():
         ),
         "b.py": "from .a import g\n",
     }
-    assert unread_public_names(sources, ["x.n()\n"], ["D"]) == ["a.py:C", "a.py:m"]
+    assert unread_public_names(sources, ["x.n()\n"], ["D"], {}) == ["a.py:C", "a.py:C.m"]
+
+
+def test_shadowed_method_counts_as_read_only_when_listed():
+    # R.index is a field, and count a list method: reads of r.index and
+    # xs.count do not show that C.index and C.count are read.
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\nclass R:\n    index: int\n"
+            "class C:\n    def index(self):\n        pass\n"
+            "    def count(self):\n        pass\n    def m(self):\n        pass\n"
+            "def f(r, xs):\n    return r.index, xs.count(1), C().m()\n"
+        ),
+    }
+    exported = ["R", "C", "f"]
+    assert shadowed_methods(sources, []) == ["a.py:C.count", "a.py:C.index"]
+    assert unread_public_names(sources, [], exported, {}) == ["a.py:C.count", "a.py:C.index"]
+    listed = {"a.py:C.index": "a.py:f"}
+    assert unread_public_names(sources, [], exported, listed) == ["a.py:C.count"]
+    assert misnamed_readers(sources, listed) == []
+    wrong = {"a.py:C.count": "a.py:C.m", "a.py:C.index": "a.py:gone"}
+    assert misnamed_readers(sources, wrong) == ["a.py:C.count", "a.py:C.index"]
 
 
 #: The package modules the benchmark reads from.
