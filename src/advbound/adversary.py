@@ -16,17 +16,20 @@ two sides meet, so matching certificate pairs pin the bound down.
 
 Both values live on the f^-1(0) x f^-1(1) block: a valid weight matrix is
 zero on every pair with equal outputs, and the dual maximizes over crossing
-pairs only.  ``adv_value`` takes its norms on that block.  A block
-without a zero entry (every solver round) is solved whole, and each masked
-norm on the two sub-blocks whose rows and columns differ at the bit.  A
-block with a zero entry (composed certificates are very sparse) is read
-once into its nonzero entries, and each masked norm is taken on the entries
-whose row and column differ at the bit, by ``specmat.edge_norm``, one
-connected component of their pattern at a time.  ``mm_value`` gets every
-pair's overlap sum from one matrix product on the block, and ``validate``
-reads the matrix once, in strips of ``VALIDATE_STRIP`` rows, and inspects
-only the two same-output blocks for the zero pattern.  Masks and classes
-come from ``BooleanFunction.bits``/``classes``.
+pairs only.  ``adv_value`` validates the matrix and takes its norms on
+that block, with ``adv_block_value``.  A block without a zero entry (every
+solver round) is stacked with its n masked copies, and all n + 1 norms come
+from one ``specmat.block_norms`` call.  A block with a zero entry (composed
+certificates are very sparse) is read once into its nonzero entries, and
+each masked norm is taken on the entries whose row and column differ at
+the bit, by ``specmat.edge_norm``, one connected component of their pattern
+at a time.  ``mm_value`` checks the costs and hands the witness rows to
+``mm_rows_value``, which gets every pair's overlap sum from one matrix
+product on the block.  The solver scores its rounds with the two array
+functions directly, and builds certificate objects only for the rounds it
+keeps.  ``validate`` reads the matrix once, in strips of ``VALIDATE_STRIP``
+rows, and inspects only the two same-output blocks for the zero pattern.
+Masks and classes come from ``BooleanFunction.bits``/``classes``.
 
 Composition lifts certificates from an outer function and per-block inner
 functions to the composed function: weight matrices multiply entrywise
@@ -63,6 +66,7 @@ from .specmat import (
     SpectralResult,
     SymMatrix,
     block_norm,
+    block_norms,
     edge_norm,
     matrix_from_dict,
     matrix_to_dict,
@@ -226,51 +230,60 @@ def zero_gamma(f: BooleanFunction) -> AdversaryMatrix:
 def adv_value(gamma: AdversaryMatrix, alpha) -> float:
     """min_i alpha_i ||G|| / ||G o D_i||; masked-out bits contribute +inf.
 
-    A valid G vanishes on pairs with equal outputs, so G = [[0, B], [B^T, 0]]
-    with B its f^-1(0) x f^-1(1) block, and ||G o D_i|| is the top singular
-    value of B masked to the pairs that differ at bit i.  With r and c bit i
-    of the rows and the columns of B, those pairs form the sub-blocks
-    B[~r, c] and B[r, ~c], which share no row and no column; the masked block
-    is their direct sum, so
-
-        ||G o D_i|| = max(sigma_max(B[~r, c]), sigma_max(B[r, ~c])).
-
-    A block without a zero entry is solved whole, and each masked norm on
-    these two sub-blocks; an empty sub-block (one of the two for each bit of
-    a monotone function) costs no solve.  A block with a zero entry is read
-    once into its nonzero entries, and each norm is taken by ``edge_norm``
-    on the entries it keeps: all of them for ||G||, and for bit i those
-    whose row and column differ at bit i, so that the two sub-blocks come
-    out as connected components of their own.  The all-zero matrix has value
-    0 (the only choice for constants).
+    The matrix is validated, and a valid G vanishes on pairs with equal
+    outputs, so G = [[0, B], [B^T, 0]] with B its f^-1(0) x f^-1(1) block;
+    the value is ``adv_block_value`` of B.  The all-zero matrix has value 0
+    (the only choice for constants).
     """
     f = gamma.function
     alpha = as_costs(alpha, f.arity)
     if require_valid(gamma).zero_matrix:
         return 0.0
     zeros, ones = f.classes
-    block = gamma.matrix.entries[np.ix_(zeros, ones)]
+    return adv_block_value(f, gamma.matrix.entries[np.ix_(zeros, ones)], alpha)[0]
+
+
+def adv_block_value(
+    f: BooleanFunction, block: np.ndarray, alpha: CostVector
+) -> tuple[float, float]:
+    """``adv_value`` of the valid, nonzero G whose f^-1(0) x f^-1(1) block is
+    ``block``, and the largest residual of the norms it took.  Neither the
+    block nor the costs are checked.
+
+    ||G|| is the top singular value of B, and ||G o D_i|| that of B o D_i,
+    B masked to the pairs that differ at bit i.  A block without a zero
+    entry (every solver round) is solved in one ``block_norms`` call on the
+    stack [B, B o D_1, ..., B o D_n], with the masks read from the input bits
+    of f; a masked block that is all zero costs no solve.  A block with a
+    zero entry (composed certificates are very sparse) is read once into
+    its nonzero entries, and each norm is taken by ``edge_norm`` on the
+    entries it keeps: all of them for ||G||, and for bit i those whose row
+    and column differ at bit i.
+    """
+    zeros, ones = f.classes
     row_bits, col_bits = f.bits[zeros], f.bits[ones]
     if block.all():
-        whole = block_norm(block)
-        norms = [
-            max(block_norm(block[np.ix_(~r, c)]).norm, block_norm(block[np.ix_(r, ~c)]).norm)
-            for r, c in zip(row_bits.T, col_bits.T)
-        ]
+        stack = np.empty((f.arity + 1,) + block.shape)
+        stack[0] = block
+        np.multiply(block, row_bits.T[:, :, None] != col_bits.T[:, None, :], out=stack[1:])
+        norms, _, residuals = block_norms(stack)
+        norms, residuals = norms.tolist(), residuals.tolist()
     else:
         rows, cols, values = nonzero_entries(block)
-        whole = edge_norm(rows, cols, values, block.shape)
         differ = row_bits[rows] != col_bits[cols]
-        norms = [edge_norm(rows[d], cols[d], values[d], block.shape).norm for d in differ.T]
-    if whole.norm == 0.0:
+        solved = [edge_norm(rows, cols, values, block.shape)]
+        solved += [edge_norm(rows[d], cols[d], values[d], block.shape) for d in differ.T]
+        norms, residuals = [s.norm for s in solved], [s.residual for s in solved]
+    whole = norms[0]
+    if whole == 0.0:
         # A nonzero matrix has a positive norm; 0 means the solve lost it.
-        raise EigensolverError("norm of a nonzero matrix evaluated to 0", whole.residual)
+        raise EigensolverError("norm of a nonzero matrix evaluated to 0", residuals[0])
     best = math.inf
-    for i, masked in enumerate(norms):
+    for cost, masked in zip(alpha.costs, norms[1:]):
         if masked == 0.0:
             continue
-        best = min(best, alpha.costs[i] * whole.norm / masked)
-    return best
+        best = min(best, cost * whole / masked)
+    return best, max(residuals)
 
 
 # --------------------------------------------------------------------------
@@ -355,6 +368,16 @@ def uniform_witness(f: BooleanFunction) -> MinimaxWitness:
 def mm_value(witness: MinimaxWitness, alpha) -> float:
     """Worst pair value of the witness; a pair with zero overlap gives +inf.
 
+    The costs are checked, and the value is ``mm_rows_value`` of the rows.
+    """
+    f = witness.function
+    return mm_rows_value(f, witness.p, as_costs(alpha, f.arity))
+
+
+def mm_rows_value(f: BooleanFunction, p: np.ndarray, alpha: CostVector) -> float:
+    """``mm_value`` of the witness whose rows, in domain order, are the
+    (rows, arity) array p; p is not checked.
+
     With Q = sqrt(P), B0/B1 the input bits of f^-1(0)/f^-1(1) and z/o their
     rows, every pair's overlap sum S[x, y] = sum_{i: x_i != y_i}
     Q[x, i] Q[y, i] / alpha_i comes from one product on the block:
@@ -364,12 +387,10 @@ def mm_value(witness: MinimaxWitness, alpha) -> float:
     The value is 1 / min S (+inf when some pair has no overlap).  A function
     without a crossing pair, such as a constant, has value 0.
     """
-    f = witness.function
-    alpha = as_costs(alpha, f.arity)
     zeros, ones = f.classes
     if zeros.size == 0 or ones.size == 0:
         return 0.0
-    q = np.sqrt(witness.p)
+    q = np.sqrt(p)
     qz, b0 = q[zeros] / alpha.as_array(), f.bits[zeros]
     qo, b1 = q[ones], f.bits[ones]
     left = np.hstack([qz * b0, qz * ~b0])

@@ -8,6 +8,7 @@ success or a passing check, 1 for a failing check, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -251,7 +252,13 @@ def _cmd_check_gamma(args, argv, started) -> int:
     return _emit(argv, inputs, results, started, human, 0 if report.ok else 1)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process on first use.
+
+    ``parse_args`` fills a fresh namespace on each call and writes nothing
+    back into the parser, so one parser serves every ``run``.
+    """
     p = argparse.ArgumentParser(
         prog="advbound",
         description="Certified adversary bounds for small Boolean functions.",

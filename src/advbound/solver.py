@@ -12,15 +12,21 @@ it centres
     tau log t + sum_xy log(S_xy - t) + sum_x,i log p_x(i)
 
 by Newton's method, with the row sums held at one as linear constraints.
+A round ends once the squared Newton decrement is at most ``CENTERED``, or
+right after a full step taken at a decrement of at most ``CONVERGING``,
+whose successor Newton's quadratic convergence puts below ``CENTERED``.
 At a centred point the pair multipliers lambda_xy = 1/(S_xy - t), with row
 and column sums Lambda, give the weight matrix of the other side:
 Gamma_xy = lambda_xy / sqrt(Lambda_x Lambda_y) on the block, the
 constructive side of Spalek-Szegedy duality.  After each round ``certify``
-scores Gamma with ``adv_value`` and the rows p with ``mm_value``, keeps the
-best of each, and stops at the first round whose best values are within
-the target gap; otherwise tau grows by ``TAU_GROWTH``.  The best round is
-kept, not the last, because the Gamma read off raw multipliers peaks and
-then degrades once the slacks of the active pairs near the rounding of S.
+scores Gamma's crossing block with ``adv_block_value`` (one stacked
+eigensolve for its norm and its n masked norms) and the normalised rows p
+with ``mm_rows_value``, keeps the best of each, and stops at the first
+round whose best values are within the target gap; otherwise tau grows by
+``TAU_GROWTH``.  The weight matrix and the witness are built once, for the
+kept rounds.  The best round is kept, not the last, because the Gamma read
+off raw multipliers peaks and then degrades once the slacks of the active
+pairs near the rounding of S.
 Any Gamma is a true lower bound and any p a true upper bound, so the
 bracket is valid whichever round supplies them.
 
@@ -38,11 +44,12 @@ the rows of the larger class are eliminated together, one (n + 1)-square
 system per row, and what remains is solved over the other class, t and its
 row sums (85 rows instead of 193 for a 5-bit table with classes of 18 and
 14, and n + 2 for and_n).  The costs are scaled by the power of two that
-brings the largest into [1/2, 1), which is exact, and the reported values
-are re-evaluated on the true costs.  ``SolverOptions`` holds the one setting
+brings the largest into [1/2, 1), which is exact, and the rounds are
+scored on the true costs.  ``SolverOptions`` holds the one setting
 a certificate reports, the target gap; a certificate also reports its
-Newton steps and rounds, the round that gave each side, and whether the
-gap or the end of the path stopped it.
+Newton steps and rounds, the round that gave each side, whether the gap or
+the end of the path stopped it, and the largest eigensolver residual of
+the norms that scored its weight matrix.
 
 The module also carries the exact two-bit gate certificates, the read-once
 formula recursion built on them, and report-producing checks for composed
@@ -60,11 +67,13 @@ from .adversary import (
     AdversaryMatrix,
     CostVector,
     MinimaxWitness,
+    adv_block_value,
     adv_value,
     as_costs,
     compose_gamma,
     compose_minimax,
     gamma_to_dict,
+    mm_rows_value,
     mm_value,
     uniform_witness,
     witness_to_dict,
@@ -108,6 +117,17 @@ TAU_GROWTH = 8.0
 CENTERED = 1e-9
 SHORTEST_STEP = 2.0**-10
 ROUND_STEPS = 50
+
+#: A round also ends after an accepted full Newton step whose squared
+#: decrement was at most ``CONVERGING``, and the solve that would only
+#: confirm the centring is skipped.  Newton's method converges quadratically
+#: there, so the next squared decrement would be about the square of this
+#: one (Boyd and Vandenberghe, Convex Optimization, section 9.5.3), a
+#: thousand times below ``CENTERED``.  The margin is for the last rounds,
+#: where rounding puts a floor of 1e-9 to 3e-8 under the decrement: at 1e-5
+#: such rounds took the skip where the confirming solve would have stepped
+#: on, and moved unit-cost brackets of 5-bit tables by up to 9e-7 relative.
+CONVERGING = 1e-6
 
 #: Costs below this fraction of the largest are raised to it on the path,
 #: which keeps every pair sum S_xy finite.  The certificates are scored on
@@ -294,6 +314,8 @@ def _path(f: BooleanFunction, alpha: CostVector):
                 break
             p, t, c, g = p1, t1, c1, g1
             steps += 1
+            if s == 1.0 and dec <= CONVERGING:
+                break
         lam = 1.0 / g
         yield steps, lam.T if bar.flip else lam, p[rank]
         if terms / tau <= 2.0**-52:
@@ -301,19 +323,29 @@ def _path(f: BooleanFunction, alpha: CostVector):
         tau *= TAU_GROWTH
 
 
+def _weights(lam: np.ndarray) -> np.ndarray:
+    """The crossing block lambda_xy / sqrt(Lambda_x Lambda_y) of the pair multipliers."""
+    return lam / np.sqrt(lam.sum(axis=1))[:, None] / np.sqrt(lam.sum(axis=0))[None, :]
+
+
 def _gamma_from(f: BooleanFunction, lam: np.ndarray) -> AdversaryMatrix:
-    """The weight matrix lambda_xy / sqrt(Lambda_x Lambda_y) of the pair multipliers."""
+    """The weight matrix whose crossing block is ``_weights(lam)``."""
     zeros, ones = f.classes
-    block = lam / np.sqrt(lam.sum(axis=1))[:, None] / np.sqrt(lam.sum(axis=0))[None, :]
+    block = _weights(lam)
     g = np.zeros((len(f.domain),) * 2)
     g[np.ix_(zeros, ones)] = block
     g[np.ix_(ones, zeros)] = block.T
     return AdversaryMatrix(f, SymMatrix(f.domain, g))
 
 
+def _distributions(p: np.ndarray) -> np.ndarray:
+    """The rows of p, each divided by its sum."""
+    return p / p.sum(axis=1, keepdims=True)
+
+
 def _witness_from(f: BooleanFunction, p: np.ndarray) -> MinimaxWitness:
     """The witness of the rows p, one row per input in domain order."""
-    return MinimaxWitness(f, p / p.sum(axis=1, keepdims=True))
+    return MinimaxWitness(f, _distributions(p))
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,7 +358,9 @@ class BoundCertificate:
     and witness were kept (all three are 0 when no pair needed a path).
     ``stop`` says why the path stopped: ``"gap"`` when the best values met
     the target gap (or no pair needed a path), ``"end"`` when the path ran
-    to its end without meeting it.
+    to its end without meeting it.  ``residual`` is the largest eigensolver
+    residual among the norms that gave ``lower_value`` (0 when none was
+    taken).
     """
 
     function: BooleanFunction
@@ -341,6 +375,7 @@ class BoundCertificate:
     rounds: int
     lower_round: int
     upper_round: int
+    residual: float
 
     def __post_init__(self):
         if not (math.isfinite(self.lower_value) and math.isfinite(self.upper_value)):
@@ -379,6 +414,7 @@ class BoundCertificate:
                 "rounds": self.rounds,
                 "lower_round": self.lower_round,
                 "upper_round": self.upper_round,
+                "residual": self.residual,
             },
         }
 
@@ -386,29 +422,34 @@ class BoundCertificate:
 def certify(f: BooleanFunction, alpha, opts: SolverOptions | None = None) -> BoundCertificate:
     """Follow the barrier path and package the best bracket it gives.
 
-    After every round the weight matrix and the witness of that round are
-    scored with ``adv_value`` and ``mm_value``; each side keeps its best
-    (the earliest on ties), and the path stops at the first round where the
-    best upper value is within the target gap of the best lower value:
-    anything tighter costs time without improving the guarantee.
+    After every round its weight matrix and witness are scored from arrays:
+    the crossing block ``_weights(lambda)`` with ``adv_block_value`` (one
+    stacked eigensolve) and the rows ``_distributions(p)`` with
+    ``mm_rows_value``.  Each side keeps its best round (the earliest on
+    ties), and the path stops at the first round where the best upper value
+    is within the target gap of the best lower value: anything tighter
+    costs time without improving the guarantee.  The certificate objects
+    are built once, for the kept rounds; ``adv_value`` and ``mm_value`` run
+    the same code on the same arrays, so they reproduce the scores exactly.
     """
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, f.arity)
     _check_arity(f)
     _check_costs(alpha)
-    steps, stop, rounds, lower_round, upper_round = 0, "gap", 0, 0, 0
+    steps, stop, rounds, lower_round, upper_round, residual = 0, "gap", 0, 0, 0, 0.0
     if not f.is_constant:
         lower, upper, stop = -math.inf, math.inf, "end"
         for rounds, (steps, lam, p) in enumerate(_path(f, alpha), 1):
-            round_gamma, round_witness = _gamma_from(f, lam), _witness_from(f, p)
-            low, up = adv_value(round_gamma, alpha), mm_value(round_witness, alpha)
+            low, res = adv_block_value(f, _weights(lam), alpha)
+            up = mm_rows_value(f, _distributions(p), alpha)
             if low > lower:
-                lower, gamma, lower_round = low, round_gamma, rounds
+                lower, lower_lam, lower_round, residual = low, lam, rounds, res
             if up < upper:
-                upper, witness, upper_round = up, round_witness, rounds
+                upper, upper_p, upper_round = up, p, rounds
             if upper - lower <= opts.target_gap:
                 stop = "gap"
                 break
+        gamma, witness = _gamma_from(f, lower_lam), _witness_from(f, upper_p)
     else:
         gamma, witness, lower, upper = zero_gamma(f), uniform_witness(f), 0.0, 0.0
     return BoundCertificate(
@@ -424,6 +465,7 @@ def certify(f: BooleanFunction, alpha, opts: SolverOptions | None = None) -> Bou
         rounds=rounds,
         lower_round=lower_round,
         upper_round=upper_round,
+        residual=residual,
     )
 
 

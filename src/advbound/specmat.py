@@ -15,23 +15,26 @@ array without a copy and checks its shape and labels only; its caller
 checks finiteness as it builds.  Outside input always goes through
 ``SymMatrix(...)``.
 
-``block_norm`` takes the top singular triple of a rectangular block B from
-one eigensolve on the Gram matrix of its smaller side, and checks it as the
-top eigenpair of the bipartite matrix G = [[0, B], [B^T, 0]] under the
-residual contract.  A block with a zero entry is taken apart instead: its
+``block_norms`` is the one dense solver.  It takes the top singular triple
+of every block of a (k, rows, cols) stack from one batched eigensolve on
+the Gram matrices of their smaller side, and checks each as the top
+eigenpair of its bipartite matrix G = [[0, B], [B^T, 0]] under the
+residual contract.  ``block_norm`` solves a block without a zero entry as a
+stack of one.  A block with a zero entry is taken apart instead: its
 nonzero entries form a bipartite graph between rows and columns, G is the
-direct sum of that graph's connected components, and ``edge_norm`` solves
-each component of more than one entry on its own small dense block (a
-single entry needs no solve) and keeps the largest.  Rows and columns
-without an entry belong to no component, so a sparse block costs solves the
-size of its components.  Each dense solve runs on its block scaled by a
-power of two that brings the largest entry into [1/2, 1), so the Gram
-matrix neither underflows nor overflows, and the scaling is exact.
-Adversary matrices are exactly of this form (zero on every pair with equal
-outputs), so ADV evaluation needs no solve on the full matrix, and no mask:
-the adversary layer reads its masks from the input bits of its functions,
-and hands a masked sparse block to ``edge_norm`` as the subset of its
-nonzero entries that the mask keeps.
+direct sum of that graph's connected components, and ``edge_norm`` gathers
+each component of more than one entry into a small dense block (a single
+entry needs no solve), solves the blocks of each shape as one stack, and
+keeps the largest.  Rows and columns without an entry belong to no
+component, so a sparse block costs solves the size of its components.
+Each block is solved scaled by a power of two that brings its largest
+entry into [1/2, 1), so the Gram matrix neither underflows nor overflows,
+and the scaling is exact.  Adversary matrices are exactly of this form
+(zero on every pair with equal outputs), so ADV evaluation needs no solve
+on the full matrix: the adversary layer reads its masks from the input
+bits of its functions, stacks a dense block with its masked copies for one
+``block_norms`` call, and hands a masked sparse block to ``edge_norm`` as
+the subset of its nonzero entries that the mask keeps.
 """
 
 from __future__ import annotations
@@ -140,20 +143,20 @@ def _oriented(v: np.ndarray) -> np.ndarray:
     return -v if v[j] < 0 else v
 
 
-def _checked(av: np.ndarray, lam: float, v: np.ndarray, e: int = 0) -> SpectralResult:
-    """Accept (lam, v) given the product ``av`` of the operator with v.
-
-    ``av`` and ``lam`` may belong to the operator scaled by 2**-e; the
-    residual is then taken at that scale, and both are scaled back by 2**e.
-    """
-    residual = math.ldexp(float(np.linalg.norm(av - lam * v)), e)
-    lam = math.ldexp(lam, e)  # OverflowError if |lambda| is not a float
+def _check_residual(residual: float, lam: float) -> None:
+    """Raise unless ||A v - lam v|| = residual meets the contract."""
     # NaN compares False with everything, so a NaN residual must be named.
     if not math.isfinite(residual) or residual > RESIDUAL_TOL * max(1.0, abs(lam)):
         raise EigensolverError(
             f"eigensolver residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} * max(1, |lambda|)",
             residual,
         )
+
+
+def _checked(av: np.ndarray, lam: float, v: np.ndarray) -> SpectralResult:
+    """Accept (lam, v) given the product ``av`` of the operator with v."""
+    residual = float(np.linalg.norm(av - lam * v))
+    _check_residual(residual, lam)
     return SpectralResult(abs(float(lam)), _oriented(v), residual)
 
 
@@ -189,28 +192,19 @@ def block_norm(b: np.ndarray) -> SpectralResult:
 
     The pair is that of the symmetric operator G = [[0, B], [B^T, 0]]:
     ``norm`` is sigma_max(B) = ||G|| and ``vector`` is (x, y)/sqrt(2) for the
-    top singular pair (x, y).  The eigensolve runs on the Gram matrix of the
-    smaller side (B B^T, or B^T B for a tall block), and the other singular
-    vector is rebuilt as B^T x (or B y) and normalized.  The residual
-    contract is checked on G, with G v computed blockwise as (B y, B^T x).
-    An all-zero block has norm 0 and no solve.
-
-    A block with a zero entry is solved by ``edge_norm`` from its nonzero
-    entries, one connected component of their bipartite pattern at a time:
-    all-zero rows and columns cost nothing, and a block whose support is a
-    matching costs no eigensolve.  A block without a zero entry is solved
-    whole.
-
-    Each solve and its residual run on the solved block (B, or a component)
-    scaled by 2**-e, with e the binary exponent of its largest entry, so
-    that neither the Gram matrix nor the residual underflows or overflows;
-    sigma and the residual are scaled back by 2**e.  Scaling by a power of
-    two is exact, so ``block_norm(B * 2**k)`` has the bits of
-    ``block_norm(B)`` scaled by 2**k.
+    top singular pair (x, y).  A block without a zero entry is solved whole,
+    as the one block of a ``block_norms`` stack.  A block with a zero entry
+    is solved by ``edge_norm`` from its nonzero entries, one connected
+    component of their bipartite pattern at a time: all-zero rows and
+    columns cost nothing, and a block whose support is a matching costs no
+    eigensolve.  An all-zero block has norm 0 and no solve.  Both routes
+    scale each solved block by a power of two, which is exact, so
+    ``block_norm(B * 2**k)`` has the bits of ``block_norm(B)`` scaled by 2**k.
     """
     b = np.asarray(b, dtype=float)
     if b.size and b.all():  # a dense block, the common case
-        return _dense_norm(b)
+        norms, vectors, residuals = block_norms(b[None])
+        return SpectralResult(float(norms[0]), _oriented(vectors[0]), float(residuals[0]))
     return edge_norm(*nonzero_entries(b), b.shape)
 
 
@@ -224,19 +218,58 @@ def nonzero_entries(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, cols, b.ravel()[flat]
 
 
-def _dense_norm(b: np.ndarray) -> SpectralResult:
-    """``block_norm`` of a nonempty block, by one eigensolve on the whole of it."""
-    _, e = math.frexp(max(float(b.max()), -float(b.min())))
-    b = np.ldexp(b, -e)
-    tall = b.shape[0] > b.shape[1]
-    w, vecs = np.linalg.eigh(b.T @ b if tall else b @ b.T)
-    small = vecs[:, -1]
-    other = (b if tall else b.T) @ small
-    other /= np.linalg.norm(other)
+def block_norms(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The top singular triple of each block of a (k, rows, cols) stack, as
+    ``(norms, vectors, residuals)`` with one entry or row per block.
+
+    For a block B, the norm is sigma_max(B) = ||G|| for the symmetric
+    operator G = [[0, B], [B^T, 0]], the vector is G's unit eigenvector
+    (x, y)/sqrt(2) for the top singular pair (x, y), with the sign the
+    eigensolver gives it, and the residual is ||G v - sigma v||.
+
+    Each block is scaled by 2**-e, with e the binary exponent of its largest
+    entry, so that its Gram matrix neither underflows nor overflows; the
+    scaling is exact, and sigma and the residual are scaled back by 2**e.
+    One batched eigensolve runs on the Gram matrices of the smaller side
+    (B B^T, or B^T B for tall blocks), and the other singular vector is
+    rebuilt as B^T x (or B y) over sigma.  The residual contract is
+    checked on each G, with G v computed blockwise as (B y, B^T x); if some
+    block fails it, the error carries the residual of the first that does.
+    An all-zero block has norm 0, a zero vector and residual 0, and is not
+    solved.  A norm past the float range raises ``OverflowError``.  The
+    results depend only on the values of the stack, not on its layout.
+    """
+    # One memory layout, so that equal stacks give equal bits.
+    b = np.ascontiguousarray(blocks, dtype=float)
+    k, r, c = b.shape
+    top = np.abs(b).max(axis=(1, 2)) if b.size else np.zeros(k)
+    if not top.all():  # a NaN block is solved, and fails the contract
+        live = np.flatnonzero(top)
+        norms, vectors, residuals = np.zeros(k), np.zeros((k, r + c)), np.zeros(k)
+        if live.size:
+            norms[live], vectors[live], residuals[live] = block_norms(b[live])
+        return norms, vectors, residuals
+    e = np.frexp(top)[1]
+    s = np.ldexp(b, (-e).reshape(k, 1, 1))
+    st = s.transpose(0, 2, 1)
+    tall = r > c
+    w, vecs = np.linalg.eigh(st @ s if tall else s @ st)
+    sigma = np.sqrt(w[:, -1])
+    small = vecs[:, :, -1:]  # (k, side, 1) columns from here on
+    # ||B^T x||^2 = x' B B^T x is the top eigenvalue, so this is a unit vector
+    # to rounding, which the residual below accounts for.
+    other = (s if tall else st) @ small / sigma[:, None, None]
     x, y = (other, small) if tall else (small, other)
-    v = np.concatenate([x, y]) / math.sqrt(2.0)
-    gv = np.concatenate([b @ y, b.T @ x]) / math.sqrt(2.0)
-    return _checked(gv, math.sqrt(float(w[-1])), v, e)
+    u = np.concatenate([x, y], axis=1)  # v = u / sqrt(2)
+    d = np.concatenate([s @ y, st @ x], axis=1) - sigma[:, None, None] * u
+    res = np.sqrt(d.transpose(0, 2, 1) @ d)[:, 0, 0] / math.sqrt(2.0)
+    # Scaled back one by one: math.ldexp raises OverflowError past the float range.
+    e = e.tolist()
+    norms = [math.ldexp(n, j) for n, j in zip(sigma.tolist(), e)]
+    residuals = [math.ldexp(n, j) for n, j in zip(res.tolist(), e)]
+    for residual, norm in zip(residuals, norms):
+        _check_residual(residual, norm)
+    return np.array(norms), u[:, :, 0] / math.sqrt(2.0), np.array(residuals)
 
 
 def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -273,8 +306,9 @@ def edge_norm(
     component norm.  A component of one entry has the norm |entry| and the
     vector (1, sign(entry))/sqrt(2) on its row and column, with residual 0,
     and costs no solve.  Each larger component is gathered, rows and columns
-    in ascending order, into a small dense block solved as ``block_norm``
-    solves a dense block, under the residual contract.  The result is the
+    in ascending order, into a small dense block, and the blocks of one
+    shape are solved as one ``block_norms`` stack, under the residual
+    contract.  The result is the
     component of the largest norm, the first in order of least row on a
     tie, with zeros elsewhere in ``vector``; the components share no row and
     no column, so its residual is that of the whole operator.  Rows and
@@ -303,18 +337,25 @@ def edge_norm(
     sigma = np.empty(count)
     single = edges == 1
     sigma[single] = np.abs(values[eorder[estart[:-1][single]]])
-    solved = {}
+    # Components of one shape are solved together, as one stack.
+    stacks = {}
     for k in np.flatnonzero(~single).tolist():
         e = eorder[estart[k] : estart[k + 1]]
         block = np.zeros((rows_in[k], vstart[k + 1] - vstart[k] - rows_in[k]))
         block[rank[u[e]], rank[v[e]] - rows_in[k]] = values[e]
-        solved[k] = _dense_norm(block)
-        sigma[k] = solved[k].norm
+        stacks.setdefault(block.shape, []).append((k, block))
+    solved = {}
+    for group in stacks.values():
+        ks, blocks = zip(*group)
+        norms, vectors, residuals = block_norms(np.array(blocks))
+        sigma[list(ks)] = norms
+        solved.update(zip(ks, zip(vectors, residuals.tolist())))
     k = int(np.argmax(sigma))
     vector = np.zeros(size)
     if k in solved:
-        vector[verts[vorder[vstart[k] : vstart[k + 1]]]] = solved[k].vector
-        return SpectralResult(solved[k].norm, vector, solved[k].residual)
+        solved_vector, residual = solved[k]
+        vector[verts[vorder[vstart[k] : vstart[k + 1]]]] = _oriented(solved_vector)
+        return SpectralResult(float(sigma[k]), vector, residual)
     e = eorder[estart[k]]
     vector[verts[[u[e], v[e]]]] = np.array([1.0, math.copysign(1.0, values[e])]) / math.sqrt(2.0)
     return SpectralResult(float(sigma[k]), vector, 0.0)

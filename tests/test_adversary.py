@@ -16,6 +16,7 @@ from advbound.adversary import (
     CostVector,
     EigvecParts,
     MinimaxWitness,
+    adv_block_value,
     adv_value,
     as_costs,
     compose_eigenvector,
@@ -50,6 +51,7 @@ from advbound.specmat import (
     SpectralResult,
     SymMatrix,
     _is_symmetric,
+    block_norms,
     principal_eigenvector,
     spectral_norm,
 )
@@ -303,18 +305,39 @@ def test_adv_value_is_scale_free(scale):
     assert adv_value(g, (1.0, 1.0)) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
+def test_adv_block_value_reports_the_largest_residual_of_its_norms():
+    # The residual is the largest over ||G|| and every ||G o D_i||, also
+    # when a masked norm's residual is larger than the whole norm's.
+    f = make_family("parity", 3)
+    zeros, ones = f.classes
+    masks = f.bits[zeros].T[:, :, None] != f.bits[ones].T[:, None, :]
+    rng = np.random.default_rng(5)
+    masked_largest = 0
+    for _ in range(40):
+        block = rng.uniform(0.1, 1.0, (4, 4))
+        residuals = block_norms(np.concatenate([block[None], block * masks]))[2]
+        assert adv_block_value(f, block, CostVector.ones(3))[1] == residuals.max()
+        masked_largest += int(residuals.argmax() > 0)
+    assert masked_largest > 0
+
+
 def test_adv_value_rejects_a_zero_norm_of_a_nonzero_matrix(monkeypatch):
-    # The uniform AND2 block has no zero entry and is solved whole by
-    # block_norm; the gadget's block has one and is solved by edge_norm.
+    # The uniform AND2 block has no zero entry and is solved whole, with its
+    # masks, in one block_norms stack; the gadget's block has one and is
+    # solved by edge_norm.
     def lost(*args):
         return SpectralResult(0.0, np.zeros(0), 0.0)
 
-    for solver, gamma in [
-        ("block_norm", uniform_gamma(AND2)),
-        ("edge_norm", gadget(AND2, 1.0, 1.0)),
+    def lost_stack(blocks):
+        k, r, c = np.shape(blocks)
+        return np.zeros(k), np.zeros((k, r + c)), np.zeros(k)
+
+    for solver, gamma, patched in [
+        ("block_norms", uniform_gamma(AND2), lost_stack),
+        ("edge_norm", gadget(AND2, 1.0, 1.0), lost),
     ]:
         with monkeypatch.context() as patch:
-            patch.setattr(adversary, solver, lost)
+            patch.setattr(adversary, solver, patched)
             with pytest.raises(EigensolverError, match="norm of a nonzero matrix evaluated to 0"):
                 adv_value(gamma, (1.0, 1.0))
 

@@ -218,6 +218,21 @@ def test_verify_composition_passes(capsys):
     assert "PASS" in err
 
 
+def test_consecutive_runs_share_the_parser_and_leak_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    _, loose, _ = invoke(capsys, ["bound", "--family", "or", "--n", "2", "--gap", "0.5"])
+    _, plain, _ = invoke(capsys, ["bound", "--family", "or", "--n", "2"])
+    assert loose["results"]["certificate"]["solver"] == {"target_gap": 0.5}
+    assert plain["results"]["certificate"]["solver"] == {"target_gap": 1e-3}
+    argv = ["verify-composition", "--outer", "family:and:2"]
+    argv += ["--inner", "family:or:2", "--inner", "family:or:2"]
+    for _ in range(2):
+        code, report, _ = invoke(capsys, argv)
+        assert code == 0
+        assert len(report["inputs"]["inner"]) == 2
+        assert len(report["results"]["inner"]) == 2
+
+
 def test_verify_iteration_passes(capsys):
     code, report, _ = invoke(
         capsys,

@@ -1,5 +1,6 @@
 """The barrier path, exact gate certificates, and the verification reports."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -34,7 +35,7 @@ from advbound.solver import (
     verify_composition,
     verify_iteration,
 )
-from advbound.specmat import spectral_norm
+from advbound.specmat import RESIDUAL_TOL, block_norms, spectral_norm
 from conftest import difference_mask, hadamard, witness_rows
 
 AND2 = make_family("and", 2)
@@ -416,6 +417,34 @@ def test_eliminated_step_matches_the_dense_kkt_solve(f, alpha):
         assert dec == pytest.approx(want_dec, rel=1e-10, abs=0.0)
 
 
+@pytest.mark.parametrize("f", [OR2, RANDOM5], ids=["or2", "random5"])
+def test_certify_solves_once_per_round_and_builds_only_the_kept_certificates(
+    rounds, monkeypatch, f
+):
+    # Each round is scored from arrays with one stacked eigensolve; the
+    # weight matrix and the witness are built once, from the kept rounds.
+    real_gamma_from, real_witness_from = solver._gamma_from, solver._witness_from
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(solver, "_gamma_from", counted("_gamma_from", real_gamma_from))
+    monkeypatch.setattr(solver, "_witness_from", counted("_witness_from", real_witness_from))
+    cert = certify(f, (1.0,) * f.arity)
+    assert cert.rounds == len(rounds) > 1
+    assert calls == {"eigh": len(rounds), "_gamma_from": 1, "_witness_from": 1}
+    kept_gamma = real_gamma_from(f, rounds[cert.lower_round - 1][1])
+    kept_witness = real_witness_from(f, rounds[cert.upper_round - 1][2])
+    assert np.array_equal(cert.lower_matrix.matrix.entries, kept_gamma.matrix.entries)
+    assert np.array_equal(cert.upper_witness.p, kept_witness.p)
+
+
 @pytest.mark.parametrize(
     "f",
     [
@@ -487,13 +516,24 @@ def test_certificate_reports_its_steps_and_why_it_stopped(rounds, f, alpha, opts
     # each side's round, counted from 1: its best, the earliest on ties
     lower_round = lows.index(max(lows)) + 1 if rounds else 0
     upper_round = ups.index(min(ups)) + 1 if rounds else 0
+    # the largest residual of the norms that scored the kept weight matrix:
+    # its crossing block B and each B o D_i, solved as one stack
+    residual = 0.0
+    if rounds:
+        block = solver._weights(rounds[lower_round - 1][1])
+        zeros, ones = f.classes
+        masks = f.bits[zeros].T[:, :, None] != f.bits[ones].T[:, None, :]
+        residual = max(block_norms(np.concatenate([block[None], block * masks]))[2])
     assert cert.to_dict()["search"] == {
         "steps": steps,
         "stop": stop,
         "rounds": len(rounds),
         "lower_round": lower_round,
         "upper_round": upper_round,
+        "residual": residual,
     }
+    # lambda_xy / sqrt(Lambda_x Lambda_y) has norm 1, and its masks at most 1
+    assert 0.0 <= residual <= RESIDUAL_TOL
     if stop == "end":
         assert len(rounds) == path_rounds(f) and not cert.tight
         assert lower_round < len(rounds)  # the lower side peaked before the end

@@ -14,6 +14,7 @@ from advbound.specmat import (
     _checked,
     _is_symmetric,
     block_norm,
+    block_norms,
     matrix_from_dict,
     matrix_to_dict,
     principal_eigenvector,
@@ -407,6 +408,71 @@ def test_block_norm_is_exact_under_power_of_two_scaling(k):
         plain, scaled = block_norm(b), block_norm(np.ldexp(b, k))
         assert scaled.norm == math.ldexp(plain.norm, k)
         assert scaled.vector.tobytes() == plain.vector.tobytes()
+
+
+def spread_stack(rng, shape, count=6):
+    """``count`` random blocks of ``shape`` with signs and spread scales; block
+    1 is all zero, and row 0 of block 3 is."""
+    scales = np.ldexp(1.0, rng.integers(-8, 8, (count, 1, 1)))
+    stack = rng.uniform(-1.0, 1.0, (count,) + shape) * scales
+    stack[1] = 0.0
+    stack[3, 0] = 0.0
+    return stack
+
+
+@pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5)], ids=["tall", "wide", "square"])
+def test_block_norms_match_per_block_svd(shape):
+    rng = np.random.default_rng(sum(shape))
+    stack = spread_stack(rng, shape)
+    norms, vectors, residuals = block_norms(stack)
+    r, c = shape
+    for b, norm, v, residual in zip(stack, norms, vectors, residuals):
+        u, sv, vt = np.linalg.svd(b)
+        if not b.any():
+            assert norm == 0.0 and residual == 0.0 and not v.any()
+            continue
+        assert norm == pytest.approx(sv[0], rel=1e-12)
+        # v is (x, y)/sqrt(2) for the top singular pair, up to one sign
+        sign = math.copysign(1.0, float(v[:r] @ u[:, 0]))
+        assert np.allclose(v, sign * np.concatenate([u[:, 0], vt[0]]) / math.sqrt(2.0), atol=1e-12)
+        g = np.block([[np.zeros((r, r)), b], [b.T, np.zeros((c, c))]])
+        # the residual is G's, to rounding, and meets the contract
+        assert residual == pytest.approx(np.linalg.norm(g @ v - norm * v), abs=1e-14 * norm)
+        assert residual <= RESIDUAL_TOL * max(1.0, norm)
+
+
+@pytest.mark.parametrize("k", [-500, 500])
+def test_block_norms_scale_exactly(k):
+    stack = spread_stack(np.random.default_rng(41), (4, 6))
+    plain, scaled = block_norms(stack), block_norms(np.ldexp(stack, k))
+    assert np.array_equal(scaled[0], np.ldexp(plain[0], k))
+    assert scaled[1].tobytes() == plain[1].tobytes()
+    assert np.array_equal(scaled[2], np.ldexp(plain[2], k))
+    assert np.isfinite(scaled[0]).all() and np.count_nonzero(scaled[0]) == len(stack) - 1
+
+
+def test_block_norms_error_carries_the_first_failing_residual(monkeypatch):
+    stack = spread_stack(np.random.default_rng(42), (3, 5))
+    stack[[0, 1]] = stack[[1, 0]]  # the zero block first: residual 0 meets any tolerance
+    residuals = block_norms(stack)[2]
+    # order the others by falling residual, so the first to fail is the largest
+    # of them, and then by rising residual, so it is the smallest
+    for order in (np.argsort(-residuals[1:]), np.argsort(residuals[1:])):
+        ordered = np.concatenate([stack[:1], stack[1:][order]])
+        want = block_norms(ordered)[2]
+        assert want[0] == 0.0 and (want[1:] > 0.0).all()
+        with monkeypatch.context() as patch:
+            patch.setattr(specmat, "RESIDUAL_TOL", 0.0)
+            with pytest.raises(EigensolverError, match="eigensolver residual") as err:
+                block_norms(ordered)
+        assert err.value.residual == want[1]
+
+
+def test_block_norms_of_an_empty_stack_and_of_empty_blocks():
+    for shape in [(0, 2, 3), (2, 0, 3), (2, 3, 0)]:
+        norms, vectors, residuals = block_norms(np.zeros(shape))
+        assert norms.shape == residuals.shape == (shape[0],) and not norms.any()
+        assert vectors.shape == (shape[0], shape[1] + shape[2])
 
 
 def test_checked_rejects_a_nan_residual():
