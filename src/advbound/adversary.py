@@ -17,19 +17,21 @@ two sides meet, so matching certificate pairs pin the bound down.
 Both values live on the f^-1(0) x f^-1(1) block: a valid weight matrix is
 zero on every pair with equal outputs, and the dual maximizes over crossing
 pairs only.  ``adv_value`` validates the matrix and takes its norms on
-that block, with ``adv_block_value``.  A block without a zero entry (every
-solver round) is stacked with its n masked copies, and all n + 1 norms come
-from one ``specmat.block_norms`` call.  A block with a zero entry (composed
-certificates are very sparse) is read once into its nonzero entries, and
-each masked norm is taken on the entries whose row and column differ at
-the bit, by ``specmat.edge_norm``, one connected component of their pattern
-at a time.  ``mm_value`` checks the costs and hands the witness rows to
-``mm_rows_value``, which gets every pair's overlap sum from one matrix
-product on the block.  The solver scores its rounds with the two array
-functions directly, and builds certificate objects only for the rounds it
-keeps.  ``validate`` reads the matrix once, in strips of ``VALIDATE_STRIP``
-rows, and inspects only the two same-output blocks for the zero pattern.
-Masks and classes come from ``BooleanFunction.bits``/``classes``.
+that block, with ``adv_block_value``.  Every norm of a crossing block comes
+from ``_crossing_norms``, the one place that picks the solver: a block
+without a zero entry (every solver round) is stacked with its masked
+copies, and all its norms come from one ``specmat.block_norms`` call; a
+block with a zero entry (composed certificates are very sparse) is read
+once into its nonzero entries, and each masked norm is taken on the
+entries whose row and column differ at the bit, by ``specmat.edge_norm``,
+one connected component of their pattern at a time.  ``mm_value`` checks
+the costs and hands the witness rows to ``mm_rows_value``, which gets
+every pair's overlap sum from one matrix product on the block.  The
+solver scores its rounds with the two array functions directly, and builds
+certificate objects only for the rounds it keeps.  ``validate`` reads the
+matrix once, in strips of ``VALIDATE_STRIP`` rows, and inspects only the
+two same-output blocks for the zero pattern.  Masks and classes come from
+``BooleanFunction.bits``/``classes``.
 
 Composition lifts certificates from an outer function and per-block inner
 functions to the composed function: weight matrices multiply entrywise
@@ -41,8 +43,9 @@ composed matrix, as Cartesian products of the nonzero entries of the inner
 factors, at most ``COMPOSE_PIECE`` at a time, and writes them into a zeroed
 output; the result is exactly symmetric by construction, so it becomes a
 ``SymMatrix`` without a copy or a symmetry check.  The composed quantities
-obey exact product laws, which the checks in this module verify
-numerically, with every norm on a crossing block.
+obey exact product laws, which ``masked_compose_check`` verifies
+numerically, with every norm from ``_crossing_norms`` on the crossing block
+of an unmasked matrix.
 
 ``MinimaxWitness`` holds its rows as one read-only (rows, arity) array in
 domain order.  It checks them all at once with array operations, and walks
@@ -65,7 +68,6 @@ from .specmat import (
     EigensolverError,
     SpectralResult,
     SymMatrix,
-    block_norm,
     block_norms,
     edge_norm,
     matrix_from_dict,
@@ -239,41 +241,49 @@ def adv_value(gamma: AdversaryMatrix, alpha) -> float:
     alpha = as_costs(alpha, f.arity)
     if require_valid(gamma).zero_matrix:
         return 0.0
+    return adv_block_value(f, _crossing_block(gamma), alpha)[0]
+
+
+def _crossing_block(gamma: AdversaryMatrix) -> np.ndarray:
+    """The f^-1(0) x f^-1(1) block of G, gathered."""
+    zeros, ones = gamma.function.classes
+    return gamma.matrix.entries[np.ix_(zeros, ones)]
+
+
+def _crossing_norms(f: BooleanFunction, block: np.ndarray, bits) -> tuple[list, list]:
+    """||B|| and then ||B o D_i|| for each 0-based bit i that ``bits`` picks
+    (a slice or a list), and their residuals, for the f^-1(0) x f^-1(1)
+    block B of a G that vanishes on pairs with equal outputs; B o D_i is B
+    masked to the pairs that differ at bit i, read from the bits of f.
+
+    A block without a zero entry (every solver round) is solved in one
+    ``block_norms`` call on the stack [B, B o D_i, ...].  A block with a zero
+    entry (composed certificates are very sparse) is read once into its
+    nonzero entries, and each norm is one ``edge_norm`` call on the entries
+    it keeps.
+    """
     zeros, ones = f.classes
-    return adv_block_value(f, gamma.matrix.entries[np.ix_(zeros, ones)], alpha)[0]
+    row_bits, col_bits = f.bits[zeros][:, bits], f.bits[ones][:, bits]
+    if block.all():
+        stack = np.empty((row_bits.shape[1] + 1,) + block.shape)
+        stack[0] = block
+        np.multiply(block, row_bits.T[:, :, None] != col_bits.T[:, None, :], out=stack[1:])
+        norms, _, residuals = block_norms(stack)
+        return norms.tolist(), residuals.tolist()
+    rows, cols, values = nonzero_entries(block)
+    differ = row_bits[rows] != col_bits[cols]
+    solved = [edge_norm(rows, cols, values, block.shape)]
+    solved += [edge_norm(rows[d], cols[d], values[d], block.shape) for d in differ.T]
+    return [s.norm for s in solved], [s.residual for s in solved]
 
 
 def adv_block_value(
     f: BooleanFunction, block: np.ndarray, alpha: CostVector
 ) -> tuple[float, float]:
     """``adv_value`` of the valid, nonzero G whose f^-1(0) x f^-1(1) block is
-    ``block``, and the largest residual of the norms it took.  Neither the
-    block nor the costs are checked.
-
-    ||G|| is the top singular value of B, and ||G o D_i|| that of B o D_i,
-    B masked to the pairs that differ at bit i.  A block without a zero
-    entry (every solver round) is solved in one ``block_norms`` call on the
-    stack [B, B o D_1, ..., B o D_n], with the masks read from the input bits
-    of f; a masked block that is all zero costs no solve.  A block with a
-    zero entry (composed certificates are very sparse) is read once into
-    its nonzero entries, and each norm is taken by ``edge_norm`` on the
-    entries it keeps: all of them for ||G||, and for bit i those whose row
-    and column differ at bit i.
-    """
-    zeros, ones = f.classes
-    row_bits, col_bits = f.bits[zeros], f.bits[ones]
-    if block.all():
-        stack = np.empty((f.arity + 1,) + block.shape)
-        stack[0] = block
-        np.multiply(block, row_bits.T[:, :, None] != col_bits.T[:, None, :], out=stack[1:])
-        norms, _, residuals = block_norms(stack)
-        norms, residuals = norms.tolist(), residuals.tolist()
-    else:
-        rows, cols, values = nonzero_entries(block)
-        differ = row_bits[rows] != col_bits[cols]
-        solved = [edge_norm(rows, cols, values, block.shape)]
-        solved += [edge_norm(rows[d], cols[d], values[d], block.shape) for d in differ.T]
-        norms, residuals = [s.norm for s in solved], [s.residual for s in solved]
+    ``block``, from the ``_crossing_norms`` of every bit, and the largest of
+    their residuals.  Neither the block nor the costs are checked."""
+    norms, residuals = _crossing_norms(f, block, slice(None))
     whole = norms[0]
     if whole == 0.0:
         # A nonzero matrix has a positive norm; 0 means the solve lost it.
@@ -518,6 +528,7 @@ def compose_gamma(
     sizes = [len(g.domain) for g in spec.inner]
     entries = []
     for i, (gam, g) in enumerate(zip(gammas_g, spec.inner)):
+        # A dense eigh of these small inner matrices beat edge_norm's numpy overhead.
         factor = gam.matrix.entries + spectral_norm(gam.matrix).norm * np.eye(gam.matrix.dim)
         entries.append(_class_entries(factor, g, math.prod(sizes[i + 1 :])))
     # lookup[the row-major grid index of a tuple of inner rows] is its
@@ -627,10 +638,9 @@ def _masked(gamma: AdversaryMatrix, i: int) -> AdversaryMatrix:
     return AdversaryMatrix(gamma.function, SymMatrix(m.labels, m.entries * (bit[:, None] != bit)))
 
 
-def _norm(gamma: AdversaryMatrix) -> float:
-    """||G|| of a valid G: the top singular value of its f^-1(0) x f^-1(1) block."""
-    zeros, ones = gamma.function.classes
-    return block_norm(gamma.matrix.entries[np.ix_(zeros, ones)]).norm
+def _gamma_norms(gamma: AdversaryMatrix, bits: list) -> list:
+    """||G||, then ||G o D_i|| for each 0-based bit i of ``bits``, for a valid G."""
+    return _crossing_norms(gamma.function, _crossing_block(gamma), bits)[0]
 
 
 def masked_compose_check(
@@ -641,33 +651,34 @@ def masked_compose_check(
 ) -> MaskedCompositionReport:
     """Verify the masked factorization of the composed matrix at position ell,
     which is position q of block p: G_h o D_ell against the composition of
-    G_f o D_p with G_{g_p} o D_q.  Every norm is taken on a crossing block."""
+    G_f o D_p with G_{g_p} o D_q.  Every norm is taken on a crossing block
+    of an unmasked matrix, by ``_crossing_norms``."""
     p, q = spec.block_of(ell)
     gamma_h = compose_gamma(gamma_f, gammas_g, spec)
-    lhs = _masked(gamma_h, ell)
-    masked_f = _masked(gamma_f, p)
-    masked_p = _masked(gammas_g[p - 1], q)
+    bit = gamma_h.function.bits[:, ell - 1]
+    lhs = gamma_h.matrix.entries * (bit[:, None] != bit)
     masked_gammas = list(gammas_g)
-    masked_gammas[p - 1] = masked_p
-    rhs = compose_gamma(masked_f, masked_gammas, spec).matrix.entries
+    masked_gammas[p - 1] = _masked(gammas_g[p - 1], q)
+    rhs = compose_gamma(_masked(gamma_f, p), masked_gammas, spec).matrix.entries
 
     if rhs.size:
-        scale = max(float(np.abs(lhs.matrix.entries).max()), float(np.abs(rhs).max()))
-        diff = float(np.abs(lhs.matrix.entries - rhs).max())
+        scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
+        diff = float(np.abs(lhs - rhs).max())
     else:
         scale = diff = 0.0
     entrywise_ok = diff <= COMPOSE_TOL * scale if scale > 0 else True
 
-    norm_f, norm_p = _norm(masked_f), _norm(masked_p)
-    norm_lhs = _norm(lhs)
+    whole_h, norm_lhs = _gamma_norms(gamma_h, [ell - 1])
+    whole_f, norm_f = _gamma_norms(gamma_f, [p - 1])
+    whole_p, norm_p = _gamma_norms(gammas_g[p - 1], [q - 1])
     norm_rhs = norm_f * norm_p
     for i, gam in enumerate(gammas_g):
         if i != p - 1:
-            norm_rhs *= _norm(gam)
+            norm_rhs *= _gamma_norms(gam, [])[0]
     norm_ok = _rel_close(norm_lhs, norm_rhs, COMPOSE_TOL)
 
-    ratio_lhs = _ratio(_norm(gamma_h), norm_lhs)
-    ratio_rhs = _ratio(_norm(gamma_f), norm_f) * _ratio(_norm(gammas_g[p - 1]), norm_p)
+    ratio_lhs = _ratio(whole_h, norm_lhs)
+    ratio_rhs = _ratio(whole_f, norm_f) * _ratio(whole_p, norm_p)
     ratio_ok = _rel_close(ratio_lhs, ratio_rhs, COMPOSE_TOL)
 
     return MaskedCompositionReport(

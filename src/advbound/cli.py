@@ -61,26 +61,30 @@ def load_function(source: str) -> BooleanFunction:
     if kind == "formula":
         return formula_to_function(parse_formula(rest))
     if kind == "table":
-        return _load_table(rest)
+        return function_from_dict(_read_json(rest))
     raise ValueError(f"unknown function spec {source!r}; use family:, formula:, or table:")
 
 
-def _load_table(path: str) -> BooleanFunction:
+def _read_json(path: str):
+    """The JSON value in the file at ``path``.  Nesting too deep for the
+    parser is bad input like any other: a ``ValueError``, not a crash."""
     with open(path) as fh:
-        return function_from_dict(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply to read") from None
 
 
 def _function_from_args(args) -> BooleanFunction:
     sources = [s for s in ("family", "formula", "table") if getattr(args, s, None)]
     if len(sources) != 1:
         raise ValueError("give exactly one of --family, --formula, --table")
-    if sources[0] == "family":
+    kind = sources[0]
+    if kind == "family":
         if args.n is None:
             raise ValueError("--family needs --n")
         return make_family(args.family, args.n)
-    if sources[0] == "formula":
-        return formula_to_function(parse_formula(args.formula))
-    return _load_table(args.table)
+    return load_function(f"{kind}:{getattr(args, kind)}")
 
 
 def _alpha_from_args(args, n: int) -> CostVector:
@@ -234,8 +238,7 @@ def _cmd_verify_iteration(args, argv, started) -> int:
 
 
 def _cmd_check_gamma(args, argv, started) -> int:
-    with open(args.matrix) as fh:
-        data = json.load(fh)
+    data = _read_json(args.matrix)
     function = None
     if args.family or args.formula or args.table:
         function = _function_from_args(args)

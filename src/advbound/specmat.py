@@ -19,22 +19,23 @@ checks finiteness as it builds.  Outside input always goes through
 of every block of a (k, rows, cols) stack from one batched eigensolve on
 the Gram matrices of their smaller side, and checks each as the top
 eigenpair of its bipartite matrix G = [[0, B], [B^T, 0]] under the
-residual contract.  ``block_norm`` solves a block without a zero entry as a
-stack of one.  A block with a zero entry is taken apart instead: its
-nonzero entries form a bipartite graph between rows and columns, G is the
-direct sum of that graph's connected components, and ``edge_norm`` gathers
-each component of more than one entry into a small dense block (a single
-entry needs no solve), solves the blocks of each shape as one stack, and
-keeps the largest.  Rows and columns without an entry belong to no
-component, so a sparse block costs solves the size of its components.
-Each block is solved scaled by a power of two that brings its largest
-entry into [1/2, 1), so the Gram matrix neither underflows nor overflows,
-and the scaling is exact.  Adversary matrices are exactly of this form
-(zero on every pair with equal outputs), so ADV evaluation needs no solve
-on the full matrix: the adversary layer reads its masks from the input
-bits of its functions, stacks a dense block with its masked copies for one
-``block_norms`` call, and hands a masked sparse block to ``edge_norm`` as
-the subset of its nonzero entries that the mask keeps.
+residual contract.  ``edge_norm`` takes the same triple for a block given
+by its nonzero entries (``nonzero_entries`` reads them): they form a
+bipartite graph between rows and columns, G is the direct sum of that
+graph's connected components, and ``edge_norm`` gathers each component of
+more than one entry into a small dense block (a single entry needs no
+solve), solves the blocks of each shape as one stack, and keeps the
+largest.  Rows and columns without an entry belong to no component, so a
+sparse block costs solves the size of its components.  Each block is
+solved scaled by a power of two that brings its largest entry into
+[1/2, 1), so the Gram matrix neither underflows nor overflows, and the
+scaling is exact.  Adversary matrices are exactly of this form (zero on
+every pair with equal outputs), so ADV evaluation needs no solve on the
+full matrix.  Which of the two solvers a crossing block gets is decided
+in one place, ``adversary._crossing_norms``: a dense block is stacked with
+its masked copies for one ``block_norms`` call, and a block with a zero
+entry goes to ``edge_norm`` once per mask, as the subset of its nonzero
+entries that the mask keeps.
 """
 
 from __future__ import annotations
@@ -187,27 +188,6 @@ def principal_eigenvector(a: SymMatrix) -> SpectralResult:
     return _checked(a.entries @ v, float(w[-1]), v)
 
 
-def block_norm(b: np.ndarray) -> SpectralResult:
-    """Largest singular value of a rectangular block B, as an eigenpair.
-
-    The pair is that of the symmetric operator G = [[0, B], [B^T, 0]]:
-    ``norm`` is sigma_max(B) = ||G|| and ``vector`` is (x, y)/sqrt(2) for the
-    top singular pair (x, y).  A block without a zero entry is solved whole,
-    as the one block of a ``block_norms`` stack.  A block with a zero entry
-    is solved by ``edge_norm`` from its nonzero entries, one connected
-    component of their bipartite pattern at a time: all-zero rows and
-    columns cost nothing, and a block whose support is a matching costs no
-    eigensolve.  An all-zero block has norm 0 and no solve.  Both routes
-    scale each solved block by a power of two, which is exact, so
-    ``block_norm(B * 2**k)`` has the bits of ``block_norm(B)`` scaled by 2**k.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.size and b.all():  # a dense block, the common case
-        norms, vectors, residuals = block_norms(b[None])
-        return SpectralResult(float(norms[0]), _oriented(vectors[0]), float(residuals[0]))
-    return edge_norm(*nonzero_entries(b), b.shape)
-
-
 def nonzero_entries(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, columns, values) of the nonzero entries of a 2-D array, in
     row-major order."""
@@ -298,22 +278,26 @@ def _component_labels(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
 def edge_norm(
     rows: np.ndarray, cols: np.ndarray, values: np.ndarray, shape: tuple[int, int]
 ) -> SpectralResult:
-    """``block_norm`` of the block of ``shape`` whose nonzero entries are
-    ``values`` at (``rows``, ``cols``), all other entries zero.
+    """Largest singular value of the block of ``shape`` whose nonzero
+    entries are ``values`` at (``rows``, ``cols``), all other entries zero,
+    as an eigenpair.
 
-    The nonzero pattern is a bipartite graph between rows and columns, and
-    G is the direct sum of its connected components, so ||G|| is the largest
-    component norm.  A component of one entry has the norm |entry| and the
-    vector (1, sign(entry))/sqrt(2) on its row and column, with residual 0,
-    and costs no solve.  Each larger component is gathered, rows and columns
-    in ascending order, into a small dense block, and the blocks of one
-    shape are solved as one ``block_norms`` stack, under the residual
-    contract.  The result is the
-    component of the largest norm, the first in order of least row on a
-    tie, with zeros elsewhere in ``vector``; the components share no row and
-    no column, so its residual is that of the whole operator.  Rows and
-    columns without an entry are in no component, and an empty edge list
-    gives norm 0.
+    The pair is that of the symmetric operator G = [[0, B], [B^T, 0]]:
+    ``norm`` is sigma_max(B) = ||G|| and ``vector`` is (x, y)/sqrt(2) for the
+    top singular pair (x, y).  The nonzero pattern is a bipartite graph
+    between rows and columns, and G is the direct sum of its connected
+    components, so ||G|| is the largest component norm.  A component of one
+    entry has the norm |entry| and the vector (1, sign(entry))/sqrt(2) on
+    its row and column, with residual 0, and costs no solve.  Each larger
+    component is gathered, rows and columns in ascending order, into a small
+    dense block, and the blocks of one shape are solved as one
+    ``block_norms`` stack, under the residual contract; its exact power-of-two
+    scaling means that scaling B by 2**k scales the norm by 2**k and leaves
+    the vector's bits as they are.  The result is the component of the
+    largest norm, the first in order of least row on a tie, with zeros
+    elsewhere in ``vector``; the components share no row and no column, so
+    its residual is that of the whole operator.  Rows and columns without
+    an entry are in no component, and an empty edge list gives norm 0.
     """
     size = shape[0] + shape[1]
     if rows.size == 0:

@@ -321,6 +321,23 @@ def test_adv_block_value_reports_the_largest_residual_of_its_norms():
     assert masked_largest > 0
 
 
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
+def test_crossing_norms_of_some_bits_are_those_of_all_bits(dense):
+    # A dense block goes through block_norms and a sparse one through
+    # edge_norm; either way asking for fewer bits leaves each norm as it is.
+    f = make_family("parity", 3)
+    block = np.random.default_rng(8).uniform(0.1, 1.0, (4, 4))
+    if not dense:
+        block[0, 1] = block[2, 3] = 0.0
+    norms, residuals = adversary._crossing_norms(f, block, slice(None))
+    assert len(norms) == len(residuals) == 4
+    for bits in ([], [1], [2, 0]):
+        some, some_residuals = adversary._crossing_norms(f, block, bits)
+        picked = [0] + [i + 1 for i in bits]
+        assert some == pytest.approx([norms[k] for k in picked], rel=1e-12, abs=0.0)
+        assert len(some_residuals) == len(some)
+
+
 def test_adv_value_rejects_a_zero_norm_of_a_nonzero_matrix(monkeypatch):
     # The uniform AND2 block has no zero entry and is solved whole, with its
     # masks, in one block_norms stack; the gadget's block has one and is

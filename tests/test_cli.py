@@ -512,6 +512,27 @@ def test_deep_formula_is_usage_error(capsys, argv, formula):
 @pytest.mark.parametrize(
     "argv",
     [
+        lambda path: ["bound", "--table", path],
+        lambda path: ["verify-composition", "--outer", f"table:{path}", "--inner", "family:or:2"],
+        lambda path: ["check-gamma", "--matrix", path],
+    ],
+    ids=["bound", "verify-composition", "check-gamma"],
+)
+def test_deeply_nested_json_is_usage_error(capsys, tmp_path, argv):
+    # json.load raised RecursionError, which ended the run with a traceback
+    # and exit 1, the code of a failing check.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000)
+    code = run(argv(str(path)))
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error:") and "nests too deeply" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["bound", "--family", "or", "--n", "64"],
         ["compose", "--outer", "family:or:64", "--inner", "family:id:1"],
         ["verify-composition", "--outer", "family:id:1", "--inner", "family:and:64"],

@@ -324,6 +324,34 @@ def test_exported_names_exist():
     assert [name for name in advbound.__all__ if not hasattr(advbound, name)] == []
 
 
+
+def callers_of_all(source: str, names: set[str]) -> list[str]:
+    """The functions, at any depth, whose bodies read every name of ``names``."""
+    return sorted(
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and names <= {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+    )
+
+
+def test_one_function_chooses_between_the_norm_solvers():
+    # block_norms for dense crossing blocks, edge_norm for sparse ones.
+    choosers = {
+        path.name: callers_of_all(path.read_text(), {"block_norms", "edge_norm"})
+        for path in MODULES
+    }
+    assert {m: c for m, c in choosers.items() if c} == {"adversary.py": ["_crossing_norms"]}
+
+
+def test_caller_scan_sees_them():
+    source = (
+        "def f():\n    return a(b)\n"
+        "def g():\n    def h():\n        return a, b\n    return h\n"
+        "def k():\n    return a\n"
+    )
+    assert callers_of_all(source, {"a", "b"}) == ["f", "g", "h"]
+
 #: Randomness in the package: the solve must be deterministic, with no seed
 #: to report.
 RANDOM = re.compile(r"\bnp\.random\b|\bdefault_rng\b")

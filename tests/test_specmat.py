@@ -13,10 +13,11 @@ from advbound.specmat import (
     SymMatrix,
     _checked,
     _is_symmetric,
-    block_norm,
     block_norms,
+    edge_norm,
     matrix_from_dict,
     matrix_to_dict,
+    nonzero_entries,
     principal_eigenvector,
     spectral_norm,
 )
@@ -229,13 +230,18 @@ def bipartite(b):
     return SymMatrix(tuple(f"{i:0{width}b}" for i in range(r + c)), full)
 
 
+def edge_norm_of(b):
+    """``edge_norm`` of the block b, from its nonzero entries."""
+    return edge_norm(*nonzero_entries(b), b.shape)
+
+
 @pytest.mark.parametrize("shape", [(7, 3), (3, 7), (5, 5), (1, 6), (6, 1)])
 def test_block_norm_matches_assembled_operator(shape):
     rng = np.random.default_rng(sum(shape) * 10 + shape[0])
     b = rng.uniform(0.0, 1.0, shape) * (rng.random(shape) < 0.6)
     b[0, 0] = 1.0  # never the zero block
     full = bipartite(b)
-    res = block_norm(b)
+    res = edge_norm_of(b)
     assert res.norm == pytest.approx(spectral_norm(full).norm, rel=1e-12)
     assert res.norm == pytest.approx(np.linalg.svd(b, compute_uv=False)[0], rel=1e-12)
     assert res.vector.shape == (sum(shape),)
@@ -253,7 +259,7 @@ def test_block_norm_matches_assembled_operator(shape):
 
 @pytest.mark.parametrize("shape", [(4, 2), (2, 4), (0, 3), (3, 0)])
 def test_block_norm_zero_block(shape):
-    res = block_norm(np.zeros(shape))
+    res = edge_norm_of(np.zeros(shape))
     assert res.norm == 0.0 and res.residual == 0.0
     assert res.vector.shape == (sum(shape),)
     if all(shape):
@@ -272,7 +278,7 @@ def test_block_norm_drops_all_zero_rows_and_columns(shape):
         cols[0] = False
     b[~rows] = 0.0
     b[:, ~cols] = 0.0
-    got, trimmed = block_norm(b), block_norm(b[np.ix_(rows, cols)])
+    got, trimmed = edge_norm_of(b), edge_norm_of(b[np.ix_(rows, cols)])
     assert got.norm == trimmed.norm
     assert got.residual == trimmed.residual
     assert got.vector.shape == (sum(shape),)
@@ -289,7 +295,7 @@ def test_block_norm_of_a_matching_is_its_largest_entry(size):
     rows = rng.choice(size + 3, size, replace=False)
     cols = rng.choice(size + 7, size, replace=False)
     b[rows, cols] = rng.uniform(0.1, 10.0, size) * rng.choice([-1.0, 1.0], size)
-    got = block_norm(b)
+    got = edge_norm_of(b)
     assert got.norm == np.abs(b).max()
     assert np.count_nonzero(got.vector) == 2
 
@@ -347,7 +353,7 @@ def test_block_norm_of_disjoint_components(name, seed):
     if name == "dense_and_sparse":
         pieces[0] = rng.uniform(0.1, 1.0, pieces[0].shape)  # no zero entry
     b, spots = scatter(rng, pieces)
-    got = block_norm(b)
+    got = edge_norm_of(b)
     sigma = np.linalg.svd(b, compute_uv=False)[0]
     assert got.norm == pytest.approx(sigma, rel=1e-12)
     assert got.norm == pytest.approx(spectral_norm(bipartite(b)).norm, rel=1e-12)
@@ -378,8 +384,8 @@ def test_block_norm_tie_takes_the_component_of_the_least_row(shape):
     piece = component_block(rng, shape)
     # Gathered in order, the three copies give the same bits.
     b, spots = scatter(rng, [piece * 0.5, piece, piece, -piece], ordered=True)
-    got = block_norm(b)
-    assert got.norm == block_norm(piece).norm
+    got = edge_norm_of(b)
+    assert got.norm == edge_norm_of(piece).norm
     tied = [k for k in (1, 2, 3) if spots[k][0].min() == min(spots[j][0].min() for j in (1, 2, 3))]
     rows, cols = spots[tied[0]]
     assert set(np.flatnonzero(got.vector)) <= set(rows.tolist()) | set((cols + b.shape[0]).tolist())
@@ -389,13 +395,13 @@ def test_block_norm_contract_enforced(monkeypatch):
     monkeypatch.setattr(specmat, "RESIDUAL_TOL", 0.0)
     b = np.random.default_rng(4).uniform(0.0, 1.0, (6, 4))
     with pytest.raises(EigensolverError) as err:
-        block_norm(b)
+        edge_norm_of(b)
     assert err.value.residual > 0.0
 
 
 def test_block_norm_of_tiny_block_is_finite():
     # The Gram entry 2e-340 underflowed to 0, so sigma and the vector were lost.
-    got = block_norm(np.array([[1e-170, 1e-170]]))
+    got = edge_norm_of(np.array([[1e-170, 1e-170]]))
     assert got.norm == pytest.approx(math.sqrt(2.0) * 1e-170, rel=1e-12)
     assert np.all(np.isfinite(got.vector)) and math.isfinite(got.residual)
 
@@ -405,7 +411,7 @@ def test_block_norm_is_exact_under_power_of_two_scaling(k):
     rng = np.random.default_rng(40 + k)
     for shape in [(3, 5), (6, 2), (4, 4)]:
         b = rng.uniform(0.0, 1.0, shape)
-        plain, scaled = block_norm(b), block_norm(np.ldexp(b, k))
+        plain, scaled = edge_norm_of(b), edge_norm_of(np.ldexp(b, k))
         assert scaled.norm == math.ldexp(plain.norm, k)
         assert scaled.vector.tobytes() == plain.vector.tobytes()
 
