@@ -26,7 +26,8 @@ once into its nonzero entries, and each masked norm is taken on the
 entries whose row and column differ at the bit, by ``specmat.edge_norm``,
 one connected component of their pattern at a time.  ``mm_value`` checks
 the costs and hands the witness rows to ``mm_rows_value``, which gets
-every pair's overlap sum from one matrix product on the block.  The
+every pair's overlap sum from a matrix product on the block, formed
+``MM_BLOCK`` entries at a time.  The
 solver scores its rounds with the two array functions directly, and builds
 certificate objects only for the rounds it keeps.  ``validate`` reads the
 matrix once, in strips of ``VALIDATE_STRIP`` rows, and inspects only the
@@ -42,10 +43,12 @@ once per spec.  ``compose_gamma`` computes only the nonzero entries of the
 composed matrix, as Cartesian products of the nonzero entries of the inner
 factors, at most ``COMPOSE_PIECE`` at a time, and writes them into a zeroed
 output; the result is exactly symmetric by construction, so it becomes a
-``SymMatrix`` without a copy or a symmetry check.  The composed quantities
-obey exact product laws, which ``masked_compose_check`` verifies
-numerically, with every norm from ``_crossing_norms`` on the crossing block
-of an unmasked matrix.
+``SymMatrix`` without a copy or a symmetry check.  The output stays a dense
+N x N array, but its entries are counted first: a sparse one sits on the
+shared zero page, and only the pages that get an entry become resident.
+The composed quantities obey exact product laws, which
+``masked_compose_check`` verifies numerically, with every norm from
+``_crossing_norms`` on the crossing block of an unmasked matrix.
 
 ``MinimaxWitness`` holds its rows as one read-only (rows, arity) array in
 domain order.  It checks them all at once with array operations, and walks
@@ -96,6 +99,20 @@ VALIDATE_STRIP = 16
 #: while the traced peak grew with the piece: 0.42 MB at 2**12, 0.67 MB at
 #: 2**13, 1.05 MB at 2**14 and 3.3 MB at 2**16.
 COMPOSE_PIECE = 1 << 13
+
+#: Float64 entries per 4 KB page: ``_mapped_zeros`` keeps a matrix with at most
+#: one written entry per this many on 4 KB pages of the shared zero page.
+PAGE_ENTRIES = 512
+
+#: The madvise(2) advice that maps a range read-only (Linux 5.14 and later):
+#: ``mmap``'s name for it where it has one, else its Linux value.
+MADV_POPULATE_READ = getattr(mmap, "MADV_POPULATE_READ", 22)
+
+#: Entries of the pair overlap matrix that ``mm_rows_value`` forms per block of
+#: rows, so that the 2048 x 2048 product of a 4096-row witness (32 MB) is never
+#: formed whole.  On a tree12 witness, 2**17 and 2**18 were the fastest of
+#: 2**12 to 2**23 (4.7-5.4 ms, against 7.5-9.7 ms for the whole product).
+MM_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -180,12 +197,13 @@ def validate(gamma: AdversaryMatrix) -> ValidationReport:
     """
     f = gamma.function
     a = gamma.matrix.entries
-    indicator = np.zeros((len(f.domain), 2))
+    # Column order: each class column is one contiguous run for the product.
+    indicator = np.zeros((len(f.domain), 2), order="F")
     for b, idx in enumerate(f.classes):
         indicator[idx, b] = 1.0
     # One read of G: each strip's minimum and (row, class) sums are taken
     # while the strip is in cache.
-    sums = np.empty_like(indicator)
+    sums = np.empty((len(f.domain), 2))
     least = math.inf
     for start in range(0, len(f.domain), VALIDATE_STRIP):
         strip = a[start : start + VALIDATE_STRIP]
@@ -394,8 +412,9 @@ def mm_rows_value(f: BooleanFunction, p: np.ndarray, alpha: CostVector) -> float
 
         S = [Q_z o B0 / alpha, Q_z o (1 - B0) / alpha] . [Q_o o (1 - B1), Q_o o B1]^T
 
-    The value is 1 / min S (+inf when some pair has no overlap).  A function
-    without a crossing pair, such as a constant, has value 0.
+    The value is 1 / min S (+inf when some pair has no overlap), taken over
+    blocks of rows of the left factor, ``MM_BLOCK`` entries of S at a time.
+    A function without a crossing pair, such as a constant, has value 0.
     """
     zeros, ones = f.classes
     if zeros.size == 0 or ones.size == 0:
@@ -405,8 +424,15 @@ def mm_rows_value(f: BooleanFunction, p: np.ndarray, alpha: CostVector) -> float
     qo, b1 = q[ones], f.bits[ones]
     left = np.hstack([qz * b0, qz * ~b0])
     right = np.hstack([qo * ~b1, qo * b1])
-    least = float((left @ right.T).min())
+    least = _least_product(left, right)
     return math.inf if least == 0.0 else 1.0 / least
+
+
+def _least_product(left: np.ndarray, right: np.ndarray) -> float:
+    """min (left @ right.T), formed ``MM_BLOCK`` entries at a time, in blocks
+    of rows of ``left``."""
+    step = max(1, MM_BLOCK // len(right))
+    return min(float((left[i : i + step] @ right.T).min()) for i in range(0, len(left), step))
 
 
 # --------------------------------------------------------------------------
@@ -427,21 +453,46 @@ def _check_blocks(spec: CompositionSpec, inner: Sequence, noun: str, nouns: str,
             raise ValueError(f"inner {noun} order must match the composition blocks")
 
 
-def _mapped_zeros(n: int) -> np.ndarray:
-    """An n x n float array of zeros in a private anonymous memory map.
+def _mapped_zeros(n: int, entries: int) -> np.ndarray:
+    """An n x n float array of zeros in a private anonymous memory map, into
+    which the caller writes ``entries`` nonzero entries.
 
     The composed matrix outlives the temporaries around it.  Taken from the
     malloc heap, it can fill a hole that later temporaries then cannot use,
     and the heap grows instead: over repeated 1024- to 4096-row compositions
     the resting RSS rose by about 20 MB.  A mapping of its own goes back to
-    the system when the array dies.  Huge pages are asked for as numpy asks
-    for them on its own large arrays; without them, first touch of a
-    4096-row matrix took about 2.5 times as long.
+    the system when the array dies.
+
+    How the pages become resident depends on how many of them get written.
+    A sparse matrix, at most one entry per 4 KB page on average
+    (``PAGE_ENTRIES * entries <= n * n``), is mapped read-only up front with
+    ``MADV_POPULATE_READ``: every page then reads as the kernel's shared zero
+    page, and only a page that gets an entry is allocated.  A composed
+    4096-row tree certificate writes 7-9k entries into about 5k pages, so it
+    keeps about 20 MB of its 128 MB resident, and every read of the rest
+    hits one cached page.  A denser matrix, or a kernel without that advice
+    (before Linux 5.14), gets huge pages, as numpy asks for them on its own
+    large arrays; on 4 KB pages, first touch of a dense 4096-row composition
+    took about twice as long.
     """
     buf = mmap.mmap(-1, max(8 * n * n, 1), access=mmap.ACCESS_COPY)
-    if hasattr(mmap, "MADV_HUGEPAGE"):  # Linux only; elsewhere it is a hint we cannot give
-        buf.madvise(mmap.MADV_HUGEPAGE)
+    if hasattr(mmap, "MADV_HUGEPAGE"):  # Linux only; elsewhere no advice is given
+        if PAGE_ENTRIES * entries > n * n or not _populate_zero_pages(buf):
+            buf.madvise(mmap.MADV_HUGEPAGE)
     return np.frombuffer(buf, dtype=float, count=n * n).reshape(n, n)
+
+
+def _populate_zero_pages(buf: mmap.mmap) -> bool:
+    """Map every page of ``buf`` as the shared zero page, on 4 KB pages;
+    False if the kernel refuses."""
+    try:
+        # Under a system-wide "always" huge-page setting, a write to the huge
+        # zero page would allocate a whole huge page.
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+        buf.madvise(MADV_POPULATE_READ)
+    except OSError:
+        return False
+    return True
 
 
 def _class_entries(factor: np.ndarray, g: BooleanFunction, stride: int) -> list:
@@ -508,7 +559,10 @@ def compose_gamma(
     are those whose inner rows lie in the output classes a_1, ..., a_k, so
     for each nonzero outer entry G_f[a, b] the product runs over the nonzero
     entries of each F_i with row in class a_i and column in class b_i: a
-    Cartesian product, expanded ``COMPOSE_PIECE`` entries at a time.  Each
+    Cartesian product, expanded ``COMPOSE_PIECE`` entries at a time.  The
+    products are counted before the output is made (the sum, over the
+    nonzero outer entries, of the product of their part sizes), and
+    ``_mapped_zeros`` picks the output's pages by that count.  Each
     entry multiplies the outer value, then F_1, F_2, ..., in block order, as
     a whole-matrix product would; each piece is checked finite and then
     written into a zeroed output.  Entries (x, y) and (y, x) multiply the
@@ -536,13 +590,17 @@ def compose_gamma(
     n = rows.outer_row.size
     lookup = np.zeros(math.prod(sizes), dtype=np.int64)
     lookup[np.ravel_multi_index(rows.inner_row, sizes)] = np.arange(n)
-    out = _mapped_zeros(n)
-    flat_out = out.reshape(-1)
     outer = gamma_f.matrix.entries
     outer_bits = spec.outer.bits.tolist()
+    products = []
     for a, b in zip(*np.nonzero(outer)):
         parts = [e[s][t] for e, s, t in zip(entries, outer_bits[a], outer_bits[b])]
-        for r, c, vals in _expand(outer[a, b], parts):
+        products.append((outer[a, b], parts))
+    count = sum(math.prod(vals.size for _, _, vals in parts) for _, parts in products)
+    out = _mapped_zeros(n, count)
+    flat_out = out.reshape(-1)
+    for value, parts in products:
+        for r, c, vals in _expand(value, parts):
             if not np.isfinite(vals).all():  # finite factors can still overflow
                 raise ValueError("entries must be finite")
             flat_out[lookup[r] * n + lookup[c]] = vals

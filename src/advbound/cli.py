@@ -88,7 +88,7 @@ def _function_from_args(args) -> BooleanFunction:
 
 
 def _alpha_from_args(args, n: int) -> CostVector:
-    if getattr(args, "alpha", None):
+    if args.alpha:
         costs = tuple(float(s) for s in args.alpha.split(","))
         if len(costs) != n:
             raise ValueError(f"--alpha has {len(costs)} entries but the function reads {n} bits")
@@ -129,8 +129,11 @@ def _add_function_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--table", help="path to a truth-table JSON file")
 
 
-def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
+def _add_alpha_flag(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--alpha", help="comma-separated per-bit costs (default all ones)")
+
+
+def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     # Accepted and ignored, for callers that still pass it (perfbench/workloads.py):
     # the barrier path has no restarts.
     sp.add_argument("--restarts", type=int, help=argparse.SUPPRESS)
@@ -274,6 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bound", help="certify a two-sided adversary bracket")
     _add_function_flags(sp)
+    _add_alpha_flag(sp)
     _add_solver_flags(sp)
     sp.set_defaults(handler=_cmd_bound)
 
@@ -284,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("readonce", help="gate recursion for a read-once formula")
     sp.add_argument("formula")
-    sp.add_argument("--alpha", help="comma-separated per-bit costs (default all ones)")
+    _add_alpha_flag(sp)
     sp.set_defaults(handler=_cmd_readonce)
 
     sp = sub.add_parser("compose", help="build the composed function")
@@ -295,6 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-composition", help="compare composed vs reduced brackets")
     sp.add_argument("--outer", required=True, help="function spec (family:/formula:/table:)")
     sp.add_argument("--inner", required=True, action="append", help="repeat per block")
+    _add_alpha_flag(sp)
     _add_solver_flags(sp)
     sp.set_defaults(handler=_cmd_verify_composition)
 

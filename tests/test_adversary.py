@@ -1,9 +1,11 @@
 """Bound evaluation, duality, and the composition identities."""
 
 import dataclasses
+import errno
 import json
 from fractions import Fraction
 import math
+import mmap
 import sys
 import tracemalloc
 
@@ -557,6 +559,34 @@ def test_mm_value_matches_pairwise_reference():
     const = BooleanFunction(3, ("000", "011", "101"), (0, 0, 0))
     assert pairwise_mm_value(random_witness(const, rng), (1.0,) * 3) == 0.0
     assert mm_value(random_witness(const, rng), (1.0,) * 3) == 0.0
+
+
+@pytest.mark.parametrize("rows", [1, 511, 512, 513, 1537])
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_least_product_is_the_least_entry_of_the_whole_product(rows, where):
+    # Small integers and 1/64 multiply and add exactly in any order, so the
+    # blocks must give the whole product's minimum bit for bit.
+    rng = np.random.default_rng(rows)
+    right = rng.integers(1, 9, (adversary.MM_BLOCK // 512, 6)).astype(float)  # blocks of 512 rows
+    left = rng.integers(1, 9, (rows, 6)).astype(float)
+    left[0 if where == "first" else -1] = 1 / 64
+    want = float((left @ right.T).min())
+    assert want < 1
+    assert adversary._least_product(left, right) == want
+
+
+def test_mm_value_is_the_same_in_blocks_of_any_size(monkeypatch):
+    # Rows sqrt(p) = k/8 keep every overlap sum exact.
+    rng = np.random.default_rng(8)
+    f = random_function(rng, 7)
+    p = (rng.integers(0, 9, (len(f.domain), f.arity)) / 8) ** 2
+    alpha = CostVector.ones(f.arity)
+    zeros, ones = f.classes
+    assert zeros.size * ones.size <= adversary.MM_BLOCK  # one block by default
+    want = adversary.mm_rows_value(f, p, alpha)
+    for step in (1, 5, zeros.size - 1, zeros.size, zeros.size + 1):
+        monkeypatch.setattr(adversary, "MM_BLOCK", step * ones.size)
+        assert adversary.mm_rows_value(f, p, alpha) == want
 
 
 def test_mm_value_or_witness():
@@ -1156,6 +1186,96 @@ def test_compose_gamma_of_a_dense_composition_stays_small():
     assert peak <= 2 * 2**20
     want = reference_compose_gamma(gamma_f, gammas_g, spec)
     assert same_bits(got.matrix.entries, want.matrix.entries)
+
+
+# The advice ``_mapped_zeros`` gives on each page path (Linux only).
+SPARSE_PAGES = [getattr(mmap, "MADV_NOHUGEPAGE", None), adversary.MADV_POPULATE_READ]
+HUGE_PAGES = [getattr(mmap, "MADV_HUGEPAGE", None)]
+linux_advice = pytest.mark.skipif(
+    not hasattr(mmap, "MADV_HUGEPAGE"), reason="madvise advice is Linux only"
+)
+
+
+@pytest.fixture
+def madvise_spy(monkeypatch):
+    """Records the advice given to every memory map made while it is active;
+    advice listed in ``refused`` raises ``OSError`` instead, as a kernel
+    without it does."""
+
+    class Spy(mmap.mmap):
+        calls: list = []
+        refused: set = set()
+
+        def madvise(self, option, *args):
+            Spy.calls.append(option)
+            if option in Spy.refused:
+                raise OSError(errno.EINVAL, "Invalid argument")
+            return super().madvise(option, *args)
+
+    monkeypatch.setattr(mmap, "mmap", Spy)
+    return Spy
+
+
+@pytest.fixture(scope="module")
+def page_cases(compose_reference_cases):
+    """A sparse tree12 root and the dense and2 o (parity6, parity6), with
+    every crossing pair of parity6 weighted 1 (131,072 entries)."""
+    par6 = make_family("parity", 6)
+    spec = CompositionSpec(AND2, (par6, par6))
+    parity6 = (spec, gadget(AND2, 1.0, 1.0), [crossing_gamma(par6)] * 2)
+    return {"tree12": compose_reference_cases["tree12"], "parity6": parity6}
+
+
+@linux_advice
+@pytest.mark.parametrize("name", ["tree12", "parity6"])
+def test_compose_gamma_on_either_page_path_matches_the_whole_matrix_reference(
+    page_cases, madvise_spy, monkeypatch, name
+):
+    spec, gamma_f, gammas_g = page_cases[name]
+    want = reference_compose_gamma(gamma_f, gammas_g, spec).matrix.entries
+    # 0 entries per page puts every matrix on 4 KB pages, 2**60 none.
+    for per_page, path in ((0, SPARSE_PAGES), (2**60, HUGE_PAGES)):
+        monkeypatch.setattr(adversary, "PAGE_ENTRIES", per_page)
+        madvise_spy.calls.clear()
+        got = compose_gamma(gamma_f, gammas_g, spec).matrix.entries
+        assert madvise_spy.calls == path
+        assert same_bits(got, want)
+        del got
+
+
+@linux_advice
+@pytest.mark.parametrize("name,path", [("tree12", SPARSE_PAGES), ("parity6", HUGE_PAGES)])
+def test_compose_gamma_picks_its_page_path_by_the_count_of_entries(
+    page_cases, madvise_spy, name, path
+):
+    spec, gamma_f, gammas_g = page_cases[name]
+    madvise_spy.calls.clear()
+    got = compose_gamma(gamma_f, gammas_g, spec).matrix.entries
+    assert madvise_spy.calls == path
+    count, n = np.count_nonzero(got), got.shape[0]
+    assert (adversary.PAGE_ENTRIES * count <= n * n) == (path == SPARSE_PAGES)
+    assert count == {"tree12": 7800, "parity6": 131072}[name]
+
+
+@linux_advice
+def test_mapped_zeros_takes_4k_pages_up_to_one_entry_per_page(madvise_spy):
+    # 64 rows are 8 pages of 4 KB.
+    for entries, path in ((0, SPARSE_PAGES), (8, SPARSE_PAGES), (9, HUGE_PAGES)):
+        madvise_spy.calls.clear()
+        out = adversary._mapped_zeros(64, entries)
+        assert madvise_spy.calls == path
+        assert out.shape == (64, 64) and not out.any()
+
+
+@linux_advice
+def test_a_refused_populate_falls_back_to_huge_pages(page_cases, madvise_spy):
+    spec, gamma_f, gammas_g = page_cases["tree12"]
+    want = compose_gamma(gamma_f, gammas_g, spec).matrix.entries
+    madvise_spy.refused.add(adversary.MADV_POPULATE_READ)
+    madvise_spy.calls.clear()
+    got = compose_gamma(gamma_f, gammas_g, spec).matrix.entries
+    assert madvise_spy.calls == SPARSE_PAGES + HUGE_PAGES
+    assert same_bits(got, want)
 
 
 def test_compose_gamma_writes_positive_zeros_where_the_outer_matrix_has_negative_ones():

@@ -310,6 +310,17 @@ def test_verify_iteration_on_a_partial_table_certifies_nothing(capsys, monkeypat
     assert err.startswith("error:") and "iteration requires a total function" in err
 
 
+@pytest.mark.parametrize("alpha", ["5,1", "1,2,3,4,5"], ids=["arity", "wrong_length"])
+def test_verify_iteration_rejects_costs(capsys, alpha):
+    # verify-iteration certifies at unit costs; it accepted --alpha, ignored
+    # it and exited 0.
+    argv = ["verify-iteration", "--family", "and", "--n", "2", "--d", "2", "--alpha", alpha]
+    code, report, err = invoke(capsys, argv)
+    assert code == 2
+    assert report is None
+    assert "unrecognized arguments: --alpha" in err
+
+
 @pytest.mark.parametrize(
     "alpha,message",
     [
