@@ -27,7 +27,9 @@ entries whose row and column differ at the bit, by ``specmat.edge_norm``,
 one connected component of their pattern at a time.  ``mm_value`` checks
 the costs and hands the witness rows to ``mm_rows_value``, which gets
 every pair's overlap sum from a matrix product on the block, formed
-``MM_BLOCK`` entries at a time.  The
+``MM_BLOCK`` entries at a time; when the witness has a zero probability,
+the zero columns of the product (zero on a whole output class) are dropped
+first, which leaves every sum bit for bit the same.  The
 solver scores its rounds with the two array functions directly, and builds
 certificate objects only for the rounds it keeps.  ``validate`` reads the
 matrix once, in strips of ``VALIDATE_STRIP`` rows, and inspects only the
@@ -44,8 +46,10 @@ composed matrix, as Cartesian products of the nonzero entries of the inner
 factors, at most ``COMPOSE_PIECE`` at a time, and writes them into a zeroed
 output; the result is exactly symmetric by construction, so it becomes a
 ``SymMatrix`` without a copy or a symmetry check.  The output stays a dense
-N x N array, but its entries are counted first: a sparse one sits on the
-shared zero page, and only the pages that get an entry become resident.
+N x N array, but its entries are counted first: a sparse one is written
+first, then populated, so that only the pages that get an entry become
+resident, every other page reads as the shared zero page, and the kernel
+visits each page once.
 The composed quantities obey exact product laws, which
 ``masked_compose_check`` verifies numerically, with every norm from
 ``_crossing_norms`` on the crossing block of an unmasked matrix.
@@ -62,7 +66,7 @@ import math
 import mmap
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -101,7 +105,8 @@ VALIDATE_STRIP = 16
 COMPOSE_PIECE = 1 << 13
 
 #: Float64 entries per 4 KB page: ``_mapped_zeros`` keeps a matrix with at most
-#: one written entry per this many on 4 KB pages of the shared zero page.
+#: one written entry per this many on 4 KB pages, written first and then
+#: populated with the shared zero page.
 PAGE_ENTRIES = 512
 
 #: The madvise(2) advice that maps a range read-only (Linux 5.14 and later):
@@ -415,6 +420,14 @@ def mm_rows_value(f: BooleanFunction, p: np.ndarray, alpha: CostVector) -> float
     The value is 1 / min S (+inf when some pair has no overlap), taken over
     blocks of rows of the left factor, ``MM_BLOCK`` entries of S at a time.
     A function without a crossing pair, such as a constant, has value 0.
+
+    Zero columns are dropped: a column of the left factor that is zero on
+    all of f^-1(0), or of the right factor on all of f^-1(1), adds an exact
+    +0.0 to every sum, so both factors lose it before the product and S
+    stays bit for bit the same (half the 24 columns of a composed 4096-row
+    tree witness).  Without a zero probability, a column is zero on a
+    whole class only where a bit is constant on it, so a strictly positive
+    p (every solver round) skips the test and keeps all 2n columns.
     """
     zeros, ones = f.classes
     if zeros.size == 0 or ones.size == 0:
@@ -424,6 +437,10 @@ def mm_rows_value(f: BooleanFunction, p: np.ndarray, alpha: CostVector) -> float
     qo, b1 = q[ones], f.bits[ones]
     left = np.hstack([qz * b0, qz * ~b0])
     right = np.hstack([qo * ~b1, qo * b1])
+    if not p.all():  # a strictly positive p keeps every column
+        live = left.any(axis=0) & right.any(axis=0)
+        if not live.all():
+            left, right = left[:, live], right[:, live]
     least = _least_product(left, right)
     return math.inf if least == 0.0 else 1.0 / least
 
@@ -453,9 +470,10 @@ def _check_blocks(spec: CompositionSpec, inner: Sequence, noun: str, nouns: str,
             raise ValueError(f"inner {noun} order must match the composition blocks")
 
 
-def _mapped_zeros(n: int, entries: int) -> np.ndarray:
-    """An n x n float array of zeros in a private anonymous memory map, into
-    which the caller writes ``entries`` nonzero entries.
+def _mapped_zeros(n: int, entries: int, pieces: Iterable) -> np.ndarray:
+    """An n x n float array of zeros in a private anonymous memory map, with
+    the ``entries`` nonzero entries of ``pieces`` written into it: each piece
+    is (flat indices, values).
 
     The composed matrix outlives the temporaries around it.  Taken from the
     malloc heap, it can fill a hole that later temporaries then cannot use,
@@ -465,31 +483,43 @@ def _mapped_zeros(n: int, entries: int) -> np.ndarray:
 
     How the pages become resident depends on how many of them get written.
     A sparse matrix, at most one entry per 4 KB page on average
-    (``PAGE_ENTRIES * entries <= n * n``), is mapped read-only up front with
-    ``MADV_POPULATE_READ``: every page then reads as the kernel's shared zero
-    page, and only a page that gets an entry is allocated.  A composed
-    4096-row tree certificate writes 7-9k entries into about 5k pages, so it
-    keeps about 20 MB of its 128 MB resident, and every read of the rest
-    hits one cached page.  A denser matrix, or a kernel without that advice
-    (before Linux 5.14), gets huge pages, as numpy asks for them on its own
-    large arrays; on 4 KB pages, first touch of a dense 4096-row composition
-    took about twice as long.
+    (``PAGE_ENTRIES * entries <= n * n``), is kept on 4 KB pages, written
+    first and then populated: ``MADV_POPULATE_READ`` on its first page
+    asks whether the kernel has that advice before any write, and after the
+    writes it maps every page not yet written as the kernel's shared zero
+    page.  Only a page that gets an entry is allocated, and the kernel
+    visits each page once: populating first would map the zero page under
+    each written page and then break it copy-on-write.  A composed 4096-row
+    tree certificate writes 7-9k entries into about 5k pages, so it keeps
+    about 20 MB of its 128 MB resident, and every read of the rest hits one
+    cached page.  A denser matrix, or a kernel without that advice (before
+    Linux 5.14), gets huge pages before the writes, as numpy asks for them
+    on its own large arrays; on 4 KB pages, first touch of a dense 4096-row
+    composition took about twice as long.
     """
     buf = mmap.mmap(-1, max(8 * n * n, 1), access=mmap.ACCESS_COPY)
+    sparse = False
     if hasattr(mmap, "MADV_HUGEPAGE"):  # Linux only; elsewhere no advice is given
-        if PAGE_ENTRIES * entries > n * n or not _populate_zero_pages(buf):
+        sparse = PAGE_ENTRIES * entries <= n * n and _populate_zero_pages(buf)
+        if not sparse:
             buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=float, count=n * n).reshape(n, n)
+    flat = np.frombuffer(buf, dtype=float, count=n * n)
+    for index, values in pieces:
+        flat[index] = values
+    if sparse:
+        buf.madvise(MADV_POPULATE_READ)
+    return flat.reshape(n, n)
 
 
 def _populate_zero_pages(buf: mmap.mmap) -> bool:
-    """Map every page of ``buf`` as the shared zero page, on 4 KB pages;
-    False if the kernel refuses."""
+    """Keep ``buf`` on 4 KB pages and map its first page read-only, as the
+    shared zero page while nothing is written there; False if the kernel
+    refuses.  The rest of the map is populated after the writes."""
     try:
         # Under a system-wide "always" huge-page setting, a write to the huge
         # zero page would allocate a whole huge page.
         buf.madvise(mmap.MADV_NOHUGEPAGE)
-        buf.madvise(MADV_POPULATE_READ)
+        buf.madvise(MADV_POPULATE_READ, 0, mmap.PAGESIZE)
     except OSError:
         return False
     return True
@@ -543,6 +573,16 @@ def _expand(value: float, parts: Sequence) -> Iterator:
         yield rows, cols, vals
 
 
+def _composed_pieces(products: list, lookup: np.ndarray, n: int) -> Iterator:
+    """The expanded ``products`` of ``compose_gamma`` as (flat indices into the
+    n x n output, values), each piece checked finite."""
+    for value, parts in products:
+        for r, c, vals in _expand(value, parts):
+            if not np.isfinite(vals).all():  # finite factors can still overflow
+                raise ValueError("entries must be finite")
+            yield lookup[r] * n + lookup[c], vals
+
+
 def compose_gamma(
     gamma_f: AdversaryMatrix,
     gammas_g: Sequence[AdversaryMatrix],
@@ -565,7 +605,8 @@ def compose_gamma(
     ``_mapped_zeros`` picks the output's pages by that count.  Each
     entry multiplies the outer value, then F_1, F_2, ..., in block order, as
     a whole-matrix product would; each piece is checked finite and then
-    written into a zeroed output.  Entries (x, y) and (y, x) multiply the
+    written into a zeroed output, which a sparse matrix populates only after
+    the writes.  Entries (x, y) and (y, x) multiply the
     same numbers in the same order, so the result is exactly symmetric and
     becomes a ``SymMatrix`` without a copy or any re-check.
 
@@ -597,13 +638,7 @@ def compose_gamma(
         parts = [e[s][t] for e, s, t in zip(entries, outer_bits[a], outer_bits[b])]
         products.append((outer[a, b], parts))
     count = sum(math.prod(vals.size for _, _, vals in parts) for _, parts in products)
-    out = _mapped_zeros(n, count)
-    flat_out = out.reshape(-1)
-    for value, parts in products:
-        for r, c, vals in _expand(value, parts):
-            if not np.isfinite(vals).all():  # finite factors can still overflow
-                raise ValueError("entries must be finite")
-            flat_out[lookup[r] * n + lookup[c]] = vals
+    out = _mapped_zeros(n, count, _composed_pieces(products, lookup, n))
     h = rows.function
     return AdversaryMatrix(h, SymMatrix._trusted(h.domain, out))
 

@@ -528,10 +528,14 @@ def readonce_arity(ast: FormulaAst) -> int:
     """
     if not is_read_once(ast):
         raise ValueError("formula is not read-once: a variable repeats")
-    seen = sorted(leaf_indices(ast))
+    seen = leaf_indices(ast)
     n = len(seen)
-    if seen != list(range(1, n + 1)):
-        raise ValueError(f"read-once formula must use x1..x{n} exactly once each")
+    # n distinct indices, all at least 1, are 1..n unless one is above n.
+    stray = [i for i in seen if i > n]
+    if stray:
+        raise ValueError(
+            f"read-once formula must use x1..x{n} exactly once each, but uses x{stray[0]}"
+        )
     return n
 
 

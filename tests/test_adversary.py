@@ -474,15 +474,20 @@ def test_adv_value_composed_read_once_arity8():
     assert adv_value(gamma, costs) == pytest.approx(want, rel=1e-9)
 
 
-def alternating_tree(n, gate_and, first=1):
-    """Balanced tree on x_first..x_{first+n-1}, its gates alternating AND/OR by level."""
+def balanced(n):
+    return (n + 1) // 2
+
+
+def alternating_tree(n, gate_and, first=1, splits=balanced):
+    """Tree on x_first..x_{first+n-1}, its gates alternating AND/OR by level;
+    ``splits`` sizes the left child (balanced by default)."""
     if n == 1:
         return Leaf(first)
-    left = (n + 1) // 2
+    left = splits(n)
     op = And if gate_and else Or
     return op(
-        alternating_tree(left, not gate_and, first),
-        alternating_tree(n - left, not gate_and, first + left),
+        alternating_tree(left, not gate_and, first, splits),
+        alternating_tree(n - left, not gate_and, first + left, splits),
     )
 
 
@@ -587,6 +592,100 @@ def test_mm_value_is_the_same_in_blocks_of_any_size(monkeypatch):
     for step in (1, 5, zeros.size - 1, zeros.size, zeros.size + 1):
         monkeypatch.setattr(adversary, "MM_BLOCK", step * ones.size)
         assert adversary.mm_rows_value(f, p, alpha) == want
+
+
+least_product = adversary._least_product
+
+
+def whole_product_value(f, p, alpha):
+    """``mm_rows_value`` from all 2n columns of its product."""
+    zeros, ones = f.classes
+    q = np.sqrt(p)
+    qz, b0 = q[zeros] / alpha.as_array(), f.bits[zeros]
+    qo, b1 = q[ones], f.bits[ones]
+    least = least_product(np.hstack([qz * b0, qz * ~b0]), np.hstack([qo * ~b1, qo * b1]))
+    return math.inf if least == 0.0 else 1.0 / least
+
+
+@pytest.fixture
+def product_widths(monkeypatch):
+    """The column counts of every product ``mm_rows_value`` forms."""
+    widths = []
+
+    def spy(left, right):
+        widths.append(left.shape[1])
+        return least_product(left, right)
+
+    monkeypatch.setattr(adversary, "_least_product", spy)
+    return widths
+
+
+def witness_tree(ast, costs):
+    """Gadget witnesses composed up an AND/OR tree of leaves."""
+    if isinstance(ast, Leaf):
+        return MinimaxWitness(ID1, np.ones((2, 1))), costs[ast.index - 1]
+    left, lv = witness_tree(ast.left, costs)
+    right, rv = witness_tree(ast.right, costs)
+    value, _, p_f = gadget_cost_adv("and" if isinstance(ast, And) else "or", (lv, rv))
+    spec = CompositionSpec(p_f.function, (left.function, right.function))
+    return compose_minimax(p_f, [left, right], spec), value
+
+
+#: Arity-12 tree shapes that split 6|6 at the root and differ below it.
+TREE12_SHAPES = {
+    "balanced": balanced,
+    "twofour": lambda n: 6 if n == 12 else min(2, n - 1),
+    "comb": lambda n: 6 if n == 12 else 1,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(TREE12_SHAPES))
+def test_mm_value_of_a_tree12_witness_drops_its_dead_columns_bit_for_bit(product_widths, shape):
+    rng = np.random.default_rng(sorted(TREE12_SHAPES).index(shape))
+    gate_and, costs = bool(rng.integers(0, 2)), tuple(rng.uniform(0.5, 2.0, 12).tolist())
+    ast = alternating_tree(12, gate_and, splits=TREE12_SHAPES[shape])
+    witness, value = witness_tree(ast, costs)
+    alpha = CostVector(costs)
+    got = adversary.mm_rows_value(witness.function, witness.p, alpha)
+    assert got == whole_product_value(witness.function, witness.p, alpha)
+    assert got == pytest.approx(value, rel=1e-9)
+    assert product_widths == [12]  # of 24
+
+
+def test_mm_value_of_columns_zeroed_on_one_class_is_bit_for_bit(product_widths):
+    rng = np.random.default_rng(23)
+    for case in range(30):
+        f = random_function(rng, int(rng.integers(3, 8)))
+        p = rng.uniform(0.05, 1.0, (len(f.domain), f.arity))
+        dead = rng.permutation(f.arity)[: int(rng.integers(1, f.arity))]
+        p[np.ix_(f.classes[case % 2], dead)] = 0.0  # zero on one class only
+        p /= p.sum(axis=1, keepdims=True)
+        alpha = CostVector(tuple(random_costs(rng, f.arity)))
+        product_widths.clear()
+        got = adversary.mm_rows_value(f, p, alpha)
+        assert got == whole_product_value(f, p, alpha)
+        assert product_widths[0] <= 2 * (f.arity - dead.size)
+
+
+def test_a_witness_with_every_column_live_takes_the_whole_product(product_widths):
+    rng = np.random.default_rng(4)
+    f = random_function(rng, 5)
+    alpha = CostVector.ones(5)
+    p = rng.uniform(0.05, 1.0, (len(f.domain), 5))
+    p[0, 0] = 0.0  # a zero probability that kills no column
+    p /= p.sum(axis=1, keepdims=True)
+    for witness in (p, np.full_like(p, 0.2)):
+        assert adversary.mm_rows_value(f, witness, alpha) == whole_product_value(f, witness, alpha)
+    assert product_widths == [10, 10]
+
+
+def test_a_witness_without_a_live_column_is_infinite(product_widths):
+    # f = x1: the 0-rows weigh only bit 2 and the 1-rows only bit 1, so no
+    # column has mass on both classes.
+    f = BooleanFunction(2, ("00", "01", "10", "11"), (0, 0, 1, 1))
+    p = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0], [1.0, 0.0]])
+    assert adversary.mm_rows_value(f, p, CostVector.ones(2)) == math.inf
+    assert product_widths == [0]
 
 
 def test_mm_value_or_witness():
@@ -1188,8 +1287,12 @@ def test_compose_gamma_of_a_dense_composition_stays_small():
     assert same_bits(got.matrix.entries, want.matrix.entries)
 
 
-# The advice ``_mapped_zeros`` gives on each page path (Linux only).
+# The advice ``_mapped_zeros`` gives on each page path (Linux only).  A sparse
+# matrix is kept off huge pages and probed on its first page before any write
+# (SPARSE_PAGES), and populated whole after the writes (POPULATED); a refused
+# probe gives huge pages before the writes, as a dense matrix gets.
 SPARSE_PAGES = [getattr(mmap, "MADV_NOHUGEPAGE", None), adversary.MADV_POPULATE_READ]
+POPULATED = [adversary.MADV_POPULATE_READ]
 HUGE_PAGES = [getattr(mmap, "MADV_HUGEPAGE", None)]
 linux_advice = pytest.mark.skipif(
     not hasattr(mmap, "MADV_HUGEPAGE"), reason="madvise advice is Linux only"
@@ -1198,19 +1301,29 @@ linux_advice = pytest.mark.skipif(
 
 @pytest.fixture
 def madvise_spy(monkeypatch):
-    """Records the advice given to every memory map made while it is active;
-    advice listed in ``refused`` raises ``OSError`` instead, as a kernel
-    without it does."""
+    """Records the advice given to every memory map made while it is active:
+    ``calls`` the options, ``spans`` each (option, start, length) with the
+    length the kernel gets, and ``populated`` the nonzero float entries in
+    the map at each ``MADV_POPULATE_READ``.  Advice listed in ``refused``
+    raises ``OSError`` instead, as a kernel without it does."""
 
     class Spy(mmap.mmap):
         calls: list = []
+        spans: list = []
+        populated: list = []
         refused: set = set()
 
-        def madvise(self, option, *args):
+        def madvise(self, option, start=0, length=None):
+            length = len(self) - start if length is None else min(length, len(self) - start)
             Spy.calls.append(option)
+            Spy.spans.append((option, start, length))
+            if option == adversary.MADV_POPULATE_READ:
+                entries = np.frombuffer(self, dtype=float, count=len(self) // 8)
+                Spy.populated.append(int(np.count_nonzero(entries)))
+                del entries  # a live export would pin the map
             if option in Spy.refused:
                 raise OSError(errno.EINVAL, "Invalid argument")
-            return super().madvise(option, *args)
+            return super().madvise(option, start, length)
 
     monkeypatch.setattr(mmap, "mmap", Spy)
     return Spy
@@ -1234,7 +1347,7 @@ def test_compose_gamma_on_either_page_path_matches_the_whole_matrix_reference(
     spec, gamma_f, gammas_g = page_cases[name]
     want = reference_compose_gamma(gamma_f, gammas_g, spec).matrix.entries
     # 0 entries per page puts every matrix on 4 KB pages, 2**60 none.
-    for per_page, path in ((0, SPARSE_PAGES), (2**60, HUGE_PAGES)):
+    for per_page, path in ((0, SPARSE_PAGES + POPULATED), (2**60, HUGE_PAGES)):
         monkeypatch.setattr(adversary, "PAGE_ENTRIES", per_page)
         madvise_spy.calls.clear()
         got = compose_gamma(gamma_f, gammas_g, spec).matrix.entries
@@ -1244,7 +1357,9 @@ def test_compose_gamma_on_either_page_path_matches_the_whole_matrix_reference(
 
 
 @linux_advice
-@pytest.mark.parametrize("name,path", [("tree12", SPARSE_PAGES), ("parity6", HUGE_PAGES)])
+@pytest.mark.parametrize(
+    "name,path", [("tree12", SPARSE_PAGES + POPULATED), ("parity6", HUGE_PAGES)]
+)
 def test_compose_gamma_picks_its_page_path_by_the_count_of_entries(
     page_cases, madvise_spy, name, path
 ):
@@ -1253,18 +1368,39 @@ def test_compose_gamma_picks_its_page_path_by_the_count_of_entries(
     got = compose_gamma(gamma_f, gammas_g, spec).matrix.entries
     assert madvise_spy.calls == path
     count, n = np.count_nonzero(got), got.shape[0]
-    assert (adversary.PAGE_ENTRIES * count <= n * n) == (path == SPARSE_PAGES)
+    assert (adversary.PAGE_ENTRIES * count <= n * n) == (path != HUGE_PAGES)
     assert count == {"tree12": 7800, "parity6": 131072}[name]
+
+
+@linux_advice
+def test_a_sparse_matrix_is_written_first_and_populated_after(page_cases, madvise_spy):
+    # The probe covers one page and sees no entry; the whole-map populate
+    # comes after every write.
+    spec, gamma_f, gammas_g = page_cases["tree12"]
+    got = compose_gamma(gamma_f, gammas_g, spec).matrix.entries
+    nohuge, populate = SPARSE_PAGES
+    size = got.nbytes
+    assert size == 8 * 4096 * 4096
+    want = [(nohuge, 0, size), (populate, 0, mmap.PAGESIZE), (populate, 0, size)]
+    assert madvise_spy.spans == want
+    assert madvise_spy.populated == [0, 7800]
+    assert np.count_nonzero(got) == 7800
 
 
 @linux_advice
 def test_mapped_zeros_takes_4k_pages_up_to_one_entry_per_page(madvise_spy):
     # 64 rows are 8 pages of 4 KB.
-    for entries, path in ((0, SPARSE_PAGES), (8, SPARSE_PAGES), (9, HUGE_PAGES)):
+    sparse = SPARSE_PAGES + POPULATED
+    for entries, path in ((0, sparse), (8, sparse), (9, HUGE_PAGES)):
         madvise_spy.calls.clear()
-        out = adversary._mapped_zeros(64, entries)
+        madvise_spy.populated.clear()
+        pieces = [(np.arange(entries), np.arange(1.0, entries + 1))]
+        out = adversary._mapped_zeros(64, entries, pieces)
         assert madvise_spy.calls == path
-        assert out.shape == (64, 64) and not out.any()
+        assert madvise_spy.populated == ([0, entries] if path != HUGE_PAGES else [])
+        assert out.shape == (64, 64)
+        assert np.array_equal(out.reshape(-1)[:entries], np.arange(1.0, entries + 1))
+        assert np.count_nonzero(out) == entries
 
 
 @linux_advice

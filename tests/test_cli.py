@@ -185,6 +185,18 @@ def test_readonce_rejects_repeats(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "formula,stray", [("x13&x1", "x13"), ("x2&x3", "x3"), ("(x9|x1)&x4", "x9")]
+)
+def test_readonce_names_the_first_stray_variable(capsys, formula, stray):
+    code, report, err = invoke(capsys, ["readonce", formula])
+    assert code == 2
+    assert report is None
+    n = len(formula.split("x")) - 1
+    assert err.startswith("error:")
+    assert err.rstrip().endswith(f"must use x1..x{n} exactly once each, but uses {stray}")
+
+
 def test_compose(capsys):
     code, report, _ = invoke(
         capsys,
