@@ -58,12 +58,20 @@ The composed quantities obey exact product laws, which
 domain order.  It checks them all at once with array operations, and walks
 them one by one only to name the first bad row.  Builders pass that array;
 a mapping from labels to rows is read only from JSON and literals.
+
+The JSON forms check outside input where it arrives.  ``gamma_from_dict``
+reads the matrix JSON itself: the labels must be an array of strings and
+the entries numbers (``require_numbers``, which ``witness_from_dict``
+shares), and ``SymMatrix`` checks the entries.  The one label check is
+``AdversaryMatrix``'s: its labels must equal its function's domain, which
+are distinct bit strings of one length.
 """
 
 from __future__ import annotations
 
 import math
 import mmap
+import numbers
 import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -77,10 +85,7 @@ from .specmat import (
     SymMatrix,
     block_norms,
     edge_norm,
-    matrix_from_dict,
-    matrix_to_dict,
     nonzero_entries,
-    require_numbers,
     spectral_norm,
 )
 
@@ -161,8 +166,8 @@ def as_costs(alpha, n: int) -> CostVector:
 class AdversaryMatrix:
     """A symmetric weight matrix over the domain of a Boolean function.
 
-    Construction ties the labels to the domain and requires a
-    :class:`SymMatrix`, which guarantees exact symmetry; use :func:`validate`
+    Construction ties the labels to the domain (the one label check) and
+    requires a :class:`SymMatrix`, which guarantees exact symmetry; use :func:`validate`
     for the sign and zero-pattern requirements, which deserialized or
     hand-built matrices may break.
     """
@@ -813,20 +818,46 @@ def compose_minimax(
 # JSON forms
 
 
+def require_numbers(rows: Iterable, name: str) -> None:
+    """Raise ValueError unless every item of every row is a real number but
+    not a bool, as a JSON number is; ``float`` would read "1" and true as 1.0."""
+    for row in rows:
+        for t in set(map(type, row)):
+            if not issubclass(t, numbers.Real) or issubclass(t, bool):
+                bad = next(v for v in row if type(v) is t)
+                raise ValueError(f"{name} must be numbers, got {bad!r}")
+
+
 def gamma_to_dict(gamma: AdversaryMatrix) -> dict:
-    out = matrix_to_dict(gamma.matrix)
-    out["function"] = function_to_dict(gamma.function)
-    return out
+    return {
+        "labels": list(gamma.matrix.labels),
+        "entries": gamma.matrix.entries.tolist(),
+        "function": function_to_dict(gamma.function),
+    }
 
 
 def gamma_from_dict(data: Mapping, function: BooleanFunction | None = None) -> AdversaryMatrix:
+    """Read ``{"labels": [...], "entries": [[...], ...]}``, with an optional
+    embedded ``"function"`` that ``function`` overrides.  Symmetry is
+    checked exactly: serialized input gets no slack."""
     if not isinstance(data, Mapping):
         raise ValueError(f"matrix JSON must be an object, got {type(data).__name__}")
     if function is None:
         if "function" not in data:
             raise ValueError("matrix JSON has no embedded function and none was given")
         function = function_from_dict(data["function"])
-    return AdversaryMatrix(function, matrix_from_dict(data))
+    try:
+        labels = data["labels"]
+        if not isinstance(labels, list):
+            raise TypeError(f"labels must be an array, got {type(labels).__name__}")
+        require_numbers(data["entries"], "entries")
+        entries = np.array(data["entries"], dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"malformed matrix: {exc}") from None
+    # str() would read the labels 0 and 1 as "0" and "1".
+    if not set(map(type, labels)) <= {str}:
+        raise ValueError("labels must be strings")
+    return AdversaryMatrix(function, SymMatrix(tuple(labels), entries))
 
 
 def witness_to_dict(witness: MinimaxWitness) -> dict:

@@ -8,6 +8,7 @@ f^-1(0) x f^-1(1) block, read from a function's ``classes`` and ``bits``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import numbers
 from dataclasses import dataclass, field
@@ -411,10 +412,8 @@ class CompositionSpec:
         """Map a 1-based position of the composed input to (block, position)."""
         if not 1 <= ell <= self.total_arity:
             raise ValueError(f"position {ell} out of range 1..{self.total_arity}")
-        for p, (off, g) in enumerate(zip(self.offsets, self.inner), start=1):
-            if ell < off + g.arity:
-                return p, ell - off + 1
-        return len(self.inner), ell - self.offsets[-1] + 1
+        p = bisect.bisect_right(self.offsets, ell)
+        return p, ell - self.offsets[p - 1] + 1
 
     @cached_property
     def composed(self) -> ComposedRows:

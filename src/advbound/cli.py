@@ -76,6 +76,8 @@ def _read_json(path: str):
 
 
 def _function_from_args(args) -> BooleanFunction:
+    if args.n is not None and not args.family:
+        raise ValueError("--n is read only with --family")
     sources = [s for s in ("family", "formula", "table") if getattr(args, s, None)]
     if len(sources) != 1:
         raise ValueError("give exactly one of --family, --formula, --table")
@@ -243,7 +245,7 @@ def _cmd_verify_iteration(args, argv, started) -> int:
 def _cmd_check_gamma(args, argv, started) -> int:
     data = _read_json(args.matrix)
     function = None
-    if args.family or args.formula or args.table:
+    if args.family or args.formula or args.table or args.n is not None:
         function = _function_from_args(args)
     gamma = gamma_from_dict(data, function)
     report = validate(gamma)

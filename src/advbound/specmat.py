@@ -4,16 +4,15 @@ Everything downstream works at desk scale (at most a few thousand rows), so
 matrices are dense float64 and eigenproblems go through LAPACK.  The spectral
 results carry an explicit residual so callers can audit accuracy.
 
-``SymMatrix`` checks exact symmetry once, at construction, comparing square
-tiles with their mirror tiles (a whole-matrix ``a == a.T`` reads the
-transpose column by column, which is slow at thousands of rows); code that
-holds a ``SymMatrix`` may rely on symmetry without checking it again.  The
-one exception is the private ``SymMatrix._trusted``, for arrays that are
-symmetric by construction (``adversary.compose_gamma`` builds entry (x, y)
-and entry (y, x) from the same numbers in the same order): it takes the
-array without a copy and checks its shape and labels only; its caller
-checks finiteness as it builds.  Outside input always goes through
-``SymMatrix(...)``.
+``SymMatrix`` checks its shape, finiteness and exact symmetry once, at
+construction; code that holds a ``SymMatrix`` may rely on symmetry without
+checking it again.  The one exception is the private ``SymMatrix._trusted``,
+for arrays that are symmetric by construction (``adversary.compose_gamma``
+builds entry (x, y) and entry (y, x) from the same numbers in the same
+order): it takes the array without a copy and checks its shape only; its
+caller checks finiteness as it builds.  What the labels must be is not a
+matrix's to check: ``AdversaryMatrix`` ties them to its function's domain,
+and ``adversary.gamma_from_dict`` reads them from JSON.
 
 ``block_norms`` is the one dense solver.  It takes the top singular triple
 of every block of a (k, rows, cols) stack from one batched eigensolve on
@@ -41,18 +40,12 @@ entries that the mask keeps.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 import numpy as np
 
 #: Accept an eigenpair only if ||A v - lambda v|| <= RESIDUAL_TOL * max(1, |lambda|).
 RESIDUAL_TOL = 1e-9
-
-#: Side of the square tiles in which symmetry is checked; 64 was the fastest
-#: of 32, 64, 128 and 256 at 4096 rows.
-SYMMETRY_TILE = 64
 
 
 class EigensolverError(ArithmeticError):
@@ -63,46 +56,26 @@ class EigensolverError(ArithmeticError):
         self.residual = residual
 
 
-def _is_symmetric(a: np.ndarray) -> bool:
-    """Exact symmetry, tile by tile: a[I, J] == a[J, I].T for tiles I <= J.
-
-    NaN compares unequal, so a NaN entry fails the check.
-    """
-    t = SYMMETRY_TILE
-    d = a.shape[0]
-    for i in range(0, d, t):
-        for j in range(i, d, t):
-            if not np.array_equal(a[i : i + t, j : j + t], a[j : j + t, i : i + t].T):
-                return False
-    return True
-
-
-def _check_labels(labels: tuple[str, ...], a: np.ndarray) -> None:
+def _check_shape(labels: tuple[str, ...], a: np.ndarray) -> None:
     d = len(labels)
     if a.shape != (d, d):
         raise ValueError(f"entries shape {a.shape} does not match {d} labels")
-    if not set(map(type, labels)) <= {str}:
-        raise ValueError("labels must be strings")
-    if len(set(labels)) != d:
-        raise ValueError("labels must be distinct")
-    if d and len({len(s) for s in labels}) != 1:
-        raise ValueError("labels must have equal length")
 
 
 @dataclass(frozen=True, eq=False)
 class SymMatrix:
-    """An exactly symmetric real matrix with distinct equal-length labels."""
+    """An exactly symmetric real matrix, with one label per row."""
 
     labels: tuple[str, ...]
     entries: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=float)
-        _check_labels(self.labels, a)
-        if not _is_symmetric(a):
-            raise ValueError("entries must be exactly symmetric")
+        _check_shape(self.labels, a)
         if not np.all(np.isfinite(a)):
             raise ValueError("entries must be finite")
+        if not np.array_equal(a, a.T):
+            raise ValueError("entries must be exactly symmetric")
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
@@ -114,10 +87,10 @@ class SymMatrix:
         For builders that make every entry (x, y) from the same numbers, in
         the same order, as entry (y, x).  The array is taken without a copy
         and marked read-only, so the caller must hold no other reference it
-        writes through.  The shape and labels are checked; the caller
-        guarantees that the entries are finite and exactly symmetric.
+        writes through.  The shape is checked; the caller guarantees that
+        the entries are finite and exactly symmetric.
         """
-        _check_labels(labels, entries)
+        _check_shape(labels, entries)
         entries.flags.writeable = False
         out = object.__new__(cls)
         object.__setattr__(out, "labels", labels)
@@ -161,31 +134,31 @@ def _checked(av: np.ndarray, lam: float, v: np.ndarray) -> SpectralResult:
     return SpectralResult(abs(float(lam)), _oriented(v), residual)
 
 
+def _dense_eigenpair(a: SymMatrix, largest_magnitude: bool) -> SpectralResult:
+    """One dense ``eigh``: the eigenpair of the largest eigenvalue, or, with
+    ``largest_magnitude``, of the smallest when its magnitude is strictly larger."""
+    if a.dim == 0:
+        return SpectralResult(0.0, np.zeros(0), 0.0)
+    w, vecs = np.linalg.eigh(a.entries)
+    j = 0 if largest_magnitude and abs(w[0]) > abs(w[-1]) else -1
+    v = vecs[:, j]
+    return _checked(a.entries @ v, float(w[j]), v)
+
+
 def spectral_norm(a: SymMatrix) -> SpectralResult:
     """Largest-magnitude eigenvalue and its eigenvector.
 
     On a magnitude tie the algebraically largest eigenvalue wins, so for
     entrywise-nonnegative matrices the vector is the dominant one.
     """
-    if a.dim == 0:
-        return SpectralResult(0.0, np.zeros(0), 0.0)
-    w, vecs = np.linalg.eigh(a.entries)
-    if abs(w[-1]) >= abs(w[0]):
-        lam, v = w[-1], vecs[:, -1]
-    else:
-        lam, v = w[0], vecs[:, 0]
-    return _checked(a.entries @ v, float(lam), v)
+    return _dense_eigenpair(a, largest_magnitude=True)
 
 
 def principal_eigenvector(a: SymMatrix) -> SpectralResult:
     """Eigenpair of the largest eigenvalue of an entrywise-nonnegative matrix."""
     if np.any(a.entries < 0):
         raise ValueError("principal_eigenvector requires nonnegative entries")
-    if a.dim == 0:
-        return SpectralResult(0.0, np.zeros(0), 0.0)
-    w, vecs = np.linalg.eigh(a.entries)
-    v = vecs[:, -1]
-    return _checked(a.entries @ v, float(w[-1]), v)
+    return _dense_eigenpair(a, largest_magnitude=False)
 
 
 def nonzero_entries(b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -343,32 +316,3 @@ def edge_norm(
     e = eorder[estart[k]]
     vector[verts[[u[e], v[e]]]] = np.array([1.0, math.copysign(1.0, values[e])]) / math.sqrt(2.0)
     return SpectralResult(float(sigma[k]), vector, 0.0)
-
-
-# --------------------------------------------------------------------------
-# Matrix JSON:  {"labels": [...], "entries": [[...], ...]}
-
-
-def matrix_to_dict(a: SymMatrix) -> dict:
-    return {"labels": list(a.labels), "entries": a.entries.tolist()}
-
-
-def require_numbers(rows: Iterable, name: str) -> None:
-    """Raise ValueError unless every item of every row is a real number but
-    not a bool, as a JSON number is; ``float`` would read "1" and true as 1.0."""
-    for row in rows:
-        for t in set(map(type, row)):
-            if not issubclass(t, numbers.Real) or issubclass(t, bool):
-                bad = next(v for v in row if type(v) is t)
-                raise ValueError(f"{name} must be numbers, got {bad!r}")
-
-
-def matrix_from_dict(data: Mapping) -> SymMatrix:
-    try:
-        labels = tuple(data["labels"])
-        require_numbers(data["entries"], "entries")
-        entries = np.array(data["entries"], dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"malformed matrix: {exc}") from None
-    # SymMatrix checks symmetry exactly; serialized input gets no slack.
-    return SymMatrix(labels, entries)

@@ -43,6 +43,7 @@ from advbound.boolfn import (
     Or,
     compose_functions,
     formula_to_function,
+    function_to_dict,
     make_family,
     parse_formula,
     split_input,
@@ -52,7 +53,6 @@ from advbound.specmat import (
     EigensolverError,
     SpectralResult,
     SymMatrix,
-    _is_symmetric,
     block_norms,
     principal_eigenvector,
     spectral_norm,
@@ -1256,7 +1256,7 @@ def test_compose_gamma_matches_whole_matrix_reference(compose_reference_cases, n
 def test_compose_gamma_output_is_symmetric_and_read_only(compose_reference_cases, name):
     spec, gamma_f, gammas_g = compose_reference_cases[name]
     entries = compose_gamma(gamma_f, gammas_g, spec).matrix.entries
-    assert _is_symmetric(entries)
+    assert np.array_equal(entries, entries.T)
     assert not entries.flags.writeable
     with pytest.raises(ValueError, match="read-only"):
         entries[0, 0] = 1.0
@@ -1529,8 +1529,10 @@ def test_adv_value_at_least_cheapest_bit():
 def test_gamma_json_roundtrip():
     g = gadget(AND2, 3.0, 4.0)
     data = json.loads(json.dumps(gamma_to_dict(g)))
+    assert list(data) == ["labels", "entries", "function"]
     again = gamma_from_dict(data)
     assert again.function == AND2
+    assert again.matrix.labels == g.matrix.labels
     assert np.array_equal(again.matrix.entries, g.matrix.entries)
     # explicit function overrides the embedded one
     relabeled = gamma_from_dict(data, function=AND2)
@@ -1544,6 +1546,43 @@ def test_gamma_from_dict_requires_some_function():
     with pytest.raises(ValueError):
         gamma_from_dict(data)
     assert gamma_from_dict(data, function=AND2).function == AND2
+
+
+def test_gamma_from_dict_rejects_asymmetry_and_garbage():
+    with pytest.raises(ValueError, match="^entries must be exactly symmetric$"):
+        gamma_from_dict({"labels": ["0", "1"], "entries": [[0.0, 1.0], [0.9, 0.0]]}, ID1)
+    with pytest.raises(ValueError, match="^malformed matrix: "):
+        gamma_from_dict({"labels": ["0", "1"]}, ID1)
+    with pytest.raises(ValueError, match="^malformed matrix: "):
+        gamma_from_dict({"labels": ["0", "1"], "entries": "nope"}, ID1)
+
+
+@pytest.mark.parametrize(
+    "labels", [[0, 1], [None, "1"], [["0"], ["1"]]], ids=["integers", "null", "lists"]
+)
+def test_gamma_from_dict_labels_must_be_strings(labels):
+    # str() read the labels 0 and 1 as "0" and "1".
+    with pytest.raises(ValueError, match="^labels must be strings$"):
+        gamma_from_dict({"labels": labels, "entries": [[0.0, 1.0], [1.0, 0.0]]}, ID1)
+
+
+@pytest.mark.parametrize("labels", ["01", {"0": 0, "1": 1}], ids=["string", "object"])
+def test_gamma_from_dict_labels_must_be_an_array(labels):
+    # tuple() split the string "01" into the labels "0" and "1".
+    with pytest.raises(ValueError, match="^malformed matrix: labels must be an array, got "):
+        gamma_from_dict({"labels": labels, "entries": [[0.0, 1.0], [1.0, 0.0]]}, ID1)
+
+
+@pytest.mark.parametrize(
+    "labels", [["0", "0"], ["0", "10"], ["1", "0"]], ids=["duplicate", "length", "order"]
+)
+def test_gamma_from_dict_ties_the_labels_to_the_domain(labels):
+    data = {"labels": labels, "entries": [[0.0, 1.0], [1.0, 0.0]]}
+    with pytest.raises(ValueError, match="^matrix labels must equal the function domain"):
+        gamma_from_dict(data, ID1)
+    data["function"] = function_to_dict(ID1)
+    with pytest.raises(ValueError, match="^matrix labels must equal the function domain"):
+        gamma_from_dict(data)
 
 
 @pytest.mark.parametrize("q", ["1", True, 10**400], ids=["string", "boolean", "huge_integer"])

@@ -511,6 +511,51 @@ def test_check_gamma_rejects_labels_that_are_not_strings(capsys, tmp_path, label
     assert err.startswith("error: labels must be strings") and "Traceback" not in err
 
 
+def test_check_gamma_rejects_labels_given_as_a_string(capsys, tmp_path):
+    # tuple("01") split the string into the labels "0" and "1", so this exited 0.
+    data = {"labels": "01", "entries": [[0, 1], [1, 0]], "function": function_to_dict(make_family("id", 1))}
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    code, report, err = invoke(capsys, ["check-gamma", "--matrix", str(path)])
+    assert code == 2
+    assert report is None
+    assert err.startswith("error: malformed matrix: labels must be an array") and "Traceback" not in err
+
+
+def test_check_gamma_names_nan_entries_not_finite(capsys, tmp_path):
+    # NaN compares unequal to itself, so this was reported as asymmetric.
+    path = tmp_path / "m.json"
+    path.write_text('{"labels": ["0", "1"], "entries": [[0, NaN], [NaN, 0]]}')
+    argv = ["check-gamma", "--matrix", str(path), "--family", "id", "--n", "1"]
+    code, report, err = invoke(capsys, argv)
+    assert code == 2
+    assert report is None
+    assert err.startswith("error: entries must be finite") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--formula", "x1", "--n", "3"],
+        ["verify-iteration", "--formula", "x1", "--n", "3", "--d", "2"],
+        ["check-gamma", "--formula", "x1&x2", "--n", "3"],
+        ["check-gamma", "--n", "3"],
+    ],
+    ids=["bound", "verify-iteration", "check-gamma", "check-gamma-embedded"],
+)
+def test_n_without_family_is_usage_error(capsys, tmp_path, argv):
+    # --n was dropped without a word, so each of these exited 0.
+    if argv[0] == "check-gamma":
+        _, gamma, _ = gadget_cost_adv("and", (1.0, 1.0))
+        path = tmp_path / "gamma.json"
+        path.write_text(json.dumps(gamma_to_dict(gamma)))
+        argv = argv + ["--matrix", str(path)]
+    code, report, err = invoke(capsys, argv)
+    assert code == 2
+    assert report is None
+    assert err.startswith("error: --n is read only with --family") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "formula",
     ["~" * 3000 + "x1", "(" * 3000 + "x1" + ")" * 3000, "&".join(["x1"] * 3000)],
