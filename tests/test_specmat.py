@@ -1,11 +1,14 @@
 """Labelled symmetric matrices and the spectral-norm contract."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from advbound import specmat
+from advbound.adversary import AdversaryMatrix, gamma_from_dict, gamma_to_dict
+from advbound.boolfn import make_family
 from advbound.specmat import (
     RESIDUAL_TOL,
     EigensolverError,
@@ -477,3 +480,15 @@ def test_checked_rejects_a_nan_residual():
     # NaN > tol is False, so a NaN residual used to pass the contract.
     with pytest.raises(EigensolverError):
         _checked(np.array([np.nan, 0.0]), 1.0, np.array([1.0, 0.0]))
+
+
+def test_matrix_json_roundtrip():
+    # The matrix JSON form is written and read with its function by
+    # gamma_to_dict and gamma_from_dict; entries that need all 17 significant
+    # digits, and the least subnormal, must come back bit for bit.
+    and2 = make_family("and", 2)
+    m = SymMatrix(LABELS4, gadget_entries(math.pi, 5e-324))
+    data = json.loads(json.dumps(gamma_to_dict(AdversaryMatrix(and2, m))))
+    again = gamma_from_dict(data).matrix
+    assert again.labels == m.labels
+    assert np.array_equal(again.entries, m.entries)
