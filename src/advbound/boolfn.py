@@ -38,12 +38,11 @@ class FormulaError(ValueError):
         self.position = position
 
 
-def validate_bits(x: str, n: int | None = None) -> str:
+def validate_bits(x: str, n: int) -> None:
     if not isinstance(x, str) or any(c not in "01" for c in x) or not x:
         raise ValueError(f"not a bit string: {x!r}")
-    if n is not None and len(x) != n:
+    if len(x) != n:
         raise ValueError(f"expected {n} bits, got {len(x)}: {x!r}")
-    return x
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Command-line front end: JSON reports on stdout, diagnostics on stderr.
 
 Every number in a report comes straight from the library; the CLI only
-parses arguments, loads inputs, and serializes results.  Exit codes: 0 for
-success or a passing check, 1 for a failing check, 2 for usage errors.
+parses arguments, loads inputs, and serializes results.  Each ``_cmd_*``
+handler takes the parsed arguments and returns ``(inputs, results, summary,
+ok)``; only ``run`` prints, times and exits.  Exit codes: 0 for success or a
+passing check, 1 for a failing check, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -98,30 +100,23 @@ def _alpha_from_args(args, n: int) -> CostVector:
     return CostVector.ones(n)
 
 
-def _options_from_args(args) -> SolverOptions:
-    if args.gap is None:
-        return SolverOptions()
-    return SolverOptions(target_gap=args.gap)
-
-
 def _digest(obj) -> str:
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()
 
 
-def _emit(argv, inputs: dict, results: dict, started: float, human: str, code: int) -> int:
+def _emit(argv: list[str], inputs: dict, results: dict, summary: str, started: float) -> None:
     report = {
         "schema": SCHEMA,
         "tool": {"name": "advbound", "version": __version__},
-        "command": list(argv),
+        "command": argv,
         "inputs": inputs,
         "inputs_digest": _digest(inputs),
         "results": results,
         "timing": {"seconds": time.perf_counter() - started},
     }
     print(json.dumps(report, indent=2))
-    print(human, file=sys.stderr)
-    return code
+    print(summary, file=sys.stderr)
 
 
 def _add_function_flags(sp: argparse.ArgumentParser) -> None:
@@ -139,10 +134,12 @@ def _add_solver_flags(sp: argparse.ArgumentParser) -> None:
     # Accepted and ignored, for callers that still pass it (perfbench/workloads.py):
     # the barrier path has no restarts.
     sp.add_argument("--restarts", type=int, help=argparse.SUPPRESS)
-    sp.add_argument("--gap", type=float, help="target certificate gap")
+    sp.add_argument(
+        "--gap", type=float, default=SolverOptions().target_gap, help="target certificate gap"
+    )
 
 
-def _cmd_parse(args, argv, started) -> int:
+def _cmd_parse(args) -> tuple[dict, dict, str, bool]:
     ast = parse_formula(args.formula)
     results = {
         "ast": ast_to_dict(ast),
@@ -150,25 +147,24 @@ def _cmd_parse(args, argv, started) -> int:
         "n": formula_arity(ast),
         "read_once": is_read_once(ast),
     }
-    inputs = {"formula": args.formula}
-    return _emit(argv, inputs, results, started, f"parse: n={results['n']} read_once={results['read_once']}", 0)
+    summary = f"parse: n={results['n']} read_once={results['read_once']}"
+    return {"formula": args.formula}, results, summary, True
 
 
-def _cmd_bound(args, argv, started) -> int:
+def _cmd_bound(args) -> tuple[dict, dict, str, bool]:
     f = _function_from_args(args)
     alpha = _alpha_from_args(args, f.arity)
-    opts = _options_from_args(args)
-    cert = certify(f, alpha, opts)
+    cert = certify(f, alpha, SolverOptions(args.gap))
     inputs = {"function": function_to_dict(f), "alpha": list(alpha.costs)}
     results = {"certificate": cert.to_dict()}
-    human = (
+    summary = (
         f"bound: [{cert.lower_value:.12g}, {cert.upper_value:.12g}] "
         f"gap={cert.gap:.3g} tight={cert.tight}"
     )
-    return _emit(argv, inputs, results, started, human, 0)
+    return inputs, results, summary, True
 
 
-def _cmd_gadget(args, argv, started) -> int:
+def _cmd_gadget(args) -> tuple[dict, dict, str, bool]:
     beta = tuple(float(s) for s in args.beta.split(","))
     value, gamma, witness = gadget_cost_adv(args.gate, beta)
     inputs = {"gate": args.gate, "beta": list(beta)}
@@ -177,17 +173,17 @@ def _cmd_gadget(args, argv, started) -> int:
         "matrix": gamma_to_dict(gamma),
         "witness": witness_to_dict(witness),
     }
-    return _emit(argv, inputs, results, started, f"gadget {args.gate}: value={value!r}", 0)
+    return inputs, results, f"gadget {args.gate}: value={value!r}", True
 
 
-def _cmd_readonce(args, argv, started) -> int:
+def _cmd_readonce(args) -> tuple[dict, dict, str, bool]:
     ast = parse_formula(args.formula)
     n = readonce_arity(ast)  # checked before the costs are built
     alpha = _alpha_from_args(args, n)
     value, trace = readonce_bound(ast, alpha)
     inputs = {"formula": args.formula, "alpha": list(alpha.costs)}
     results = {"value": value, "n": n, "trace": trace}
-    return _emit(argv, inputs, results, started, f"readonce: value={value!r} (n={n})", 0)
+    return inputs, results, f"readonce: value={value!r} (n={n})", True
 
 
 def _spec_from_args(args) -> CompositionSpec:
@@ -196,7 +192,7 @@ def _spec_from_args(args) -> CompositionSpec:
     return CompositionSpec(outer, inner)
 
 
-def _cmd_compose(args, argv, started) -> int:
+def _cmd_compose(args) -> tuple[dict, dict, str, bool]:
     spec = _spec_from_args(args)
     h = compose_functions(spec)
     inputs = {
@@ -208,41 +204,39 @@ def _cmd_compose(args, argv, started) -> int:
         "offsets": list(spec.offsets),
         "total_arity": spec.total_arity,
     }
-    return _emit(argv, inputs, results, started, f"compose: arity={h.arity} rows={len(h.domain)}", 0)
+    return inputs, results, f"compose: arity={h.arity} rows={len(h.domain)}", True
 
 
-def _cmd_verify_composition(args, argv, started) -> int:
+def _cmd_verify_composition(args) -> tuple[dict, dict, str, bool]:
     spec = _spec_from_args(args)
     alpha = _alpha_from_args(args, spec.total_arity)
-    opts = _options_from_args(args)
-    report = verify_composition(spec, alpha, opts)
+    report = verify_composition(spec, alpha, SolverOptions(args.gap))
     inputs = {
         "outer": function_to_dict(spec.outer),
         "inner": [function_to_dict(g) for g in spec.inner],
         "alpha": list(alpha.costs),
     }
     results = report.to_dict()
-    human = (
+    summary = (
         f"verify-composition: {'PASS' if report.ok else 'FAIL'} "
         f"lhs={report.lhs_midpoint:.12g} rhs={report.rhs_midpoint:.12g} tol={report.tolerance:.3g}"
     )
-    return _emit(argv, inputs, results, started, human, 0 if report.ok else 1)
+    return inputs, results, summary, report.ok
 
 
-def _cmd_verify_iteration(args, argv, started) -> int:
+def _cmd_verify_iteration(args) -> tuple[dict, dict, str, bool]:
     f = _function_from_args(args)
-    opts = _options_from_args(args)
-    report = verify_iteration(f, args.d, opts)
+    report = verify_iteration(f, args.d, SolverOptions(args.gap))
     inputs = {"function": function_to_dict(f), "d": args.d}
     results = report.to_dict()
-    human = (
+    summary = (
         f"verify-iteration: {'PASS' if report.ok else 'FAIL'} "
         f"base={report.base_cert.midpoint:.12g} iterated={report.iterated_cert.midpoint:.12g}"
     )
-    return _emit(argv, inputs, results, started, human, 0 if report.ok else 1)
+    return inputs, results, summary, report.ok
 
 
-def _cmd_check_gamma(args, argv, started) -> int:
+def _cmd_check_gamma(args) -> tuple[dict, dict, str, bool]:
     data = _read_json(args.matrix)
     function = None
     if args.family or args.formula or args.table or args.n is not None:
@@ -256,8 +250,8 @@ def _cmd_check_gamma(args, argv, started) -> int:
         "constant_function": report.constant_function,
         "zero_matrix": report.zero_matrix,
     }
-    human = f"check-gamma: {'PASS' if report.ok else 'FAIL'} ({len(report.violations)} violations)"
-    return _emit(argv, inputs, results, started, human, 0 if report.ok else 1)
+    summary = f"check-gamma: {'PASS' if report.ok else 'FAIL'} ({len(report.violations)} violations)"
+    return inputs, results, summary, report.ok
 
 
 @functools.cache
@@ -321,17 +315,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: Sequence[str] | None = None) -> int:
     argv = list(argv) if argv is not None else sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
-        return args.handler(args, argv, started)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        inputs, results, summary, ok = args.handler(args)
+        _emit(argv, inputs, results, summary, started)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 def main() -> None:

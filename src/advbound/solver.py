@@ -671,13 +671,11 @@ def verify_composition(
     if spec.total_arity <= ARITY_CAP:
         direct_cert = certify(h, alpha, opts)
         lhs_lower, lhs_upper = direct_cert.lower_value, direct_cert.upper_value
-        direct_gap = direct_cert.gap
     else:
         direct_cert = None
         lhs_lower, lhs_upper = composed_lower, composed_upper
-        direct_gap = composed_upper - composed_lower
 
-    combined_gap = outer_cert.gap + direct_gap + sum(c.gap for c in inner_certs)
+    combined_gap = outer_cert.gap + (lhs_upper - lhs_lower) + sum(c.gap for c in inner_certs)
     tolerance = combined_gap + VERIFY_SLACK
 
     lhs_mid = 0.5 * (lhs_lower + lhs_upper)

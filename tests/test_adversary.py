@@ -1057,6 +1057,17 @@ def test_masked_compose_check_infinite_ratio():
     assert report.entrywise_ok and report.norm_ok and report.ratio_ok
 
 
+def test_masked_compose_check_empty_domain():
+    # the outer {1 -> 1} over a constant-0 bit: the composed domain is empty
+    outer = BooleanFunction(1, ("1",), (1,))
+    inner = BooleanFunction(1, ("0", "1"), (0, 0))
+    spec = CompositionSpec(outer, (inner,))
+    report = masked_compose_check(zero_gamma(outer), [zero_gamma(inner)], spec, 1)
+    assert report.norm_lhs == 0.0 and report.norm_rhs == 0.0
+    assert report.ratio_lhs == math.inf and report.ratio_rhs == math.inf
+    assert report.entrywise_ok and report.norm_ok and report.ratio_ok
+
+
 def test_masked_compose_check_position_out_of_range():
     spec = CompositionSpec(AND2, (AND2, AND2))
     unit = gadget(AND2, 1.0, 1.0)

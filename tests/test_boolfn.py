@@ -73,6 +73,8 @@ def test_function_validation():
         BooleanFunction(2, ("00",), (0, 1))  # length mismatch
     with pytest.raises(ValueError):
         BooleanFunction(2, ("00", "010"), (0, 1))  # wrong width
+    with pytest.raises(ValueError, match="arity must be at least 1"):
+        BooleanFunction(0, (), ())
 
 
 def test_partial_function_lookup():
@@ -126,6 +128,7 @@ def test_read_once_flag():
         ("x1 |", 5),
         ("(x1 & x2", 9),
         ("x1 x2", 4),
+        ("(x1 x2)", 5),
         ("y1", 1),
         ("x", 1),
         # nesting past MAX_NESTING = 100: the 101st '~' or '(' is rejected
@@ -169,6 +172,8 @@ def test_formula_arity_override():
         formula_to_function(parse_formula("x3"), n=2)
     with pytest.raises(ValueError):
         formula_to_function(parse_formula("x1"), n=13)
+    with pytest.raises(ValueError, match="leaf x3 out of range for 2 bits"):
+        eval_formula(Leaf(3), "01")
 
 
 def test_split_input():
@@ -181,6 +186,8 @@ def test_split_input():
     assert spec.block_of(3) == (2, 1)
     with pytest.raises(ValueError):
         spec.block_of(4)
+    with pytest.raises(ValueError, match="outer arity 2 but 1 inner functions"):
+        CompositionSpec(make_family("and", 2), (make_family("or", 2),))
 
 
 def test_split_input_outside_inner_domain():

@@ -1,7 +1,12 @@
 """End-to-end runs of every subcommand through ``run(argv)``."""
 
+import dataclasses
 import json
 import math
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import pytest
 
@@ -10,6 +15,8 @@ from advbound.adversary import CostVector, gamma_to_dict
 from advbound.boolfn import function_to_dict, make_family
 from advbound.cli import SCHEMA, load_function, run
 from advbound.solver import SolverOptions, certify, gadget_cost_adv
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def invoke(capsys, argv):
@@ -38,6 +45,9 @@ def test_parse_error_is_usage_error(capsys):
     assert code == 2
     assert report is None
     assert err.startswith("error:")
+    code, report, err = invoke(capsys, ["parse", "(x1 x2)"])
+    assert (code, report) == (2, None)
+    assert err == "error: expected ')' (position 5)\n"
 
 
 def test_bound_matches_library(capsys):
@@ -212,6 +222,10 @@ def test_compose_bad_spec(capsys):
     code, _, err = invoke(capsys, ["compose", "--outer", "nope:and", "--inner", "family:or:2"])
     assert code == 2
     assert "unknown function spec" in err
+    argv = ["verify-composition", "--outer", "family:and:2", "--inner", "family:or:2"]
+    code, report, err = invoke(capsys, argv)
+    assert (code, report) == (2, None)
+    assert err == "error: outer arity 2 but 1 inner functions\n"
 
 
 def test_verify_composition_passes(capsys):
@@ -243,6 +257,27 @@ def test_consecutive_runs_share_the_parser_and_leak_no_state(capsys):
         assert code == 0
         assert len(report["inputs"]["inner"]) == 2
         assert len(report["results"]["inner"]) == 2
+
+
+@pytest.mark.parametrize(
+    "name,failing,command",
+    [
+        (
+            "verify_composition",
+            {"main_ok": False},
+            "verify-composition --outer family:and:2 --inner family:or:2 --inner family:or:2",
+        ),
+        ("verify_iteration", {"ok": False}, "verify-iteration --family nand --n 2 --d 2"),
+    ],
+    ids=["composition", "iteration"],
+)
+def test_failing_verify_reports_and_exits_one(capsys, monkeypatch, name, failing, command):
+    real = getattr(cli, name)
+    monkeypatch.setattr(cli, name, lambda *a: dataclasses.replace(real(*a), **failing))
+    code, report, err = invoke(capsys, command.split())
+    assert code == 1
+    assert report["results"]["ok"] is False
+    assert err.startswith(f"{command.split()[0]}: FAIL")
 
 
 def test_verify_iteration_passes(capsys):
@@ -660,3 +695,19 @@ def test_no_subcommand_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "advbound" in capsys.readouterr().out
+
+
+def test_module_entry_point_reports_and_exits():
+    def advbound(*argv):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        cmd = [sys.executable, "-m", "advbound.cli", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True)
+
+    ok = advbound("parse", "x1")
+    assert ok.returncode == 0
+    report = json.loads(ok.stdout)
+    assert report["command"] == ["parse", "x1"] and report["results"]["n"] == 1
+    bad = advbound("parse", "x1 &")
+    assert bad.returncode == 2
+    assert bad.stdout == ""
+    assert bad.stderr.startswith("error:")

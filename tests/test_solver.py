@@ -685,6 +685,8 @@ def test_verify_composition_and_of_ors():
     assert report.lhs_midpoint == pytest.approx(2.0, abs=2e-2)
     assert report.rhs_midpoint == pytest.approx(2.0, abs=2e-2)
     assert report.beta.costs == tuple(c.midpoint for c in report.inner_certs)
+    gaps = report.outer_cert.gap + report.direct_cert.gap + sum(c.gap for c in report.inner_certs)
+    assert report.tolerance == gaps + solver.VERIFY_SLACK
     data = json.loads(json.dumps(report.to_dict()))
     assert data["ok"] is True
     assert set(data["checks"]) == {"main", "chain_lower", "chain_upper", "scaled"}
@@ -726,6 +728,9 @@ def test_verify_composition_beyond_cap_uses_composed_bracket():
     assert report.direct_cert is None
     assert report.lhs_lower == report.composed_lower
     assert report.lhs_upper == report.composed_upper
+    lhs_gap = report.composed_upper - report.composed_lower
+    gaps = report.outer_cert.gap + lhs_gap + sum(c.gap for c in report.inner_certs)
+    assert report.tolerance == gaps + solver.VERIFY_SLACK
     assert report.ok
     assert report.lhs_midpoint == pytest.approx(math.sqrt(6.0), abs=5e-2)
     assert json.loads(json.dumps(report.to_dict()))["direct"] is None
