@@ -4,7 +4,8 @@ Every number in a report comes straight from the library; the CLI only
 parses arguments, loads inputs, and serializes results.  Each ``_cmd_*``
 handler takes the parsed arguments and returns ``(inputs, results, summary,
 ok)``; only ``run`` prints, times and exits.  Exit codes: 0 for success or a
-passing check, 1 for a failing check, 2 for usage errors.
+passing check, 1 for a failing check, 2 for usage errors, and 141, as for
+a process killed by SIGPIPE, when the reader of stdout has gone.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ import argparse
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .adversary import (
@@ -49,7 +53,7 @@ from .solver import (
     verify_iteration,
 )
 
-SCHEMA = "advbound-report/2"
+SCHEMA = "advbound-report/3"
 
 
 def load_function(source: str) -> BooleanFunction:
@@ -105,6 +109,10 @@ def _digest(obj) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _bracket(lower: float, upper: float) -> str:
+    return f"[{lower:.12g}, {upper:.12g}]"
+
+
 def _emit(argv: list[str], inputs: dict, results: dict, summary: str, started: float) -> None:
     report = {
         "schema": SCHEMA,
@@ -115,7 +123,7 @@ def _emit(argv: list[str], inputs: dict, results: dict, summary: str, started: f
         "results": results,
         "timing": {"seconds": time.perf_counter() - started},
     }
-    print(json.dumps(report, indent=2))
+    print(json.dumps(report, indent=2), flush=True)
     print(summary, file=sys.stderr)
 
 
@@ -158,7 +166,7 @@ def _cmd_bound(args) -> tuple[dict, dict, str, bool]:
     inputs = {"function": function_to_dict(f), "alpha": list(alpha.costs)}
     results = {"certificate": cert.to_dict()}
     summary = (
-        f"bound: [{cert.lower_value:.12g}, {cert.upper_value:.12g}] "
+        f"bound: {_bracket(cert.lower_value, cert.upper_value)} "
         f"gap={cert.gap:.3g} tight={cert.tight}"
     )
     return inputs, results, summary, True
@@ -217,9 +225,12 @@ def _cmd_verify_composition(args) -> tuple[dict, dict, str, bool]:
         "alpha": list(alpha.costs),
     }
     results = report.to_dict()
+    direct = report.direct_cert
     summary = (
         f"verify-composition: {'PASS' if report.ok else 'FAIL'} "
-        f"lhs={report.lhs_midpoint:.12g} rhs={report.rhs_midpoint:.12g} tol={report.tolerance:.3g}"
+        f"direct={_bracket(direct.lower_value, direct.upper_value) if direct else 'none'} "
+        f"composed={_bracket(report.composed_lower, report.composed_upper)} "
+        f"theorem={_bracket(report.theorem_lower, report.theorem_upper)}"
     )
     return inputs, results, summary, report.ok
 
@@ -229,9 +240,11 @@ def _cmd_verify_iteration(args) -> tuple[dict, dict, str, bool]:
     report = verify_iteration(f, args.d, SolverOptions(args.gap))
     inputs = {"function": function_to_dict(f), "d": args.d}
     results = report.to_dict()
+    it = report.iterated_cert
     summary = (
         f"verify-iteration: {'PASS' if report.ok else 'FAIL'} "
-        f"base={report.base_cert.midpoint:.12g} iterated={report.iterated_cert.midpoint:.12g}"
+        f"power={_bracket(report.power_lower, report.power_upper)} "
+        f"iterated={_bracket(it.lower_value, it.upper_value)}"
     )
     return inputs, results, summary, report.ok
 
@@ -243,7 +256,13 @@ def _cmd_check_gamma(args) -> tuple[dict, dict, str, bool]:
         function = _function_from_args(args)
     gamma = gamma_from_dict(data, function)
     report = validate(gamma)
-    inputs = {"matrix": gamma_to_dict(gamma)}
+    # The entries as little-endian float64 in domain order, digested: echoing
+    # a 4096-row matrix took 18-20 s.
+    entries = np.ascontiguousarray(gamma.matrix.entries, dtype="<f8")
+    inputs = {
+        "function": function_to_dict(gamma.function),
+        "matrix_sha256": hashlib.sha256(entries).hexdigest(),
+    }
     results = {
         "ok": report.ok,
         "violations": list(report.violations),
@@ -323,6 +342,15 @@ def run(argv: Sequence[str] | None = None) -> int:
     try:
         inputs, results, summary, ok = args.handler(args)
         _emit(argv, inputs, results, summary, started)
+    except BrokenPipeError:
+        # The reader of stdout has gone (as in ``| head``): not bad input.
+        # Point stdout at devnull so the flush at exit does not raise again
+        # (the SIGPIPE note of Python's signal docs), and exit as a process
+        # killed by SIGPIPE would, silently.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,6 +24,7 @@ from advbound.adversary import (
 from advbound.boolfn import CompositionSpec, make_family
 from advbound.cli import run
 from advbound.solver import (
+    _meet,
     certify,
     readonce_bound,
     verify_composition,
@@ -219,16 +220,17 @@ def test_7_composition_end_to_end():
     ok = True
     for spec, truth, label in cases:
         rep = verify_composition(spec, (1.0,) * spec.total_arity)
-        sides_ok = (
-            abs(rep.lhs_midpoint - truth) <= rep.tolerance
-            and abs(rep.rhs_midpoint - truth) <= rep.tolerance
-        )
-        ok &= rep.ok and sides_ok
-        details.append(
-            f"{label}: lhs {rep.lhs_midpoint:.4f} rhs {rep.rhs_midpoint:.4f} "
-            f"target {truth:.4f} tol {rep.tolerance:.3g} ok={rep.ok and sides_ok}"
-        )
-    report(7, "composition both routes", ok, "; ".join(details))
+        brackets = {
+            "direct": (rep.direct_cert.lower_value, rep.direct_cert.upper_value),
+            "composed": (rep.composed_lower, rep.composed_upper),
+            "theorem": (rep.theorem_lower, rep.theorem_upper),
+        }
+        # every bracket is sound, so each holds the truth up to rounding
+        held = all(_meet((truth, truth), b) for b in brackets.values())
+        ok &= rep.ok and held
+        shown = " ".join(f"{k} [{lo:.6f}, {up:.6f}]" for k, (lo, up) in brackets.items())
+        details.append(f"{label}: {shown} target {truth:.6f} ok={rep.ok and held}")
+    report(7, "composition brackets hold the value", ok, "; ".join(details))
 
 
 def test_8_iteration_squared():

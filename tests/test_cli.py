@@ -1,6 +1,7 @@
 """End-to-end runs of every subcommand through ``run(argv)``."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from advbound import boolfn, cli, solver
@@ -55,7 +57,7 @@ def test_bound_matches_library(capsys):
     assert code == 0
     cert = certify(make_family("or", 2), (1.0, 1.0), SolverOptions(target_gap=0.01))
     assert report["results"]["certificate"] == json.loads(json.dumps(cert.to_dict()))
-    assert report["schema"] == "advbound-report/2"
+    assert report["schema"] == "advbound-report/3"
     assert list(report) == ["schema", "tool", "command", "inputs", "inputs_digest", "results", "timing"]
     assert report["inputs"]["alpha"] == [1.0, 1.0]
 
@@ -240,8 +242,12 @@ def test_verify_composition_passes(capsys):
     )
     assert code == 0
     assert report["results"]["ok"] is True
-    assert report["results"]["lhs"]["lower"] <= 2.0 + 1e-9
-    assert "PASS" in err
+    results = report["results"]
+    direct = results["direct"]
+    lower = [direct["lower"]["value"]] + [results[k]["lower"] for k in ("composed", "theorem")]
+    upper = [direct["upper"]["value"]] + [results[k]["upper"] for k in ("composed", "theorem")]
+    assert max(lower) <= 2.0 + 1e-9 and 2.0 <= min(upper) + 1e-9
+    assert err.startswith("verify-composition: PASS direct=[")
 
 
 def test_consecutive_runs_share_the_parser_and_leak_no_state(capsys):
@@ -264,7 +270,7 @@ def test_consecutive_runs_share_the_parser_and_leak_no_state(capsys):
     [
         (
             "verify_composition",
-            {"main_ok": False},
+            {"theorem_lower": 3.0},
             "verify-composition --outer family:and:2 --inner family:or:2 --inner family:or:2",
         ),
         ("verify_iteration", {"ok": False}, "verify-iteration --family nand --n 2 --d 2"),
@@ -456,6 +462,24 @@ def test_check_gamma_valid(capsys, tmp_path):
     assert code == 0
     assert report["results"]["ok"] is True
     assert "PASS" in err
+
+
+def test_check_gamma_echoes_the_function_and_a_digest_of_the_entries(capsys, tmp_path):
+    # The report echoes no entry: a 4096-row matrix took 18-20 s to echo.
+    _, gamma, _ = gadget_cost_adv("and", (3.0, 4.0))
+    data = gamma_to_dict(gamma)
+    digests = []
+    for diagonal in (0.0, 1.0):  # the second matrix differs in one entry
+        data["entries"][0][0] = diagonal
+        path = tmp_path / f"gamma{diagonal}.json"
+        path.write_text(json.dumps(data))
+        _, report, _ = invoke(capsys, ["check-gamma", "--matrix", str(path)])
+        assert report["inputs"] == {
+            "function": function_to_dict(gamma.function),
+            "matrix_sha256": hashlib.sha256(np.array(data["entries"], dtype="<f8")).hexdigest(),
+        }
+        digests.append(report["inputs"]["matrix_sha256"])
+    assert digests[0] != digests[1]
 
 
 def test_check_gamma_invalid_exits_one(capsys, tmp_path):
@@ -711,3 +735,22 @@ def test_module_entry_point_reports_and_exits():
     assert bad.returncode == 2
     assert bad.stdout == ""
     assert bad.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["parse", "x1"], ["verify-iteration", "--family", "nand", "--n", "2", "--d", "2"]],
+    ids=["short-report", "long-report"],
+)
+def test_closed_stdout_pipe_exits_as_sigpipe_silently(argv):
+    # The short report fails at the flush, the long one inside print.  A
+    # closed pipe used to exit 2, as a usage error, after all the work.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    cmd = [sys.executable, "-m", "advbound.cli", *argv]
+    try:
+        done = subprocess.run(cmd, env=env, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")

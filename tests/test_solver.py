@@ -483,6 +483,16 @@ def test_certificate_rejects_inverted_bracket():
         dataclasses.replace(cert, lower_value=2.0, upper_value=1.0)
 
 
+def test_certificate_allows_an_inversion_by_rounding_alone_at_any_scale():
+    # id1 at cost 1e300 closes to [1e300, 9.999999999999999e299], 1 ulp
+    # inverted, which an absolute allowance of 1e-9 rejected; at 1e-300 it
+    # let a lower end twice the upper one pass.
+    assert certify(ID1, (1e300,)).gap < 0
+    tiny = certify(ID1, (1e-300,))
+    with pytest.raises(ValueError, match="bracket inverted"):
+        dataclasses.replace(tiny, lower_value=2e-300, upper_value=1e-300)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_certificate_rejects_non_finite_values(bad):
     cert = certify(ID1, (1.0,))
@@ -677,23 +687,47 @@ def test_readonce_matches_certify():
 # composition and iteration reports
 
 
+def brackets(report) -> dict[str, tuple[float, float]]:
+    """The brackets a composition report compares, by name."""
+    found = {
+        "composed": (report.composed_lower, report.composed_upper),
+        "theorem": (report.theorem_lower, report.theorem_upper),
+    }
+    if report.direct_cert is not None:
+        found["direct"] = (report.direct_cert.lower_value, report.direct_cert.upper_value)
+    return found
+
+
+def holds(bracket: tuple[float, float], value: float) -> bool:
+    """Whether ``value`` is in the bracket, up to the rounding bound."""
+    return solver._meet((value, value), bracket)
+
+
 def test_verify_composition_and_of_ors():
     spec = CompositionSpec(AND2, (OR2, OR2))
     report = verify_composition(spec, (1.0,) * 4)
     assert report.ok
     assert report.direct_cert is not None
-    assert report.lhs_midpoint == pytest.approx(2.0, abs=2e-2)
-    assert report.rhs_midpoint == pytest.approx(2.0, abs=2e-2)
+    found = brackets(report)
+    assert set(found) == {"direct", "composed", "theorem"}
+    assert all(holds(b, 2.0) for b in found.values()), found
     assert report.beta.costs == tuple(c.midpoint for c in report.inner_certs)
-    gaps = report.outer_cert.gap + report.direct_cert.gap + sum(c.gap for c in report.inner_certs)
-    assert report.tolerance == gaps + solver.VERIFY_SLACK
+    inner_lower = [c.lower_value for c in report.inner_certs]
+    inner_upper = [c.upper_value for c in report.inner_certs]
+    assert report.theorem_lower == adv_value(report.outer_cert.lower_matrix, inner_lower)
+    assert report.theorem_upper == mm_value(report.outer_cert.upper_witness, inner_upper)
     data = json.loads(json.dumps(report.to_dict()))
     assert data["ok"] is True
-    assert set(data["checks"]) == {"main", "chain_lower", "chain_upper", "scaled"}
+    assert set(data) == {"alpha", "beta", "inner", "outer", "direct", "composed", "theorem", "ok"}
+    assert data["theorem"] == {"lower": report.theorem_lower, "upper": report.theorem_upper}
+    # Each bracket counts: a direct or theorem bracket on another value fails.
+    wrong_direct = certify(compose_functions(spec), (2.0,) * 4)
+    assert not dataclasses.replace(report, direct_cert=wrong_direct).ok
+    assert not dataclasses.replace(report, theorem_lower=4.0, theorem_upper=4.0).ok
 
 
 @pytest.mark.parametrize(
-    "alpha,calls", [((1.0, 1.0, 1.0, 1.0), 4), ((1.0, 1.0, 2.0, 2.0), 5)], ids=["repeat", "distinct"]
+    "alpha,calls", [((1.0, 1.0, 1.0, 1.0), 3), ((1.0, 1.0, 2.0, 2.0), 4)], ids=["repeat", "distinct"]
 )
 def test_verify_composition_certifies_repeated_inner_once(monkeypatch, alpha, calls):
     spec = CompositionSpec(AND2, (OR2, OR2))
@@ -707,8 +741,8 @@ def test_verify_composition_certifies_repeated_inner_once(monkeypatch, alpha, ca
 
     monkeypatch.setattr(solver, "certify", counting)
     report = verify_composition(spec, alpha, opts)
-    assert len(seen) == calls  # inner (once per distinct block), outer, direct, unit outer
-    assert (report.inner_certs[0] is report.inner_certs[1]) == (calls == 4)
+    assert len(seen) == calls  # inner (once per distinct block), outer, direct
+    assert (report.inner_certs[0] is report.inner_certs[1]) == (calls == 3)
     monkeypatch.setattr(solver, "certify", real)
     inner = [certify(OR2, alpha[:2], opts), certify(OR2, alpha[2:], opts)]
     assert [c.to_dict() for c in report.inner_certs] == [c.to_dict() for c in inner]
@@ -718,22 +752,81 @@ def test_verify_composition_mixed_arity():
     spec = CompositionSpec(AND2, (AND2, ID1))
     report = verify_composition(spec, (1.0,) * 3)
     assert report.ok
-    assert report.lhs_midpoint == pytest.approx(math.sqrt(3.0), abs=2e-2)
-    assert report.rhs_midpoint == pytest.approx(math.sqrt(3.0), abs=2e-2)
+    found = brackets(report)
+    assert len(found) == 3
+    assert all(holds(b, math.sqrt(3.0)) for b in found.values()), found
 
 
 def test_verify_composition_beyond_cap_uses_composed_bracket():
     spec = CompositionSpec(make_family("and", 3), (OR2, OR2, OR2))
     report = verify_composition(spec, (1.0,) * 6)
     assert report.direct_cert is None
-    assert report.lhs_lower == report.composed_lower
-    assert report.lhs_upper == report.composed_upper
-    lhs_gap = report.composed_upper - report.composed_lower
-    gaps = report.outer_cert.gap + lhs_gap + sum(c.gap for c in report.inner_certs)
-    assert report.tolerance == gaps + solver.VERIFY_SLACK
     assert report.ok
-    assert report.lhs_midpoint == pytest.approx(math.sqrt(6.0), abs=5e-2)
+    found = brackets(report)
+    assert set(found) == {"composed", "theorem"}
+    assert all(holds(b, math.sqrt(6.0)) for b in found.values()), found
     assert json.loads(json.dumps(report.to_dict()))["direct"] is None
+
+
+AND_OR_OR = CompositionSpec(AND2, (OR2, OR2))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+@pytest.mark.parametrize(
+    "name,factor", [("adv_value", 2.0), ("mm_value", 0.5)], ids=["adv_doubled", "mm_halved"]
+)
+def test_verify_composition_fails_on_a_wrong_evaluator(monkeypatch, scale, name, factor):
+    # A lower value doubled (4 on and(or,or), whose value is 2) or an upper
+    # value halved is caught at every scale of the costs.
+    real = getattr(solver, name)
+    monkeypatch.setattr(solver, name, lambda *a: factor * real(*a))
+    report = verify_composition(AND_OR_OR, (scale,) * 4)
+    assert not report.ok
+    assert json.loads(json.dumps(report.to_dict()))["ok"] is False
+
+
+def random_partial_spec(rng: np.random.Generator) -> CompositionSpec:
+    """A random total 2-bit outer table over two random partial inner tables
+    of 2 or 3 bits, each keeping both outputs."""
+
+    def partial(n: int) -> BooleanFunction:
+        while True:
+            rows = [(x, int(rng.integers(0, 2))) for x in make_family("parity", n).domain]
+            rows = [r for r in rows if rng.random() < 0.7]
+            if {v for _, v in rows} == {0, 1}:
+                return BooleanFunction(n, tuple(x for x, _ in rows), tuple(v for _, v in rows))
+
+    while True:
+        outer = BooleanFunction(2, PARITY2.domain, tuple(int(v) for v in rng.integers(0, 2, 4)))
+        if not outer.is_constant:
+            break
+    return CompositionSpec(outer, tuple(partial(int(rng.integers(2, 4))) for _ in range(2)))
+
+
+def factoring_cases():
+    and3 = make_family("and", 3)
+    for scale in (1.0, 1e-3, 1e3):
+        yield f"and_or_or_{scale:g}", AND_OR_OR, (scale,) * 4
+    yield "and_and_id", CompositionSpec(AND2, (AND2, ID1)), (1.0,) * 3
+    yield "and3_or_or_or", CompositionSpec(and3, (OR2, OR2, OR2)), (1.0,) * 6
+    for seed in (0, 1, 5, 6, 8):  # outer tables nand, or, ~x1 | x2, xor, xnor
+        rng = np.random.default_rng(seed)
+        spec = random_partial_spec(rng)
+        alpha = tuple(float(a) for a in np.exp(rng.uniform(-1.0, 1.0, spec.total_arity)))
+        yield f"random_partial_{seed}", spec, alpha
+
+
+@pytest.mark.parametrize(
+    "spec,alpha", [c[1:] for c in factoring_cases()], ids=[c[0] for c in factoring_cases()]
+)
+def test_composed_bracket_factors_into_the_theorem_bracket(spec, alpha):
+    # Composition multiplies norms and distributes witness mass, so the
+    # composed matrix and witness score at alpha what the outer ones score at
+    # the inner values: the composed and theorem brackets are one bracket.
+    report = verify_composition(spec, alpha)
+    assert report.ok
+    assert report.composed_lower == pytest.approx(report.theorem_lower, rel=1e-12, abs=0.0)
+    assert report.composed_upper == pytest.approx(report.theorem_upper, rel=1e-12, abs=0.0)
 
 
 def test_verify_composition_checks_alpha_length():
@@ -751,6 +844,35 @@ def test_verify_iteration_nand_squared():
     assert report.power_lower == report.base_cert.lower_value**2
     data = json.loads(json.dumps(report.to_dict()))
     assert data["ok"] is True and data["depth"] == 2
+
+
+def test_verify_iteration_meets_through_the_rounding_bound_only(monkeypatch):
+    # The base bracket of parity2 is inverted by 1 ulp, so its square is
+    # [3.999999999999999, 3.9999999999999982]: the check passes only through
+    # the rounding bound.  Moved up by 1e-9 relative, it fails: the bound
+    # is no slack.
+    report = verify_iteration(PARITY2, 2)
+    assert report.base_cert.lower_value > report.base_cert.upper_value
+    assert report.power_lower > report.power_upper
+    assert report.ok
+    assert holds((report.iterated_cert.lower_value, report.iterated_cert.upper_value), 4.0)
+    assert "slack" not in report.to_dict()
+
+    real, up = solver.certify, math.sqrt(1.0 + 1e-9)
+
+    def base_moved_up(f, costs, opts):
+        cert = real(f, costs, opts)
+        if f.arity != 2:
+            return cert
+        return dataclasses.replace(
+            cert, lower_value=cert.lower_value * up, upper_value=cert.upper_value * up
+        )
+
+    monkeypatch.setattr(solver, "certify", base_moved_up)
+    moved = verify_iteration(PARITY2, 2)
+    assert moved.power_lower == pytest.approx(report.power_lower * (1.0 + 1e-9), rel=1e-15)
+    assert moved.iterated_cert.to_dict() == report.iterated_cert.to_dict()
+    assert not moved.ok
 
 
 def test_verify_iteration_depth_one_is_trivial():
