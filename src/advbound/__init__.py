@@ -9,7 +9,6 @@ from .boolfn import (
     iterate_function,
     make_family,
     parse_formula,
-    split_input,
 )
 from .specmat import SpectralResult, SymMatrix, principal_eigenvector, spectral_norm
 from .adversary import (
@@ -21,7 +20,6 @@ from .adversary import (
     compose_eigenvector,
     compose_gamma,
     compose_minimax,
-    masked_compose_check,
     mm_value,
     validate,
 )
@@ -59,13 +57,11 @@ __all__ = [
     "gadget_cost_adv",
     "iterate_function",
     "make_family",
-    "masked_compose_check",
     "mm_value",
     "parse_formula",
     "principal_eigenvector",
     "readonce_bound",
     "spectral_norm",
-    "split_input",
     "validate",
     "verify_composition",
     "verify_iteration",

@@ -50,9 +50,6 @@ N x N array, but its entries are counted first: a sparse one is written
 first, then populated, so that only the pages that get an entry become
 resident, every other page reads as the shared zero page, and the kernel
 visits each page once.
-The composed quantities obey exact product laws, which
-``masked_compose_check`` verifies numerically, with every norm from
-``_crossing_norms`` on the crossing block of an unmasked matrix.
 
 ``MinimaxWitness`` holds its rows as one read-only (rows, arity) array in
 domain order.  It checks them all at once with array operations, and walks
@@ -91,9 +88,6 @@ from .specmat import (
 
 #: Probability rows must sum to one within this tolerance.
 PROB_SUM_TOL = 1e-12
-
-#: Composed-identity checks ask for this relative agreement.
-COMPOSE_TOL = 1e-8
 
 #: Each output class of a principal eigenvector carries half the mass.
 HALF_MASS_TOL = 1e-8
@@ -269,20 +263,15 @@ def adv_value(gamma: AdversaryMatrix, alpha) -> float:
     alpha = as_costs(alpha, f.arity)
     if require_valid(gamma).zero_matrix:
         return 0.0
-    return adv_block_value(f, _crossing_block(gamma), alpha)[0]
+    zeros, ones = f.classes
+    return adv_block_value(f, gamma.matrix.entries[np.ix_(zeros, ones)], alpha)[0]
 
 
-def _crossing_block(gamma: AdversaryMatrix) -> np.ndarray:
-    """The f^-1(0) x f^-1(1) block of G, gathered."""
-    zeros, ones = gamma.function.classes
-    return gamma.matrix.entries[np.ix_(zeros, ones)]
-
-
-def _crossing_norms(f: BooleanFunction, block: np.ndarray, bits) -> tuple[list, list]:
-    """||B|| and then ||B o D_i|| for each 0-based bit i that ``bits`` picks
-    (a slice or a list), and their residuals, for the f^-1(0) x f^-1(1)
-    block B of a G that vanishes on pairs with equal outputs; B o D_i is B
-    masked to the pairs that differ at bit i, read from the bits of f.
+def _crossing_norms(f: BooleanFunction, block: np.ndarray) -> tuple[list, list]:
+    """||B|| and then ||B o D_i|| for each bit i, and their residuals, for
+    the f^-1(0) x f^-1(1) block B of a G that vanishes on pairs with equal
+    outputs; B o D_i is B masked to the pairs that differ at bit i, read
+    from the bits of f.
 
     A block without a zero entry (every solver round) is solved in one
     ``block_norms`` call on the stack [B, B o D_i, ...].  A block with a zero
@@ -291,7 +280,7 @@ def _crossing_norms(f: BooleanFunction, block: np.ndarray, bits) -> tuple[list, 
     it keeps.
     """
     zeros, ones = f.classes
-    row_bits, col_bits = f.bits[zeros][:, bits], f.bits[ones][:, bits]
+    row_bits, col_bits = f.bits[zeros], f.bits[ones]
     if block.all():
         stack = np.empty((row_bits.shape[1] + 1,) + block.shape)
         stack[0] = block
@@ -311,7 +300,7 @@ def adv_block_value(
     """``adv_value`` of the valid, nonzero G whose f^-1(0) x f^-1(1) block is
     ``block``, from the ``_crossing_norms`` of every bit, and the largest of
     their residuals.  Neither the block nor the costs are checked."""
-    norms, residuals = _crossing_norms(f, block, slice(None))
+    norms, residuals = _crossing_norms(f, block)
     whole = norms[0]
     if whole == 0.0:
         # A nonzero matrix has a positive norm; 0 means the solve lost it.
@@ -693,104 +682,6 @@ def compose_eigenvector(
     for parts, idx in zip(deltas_g, rows.inner_row):
         out *= parts.vector[idx]
     return out
-
-
-def _rel_close(a: float, b: float, tol: float) -> bool:
-    if math.isinf(a) or math.isinf(b):
-        return a == b
-    scale = max(abs(a), abs(b))
-    return abs(a - b) <= tol * scale if scale > 0 else True
-
-
-def _ratio(num: float, den: float) -> float:
-    return math.inf if den == 0.0 else num / den
-
-
-@dataclass(frozen=True, eq=False)
-class MaskedCompositionReport:
-    """Both sides of the masked-composition identities at one position.
-
-    ``ell`` is a position of the composed input, landing at position
-    ``inner_pos`` of block ``block``.  The identities: the masked composed
-    matrix factors entrywise through the blocks, its norm is the product of
-    the factor norms, and the whole/masked norm ratio splits into the outer
-    ratio times the inner ratio.
-    """
-
-    ell: int
-    block: int
-    inner_pos: int
-    entrywise_ok: bool
-    norm_lhs: float
-    norm_rhs: float
-    norm_ok: bool
-    ratio_lhs: float
-    ratio_rhs: float
-    ratio_ok: bool
-
-
-def _masked(gamma: AdversaryMatrix, i: int) -> AdversaryMatrix:
-    """G o D_i: G zeroed on the pairs whose inputs agree at bit i."""
-    bit = gamma.function.bits[:, i - 1]
-    m = gamma.matrix
-    return AdversaryMatrix(gamma.function, SymMatrix(m.labels, m.entries * (bit[:, None] != bit)))
-
-
-def _gamma_norms(gamma: AdversaryMatrix, bits: list) -> list:
-    """||G||, then ||G o D_i|| for each 0-based bit i of ``bits``, for a valid G."""
-    return _crossing_norms(gamma.function, _crossing_block(gamma), bits)[0]
-
-
-def masked_compose_check(
-    gamma_f: AdversaryMatrix,
-    gammas_g: Sequence[AdversaryMatrix],
-    spec: CompositionSpec,
-    ell: int,
-) -> MaskedCompositionReport:
-    """Verify the masked factorization of the composed matrix at position ell,
-    which is position q of block p: G_h o D_ell against the composition of
-    G_f o D_p with G_{g_p} o D_q.  Every norm is taken on a crossing block
-    of an unmasked matrix, by ``_crossing_norms``."""
-    p, q = spec.block_of(ell)
-    gamma_h = compose_gamma(gamma_f, gammas_g, spec)
-    bit = gamma_h.function.bits[:, ell - 1]
-    lhs = gamma_h.matrix.entries * (bit[:, None] != bit)
-    masked_gammas = list(gammas_g)
-    masked_gammas[p - 1] = _masked(gammas_g[p - 1], q)
-    rhs = compose_gamma(_masked(gamma_f, p), masked_gammas, spec).matrix.entries
-
-    if rhs.size:
-        scale = max(float(np.abs(lhs).max()), float(np.abs(rhs).max()))
-        diff = float(np.abs(lhs - rhs).max())
-    else:
-        scale = diff = 0.0
-    entrywise_ok = diff <= COMPOSE_TOL * scale if scale > 0 else True
-
-    whole_h, norm_lhs = _gamma_norms(gamma_h, [ell - 1])
-    whole_f, norm_f = _gamma_norms(gamma_f, [p - 1])
-    whole_p, norm_p = _gamma_norms(gammas_g[p - 1], [q - 1])
-    norm_rhs = norm_f * norm_p
-    for i, gam in enumerate(gammas_g):
-        if i != p - 1:
-            norm_rhs *= _gamma_norms(gam, [])[0]
-    norm_ok = _rel_close(norm_lhs, norm_rhs, COMPOSE_TOL)
-
-    ratio_lhs = _ratio(whole_h, norm_lhs)
-    ratio_rhs = _ratio(whole_f, norm_f) * _ratio(whole_p, norm_p)
-    ratio_ok = _rel_close(ratio_lhs, ratio_rhs, COMPOSE_TOL)
-
-    return MaskedCompositionReport(
-        ell=ell,
-        block=p,
-        inner_pos=q,
-        entrywise_ok=entrywise_ok,
-        norm_lhs=norm_lhs,
-        norm_rhs=norm_rhs,
-        norm_ok=norm_ok,
-        ratio_lhs=ratio_lhs,
-        ratio_rhs=ratio_rhs,
-        ratio_ok=ratio_ok,
-    )
 
 
 def compose_minimax(

@@ -8,7 +8,6 @@ f^-1(0) x f^-1(1) block, read from a function's ``classes`` and ``bits``.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import numbers
 from dataclasses import dataclass, field
@@ -407,13 +406,6 @@ class CompositionSpec:
     def total_arity(self) -> int:
         return sum(g.arity for g in self.inner)
 
-    def block_of(self, ell: int) -> tuple[int, int]:
-        """Map a 1-based position of the composed input to (block, position)."""
-        if not 1 <= ell <= self.total_arity:
-            raise ValueError(f"position {ell} out of range 1..{self.total_arity}")
-        p = bisect.bisect_right(self.offsets, ell)
-        return p, ell - self.offsets[p - 1] + 1
-
     @cached_property
     def composed(self) -> ComposedRows:
         """The composed function and its row index arrays, built once.
@@ -444,18 +436,6 @@ class CompositionSpec:
             a.flags.writeable = False
         h = BooleanFunction(n, tuple(domain), tuple(values))
         return ComposedRows(h, outer_row, inner_row)
-
-
-def split_input(x: str, spec: CompositionSpec) -> tuple[tuple[str, ...], str]:
-    """Split x into blocks and evaluate them: returns (blocks, inner outputs)."""
-    validate_bits(x, spec.total_arity)
-    blocks = []
-    tilde = []
-    for off, g in zip(spec.offsets, spec.inner):
-        piece = x[off - 1 : off - 1 + g.arity]
-        blocks.append(piece)
-        tilde.append(str(g(piece)))
-    return tuple(blocks), "".join(tilde)
 
 
 def compose_functions(spec: CompositionSpec) -> BooleanFunction:

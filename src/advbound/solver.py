@@ -652,6 +652,10 @@ def verify_composition(
     opts = opts or SolverOptions()
     alpha = as_costs(alpha, spec.total_arity)
     h = compose_functions(spec)
+    for i, g in enumerate(spec.inner, start=1):
+        if g.is_constant:
+            # ADV of a constant is 0, and an outer cost must be positive.
+            raise ValueError(f"inner function {i} is constant: its value 0 cannot be an outer cost")
 
     # certify is deterministic, so a repeated (inner function, cost block)
     # pair is certified once and its certificate reused.

@@ -4,10 +4,19 @@ test modules."""
 from __future__ import annotations
 
 import itertools
+import math
+from typing import NamedTuple
 
 import numpy as np
 
-from advbound.adversary import PROB_SUM_TOL, AdversaryMatrix, MinimaxWitness, require_valid
+from advbound.adversary import (
+    PROB_SUM_TOL,
+    AdversaryMatrix,
+    MinimaxWitness,
+    compose_gamma,
+    compose_minimax,
+    require_valid,
+)
 from advbound.boolfn import (
     And,
     BooleanFunction,
@@ -17,10 +26,12 @@ from advbound.boolfn import (
     Or,
     function_from_dict,
     make_family,
-    split_input,
     validate_bits,
 )
+from advbound.solver import gadget_cost_adv
 from advbound.specmat import SymMatrix, spectral_norm
+
+ID1 = make_family("id", 1)
 
 
 def difference_mask(labels, i: int) -> SymMatrix:
@@ -151,6 +162,19 @@ def composition_cases() -> dict[str, CompositionSpec]:
     }
 
 
+def split_input(x: str, spec: CompositionSpec) -> tuple[tuple[str, ...], str]:
+    """Reference: split x into its inner blocks and evaluate them; returns
+    (blocks, inner outputs)."""
+    validate_bits(x, spec.total_arity)
+    blocks = []
+    tilde = []
+    for off, g in zip(spec.offsets, spec.inner):
+        piece = x[off - 1 : off - 1 + g.arity]
+        blocks.append(piece)
+        tilde.append(str(g(piece)))
+    return tuple(blocks), "".join(tilde)
+
+
 def loop_composition(spec: CompositionSpec):
     """Reference: the composed function and, per composed row, the outer row,
     the inner rows and the inner outputs, built row by row from
@@ -196,6 +220,111 @@ def reference_compose_gamma(gamma_f, gammas_g, spec: CompositionSpec) -> Adversa
         out *= gather(factor, idx)
     h = rows.function
     return AdversaryMatrix(h, SymMatrix(h.domain, out))
+
+
+class MaskedLaw(NamedTuple):
+    """The masked composition lemma at position q of block p (both 1-based):
+    whether the entries agree exactly, and the (composed, factored) norms
+    and whole/masked norm ratios."""
+
+    p: int
+    q: int
+    exact: bool
+    norms: tuple[float, float]
+    ratios: tuple[float, float]
+
+
+def masked_laws(gamma_f, gammas_g, spec: CompositionSpec) -> list[MaskedLaw]:
+    """Reference: the masked composition lemma at every position of the
+    composed input, in order.  At position q of block p, the composed matrix
+    masked there is the composition of G_f o D_p with G_{g_p} o D_q, so its
+    norm is ||G_f o D_p|| ||G_{g_p} o D_q|| prod_{i != p} ||G_{g_i}||, and its
+    whole/masked ratio is the outer ratio times the inner one.  Masks come
+    from the labels (``difference_mask``), and every norm from a dense
+    eigensolve; a ratio over a zero norm is +inf."""
+
+    def norm(m):
+        return spectral_norm(m).norm
+
+    def ratio(num, den):
+        return math.inf if den == 0.0 else num / den
+
+    def masked(m, i):
+        return hadamard(m, difference_mask(m.labels, i))
+
+    h = compose_gamma(gamma_f, gammas_g, spec).matrix
+    whole_h, whole_f = norm(h), norm(gamma_f.matrix)
+    wholes = [norm(gam.matrix) for gam in gammas_g]
+    laws = []
+    ell = 0
+    for p, gam in enumerate(gammas_g, start=1):
+        masked_f = masked(gamma_f.matrix, p)
+        outer = AdversaryMatrix(spec.outer, masked_f)
+        for q in range(1, gam.function.arity + 1):
+            ell += 1
+            masked_h = masked(h, ell)
+            masked_g = masked(gam.matrix, q)
+            factors = list(gammas_g)
+            factors[p - 1] = AdversaryMatrix(gam.function, masked_g)
+            factored = compose_gamma(outer, factors, spec).matrix
+            norm_h, norm_f, norm_g = norm(masked_h), norm(masked_f), norm(masked_g)
+            laws.append(
+                MaskedLaw(
+                    p,
+                    q,
+                    np.array_equal(masked_h.entries, factored.entries),
+                    (norm_h, norm_f * norm_g * math.prod(wholes[: p - 1] + wholes[p:])),
+                    (ratio(whole_h, norm_h), ratio(whole_f, norm_f) * ratio(wholes[p - 1], norm_g)),
+                )
+            )
+    return laws
+
+
+def rel_error(a: float, b: float) -> float:
+    """|a - b| relative to the larger magnitude; 0 when a == b (so inf = inf
+    and 0 = 0 exactly), and inf when just one of them is infinite."""
+    if a == b:
+        return 0.0
+    if math.isinf(a) or math.isinf(b):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def negated(f: BooleanFunction) -> BooleanFunction:
+    return BooleanFunction(f.arity, f.domain, tuple(1 - v for v in f.values))
+
+
+def compose_tree(ast, costs):
+    """Gadget certificates composed up an AND/OR/NOT tree of leaves, and the
+    tree's value at ``costs``: each gate's gadget is built at its children's
+    values, and a NOT keeps its child's entries over the negated function."""
+    if isinstance(ast, Leaf):
+        gamma = AdversaryMatrix(ID1, SymMatrix(ID1.domain, np.array([[0.0, 1.0], [1.0, 0.0]])))
+        return gamma, costs[ast.index - 1]
+    if isinstance(ast, Not):
+        child, value = compose_tree(ast.child, costs)
+        return AdversaryMatrix(negated(child.function), child.matrix), value
+    left, lv = compose_tree(ast.left, costs)
+    right, rv = compose_tree(ast.right, costs)
+    value, gamma_f, _ = gadget_cost_adv("and" if isinstance(ast, And) else "or", (lv, rv))
+    spec = CompositionSpec(gamma_f.function, (left.function, right.function))
+    return compose_gamma(gamma_f, [left, right], spec), value
+
+
+def witness_tree(ast, costs):
+    """Gadget witnesses composed up an AND/OR/NOT tree of leaves, and the
+    tree's value at ``costs``; a NOT keeps its child's rows over the negated
+    function."""
+    if isinstance(ast, Leaf):
+        return MinimaxWitness(ID1, np.ones((2, 1))), costs[ast.index - 1]
+    if isinstance(ast, Not):
+        child, value = witness_tree(ast.child, costs)
+        return MinimaxWitness(negated(child.function), child.p), value
+    left, lv = witness_tree(ast.left, costs)
+    right, rv = witness_tree(ast.right, costs)
+    value, _, p_f = gadget_cost_adv("and" if isinstance(ast, And) else "or", (lv, rv))
+    spec = CompositionSpec(p_f.function, (left.function, right.function))
+    return compose_minimax(p_f, [left, right], spec), value
 
 
 def loop_check_function(arity: int, domain, values) -> None:

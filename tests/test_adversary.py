@@ -26,7 +26,6 @@ from advbound.adversary import (
     compose_minimax,
     gamma_from_dict,
     gamma_to_dict,
-    masked_compose_check,
     mm_value,
     require_valid,
     uniform_witness,
@@ -46,9 +45,8 @@ from advbound.boolfn import (
     function_to_dict,
     make_family,
     parse_formula,
-    split_input,
 )
-from advbound.solver import gadget_cost_adv, readonce_bound
+from advbound.solver import ROUNDING, gadget_cost_adv, readonce_bound
 from advbound.specmat import (
     EigensolverError,
     SpectralResult,
@@ -58,24 +56,29 @@ from advbound.specmat import (
     spectral_norm,
 )
 from conftest import (
+    ID1,
+    compose_tree,
     composition_cases,
     difference_mask,
     hadamard,
     loop_check_witness,
     loop_composition,
+    masked_laws,
     random_composition_case,
     random_costs,
     random_function,
     random_gamma,
     random_witness,
     reference_compose_gamma,
+    rel_error,
+    split_input,
     witness_rows,
+    witness_tree,
 )
 
 AND2 = make_family("and", 2)
 OR2 = make_family("or", 2)
 PARITY2 = make_family("parity", 2)
-ID1 = make_family("id", 1)
 
 
 def gadget(f, b1, b2):
@@ -323,23 +326,6 @@ def test_adv_block_value_reports_the_largest_residual_of_its_norms():
     assert masked_largest > 0
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "sparse"])
-def test_crossing_norms_of_some_bits_are_those_of_all_bits(dense):
-    # A dense block goes through block_norms and a sparse one through
-    # edge_norm; either way asking for fewer bits leaves each norm as it is.
-    f = make_family("parity", 3)
-    block = np.random.default_rng(8).uniform(0.1, 1.0, (4, 4))
-    if not dense:
-        block[0, 1] = block[2, 3] = 0.0
-    norms, residuals = adversary._crossing_norms(f, block, slice(None))
-    assert len(norms) == len(residuals) == 4
-    for bits in ([], [1], [2, 0]):
-        some, some_residuals = adversary._crossing_norms(f, block, bits)
-        picked = [0] + [i + 1 for i in bits]
-        assert some == pytest.approx([norms[k] for k in picked], rel=1e-12, abs=0.0)
-        assert len(some_residuals) == len(some)
-
-
 def test_adv_value_rejects_a_zero_norm_of_a_nonzero_matrix(monkeypatch):
     # The uniform AND2 block has no zero entry and is solved whole, with its
     # masks, in one block_norms stack; the gadget's block has one and is
@@ -450,18 +436,6 @@ def test_adv_value_matches_dense_reference(name):
     got, want = adv_value(gamma, alpha), dense_adv_value(gamma, alpha)
     assert math.isfinite(got)
     assert got == pytest.approx(want, rel=1e-12)
-
-
-def compose_tree(ast, costs):
-    """Gadget certificates composed up an AND/OR tree of leaves."""
-    if isinstance(ast, Leaf):
-        gamma = AdversaryMatrix(ID1, SymMatrix(ID1.domain, np.array([[0.0, 1.0], [1.0, 0.0]])))
-        return gamma, costs[ast.index - 1]
-    left, lv = compose_tree(ast.left, costs)
-    right, rv = compose_tree(ast.right, costs)
-    value, gamma_f, _ = gadget_cost_adv("and" if isinstance(ast, And) else "or", (lv, rv))
-    spec = CompositionSpec(gamma_f.function, (left.function, right.function))
-    return compose_gamma(gamma_f, [left, right], spec), value
 
 
 def test_adv_value_composed_read_once_arity8():
@@ -618,17 +592,6 @@ def product_widths(monkeypatch):
 
     monkeypatch.setattr(adversary, "_least_product", spy)
     return widths
-
-
-def witness_tree(ast, costs):
-    """Gadget witnesses composed up an AND/OR tree of leaves."""
-    if isinstance(ast, Leaf):
-        return MinimaxWitness(ID1, np.ones((2, 1))), costs[ast.index - 1]
-    left, lv = witness_tree(ast.left, costs)
-    right, rv = witness_tree(ast.right, costs)
-    value, _, p_f = gadget_cost_adv("and" if isinstance(ast, And) else "or", (lv, rv))
-    spec = CompositionSpec(p_f.function, (left.function, right.function))
-    return compose_minimax(p_f, [left, right], spec), value
 
 
 #: Arity-12 tree shapes that split 6|6 at the root and differ below it.
@@ -989,90 +952,46 @@ def test_eigvec_parts_from_vector():
 # masked factorization
 
 
-def test_masked_compose_check_frozen_case():
-    spec = CompositionSpec(AND2, (AND2, AND2))
+def masked_lemma_cases():
+    """(spec, gamma_f, gammas_g) of seeded random compositions, of and2 over
+    two and2 on unit gadgets, of id1 over and2 on a gadget that leaves bit 2
+    unweighted, and of {1 -> 1} over a constant-0 bit, whose composed
+    domain is empty."""
+    cases = {f"random{seed}": random_composition_case(seed) for seed in range(20)}
     unit = gadget(AND2, 1.0, 1.0)
-    for ell in range(1, 5):
-        report = masked_compose_check(unit, [unit, unit], spec, ell)
-        assert report.entrywise_ok and report.norm_ok and report.ratio_ok, (ell, report)
-        assert report.block == (1 if ell <= 2 else 2)
-        assert report.inner_pos == (ell - 1) % 2 + 1
-        # whole/masked ratio is sqrt(2) outer times sqrt(2) inner
-        assert report.ratio_lhs == pytest.approx(2.0, rel=1e-10)
-        assert report.ratio_rhs == pytest.approx(2.0, rel=1e-10)
-
-
-def test_masked_compose_check_random_cases():
-    for seed in range(20):
-        spec, gamma_f, gammas_g = random_composition_case(seed)
-        total = sum(g.arity for g in spec.inner)
-        for ell in range(1, total + 1):
-            report = masked_compose_check(gamma_f, gammas_g, spec, ell)
-            assert report.entrywise_ok and report.norm_ok and report.ratio_ok, (seed, ell)
-
-
-def dense_masked_norms(gamma_f, gammas_g, spec, ell):
-    """Reference: (norm_lhs, norm_rhs, ratio_lhs, ratio_rhs) of the masked
-    factorization, every norm from a dense eigensolve on a matrix masked by
-    its labels."""
-
-    def norm(m):
-        return spectral_norm(m).norm
-
-    def ratio(num, den):
-        return math.inf if den == 0.0 else num / den
-
-    p, q = spec.block_of(ell)
-    gamma_h = compose_gamma(gamma_f, gammas_g, spec).matrix
-    inner = gammas_g[p - 1].matrix
-    masked_h = norm(hadamard(gamma_h, difference_mask(gamma_h.labels, ell)))
-    masked_f = norm(hadamard(gamma_f.matrix, difference_mask(gamma_f.matrix.labels, p)))
-    masked_p = norm(hadamard(inner, difference_mask(inner.labels, q)))
-    norm_rhs = masked_f * masked_p
-    for i, gam in enumerate(gammas_g):
-        if i != p - 1:
-            norm_rhs *= norm(gam.matrix)
-    ratio_rhs = ratio(norm(gamma_f.matrix), masked_f) * ratio(norm(inner), masked_p)
-    return masked_h, norm_rhs, ratio(norm(gamma_h), masked_h), ratio_rhs
-
-
-def test_masked_compose_check_norms_match_dense_reference():
-    for seed in range(20):
-        spec, gamma_f, gammas_g = random_composition_case(seed)
-        for ell in range(1, spec.total_arity + 1):
-            report = masked_compose_check(gamma_f, gammas_g, spec, ell)
-            got = (report.norm_lhs, report.norm_rhs, report.ratio_lhs, report.ratio_rhs)
-            want = dense_masked_norms(gamma_f, gammas_g, spec, ell)
-            assert got == pytest.approx(want, rel=1e-12), (seed, ell)
-
-
-def test_masked_compose_check_infinite_ratio():
-    # inner block leaves bit 2 unweighted, so masking there zeroes both sides
-    spec = CompositionSpec(ID1, (AND2,))
+    cases["and2_units"] = (CompositionSpec(AND2, (AND2, AND2)), unit, [unit, unit])
     gid = AdversaryMatrix(ID1, SymMatrix(ID1.domain, np.array([[0.0, 1.0], [1.0, 0.0]])))
-    inner = gadget(AND2, 1.0, 0.0)
-    report = masked_compose_check(gid, [inner], spec, 2)
-    assert report.norm_lhs == 0.0 and report.norm_rhs == 0.0
-    assert report.ratio_lhs == math.inf and report.ratio_rhs == math.inf
-    assert report.entrywise_ok and report.norm_ok and report.ratio_ok
-
-
-def test_masked_compose_check_empty_domain():
-    # the outer {1 -> 1} over a constant-0 bit: the composed domain is empty
+    cases["unweighted_bit"] = (CompositionSpec(ID1, (AND2,)), gid, [gadget(AND2, 1.0, 0.0)])
     outer = BooleanFunction(1, ("1",), (1,))
     inner = BooleanFunction(1, ("0", "1"), (0, 0))
     spec = CompositionSpec(outer, (inner,))
-    report = masked_compose_check(zero_gamma(outer), [zero_gamma(inner)], spec, 1)
-    assert report.norm_lhs == 0.0 and report.norm_rhs == 0.0
-    assert report.ratio_lhs == math.inf and report.ratio_rhs == math.inf
-    assert report.entrywise_ok and report.norm_ok and report.ratio_ok
+    cases["empty_domain"] = (spec, zero_gamma(outer), [zero_gamma(inner)])
+    return cases
 
 
-def test_masked_compose_check_position_out_of_range():
-    spec = CompositionSpec(AND2, (AND2, AND2))
-    unit = gadget(AND2, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        masked_compose_check(unit, [unit, unit], spec, 5)
+MASKED_LEMMA_CASES = masked_lemma_cases()
+
+
+@pytest.mark.parametrize("name", list(MASKED_LEMMA_CASES))
+def test_masked_composition_lemma(name):
+    # At each position, masking the composed matrix equals composing the
+    # masked factors entry for entry, and the norm and ratio laws hold to
+    # float rounding.
+    spec, gamma_f, gammas_g = MASKED_LEMMA_CASES[name]
+    laws = masked_laws(gamma_f, gammas_g, spec)
+    assert len(laws) == spec.total_arity
+    for law in laws:
+        assert law.exact, law
+        assert rel_error(*law.norms) <= ROUNDING, law
+        assert rel_error(*law.ratios) <= ROUNDING, law
+    if name == "and2_units":
+        # the whole/masked ratio is sqrt(2) outer times sqrt(2) inner
+        for law in laws:
+            assert rel_error(law.ratios[0], 2.0) <= ROUNDING, law
+    elif name == "unweighted_bit":
+        assert laws[1].norms == (0.0, 0.0) and laws[1].ratios == (math.inf, math.inf)
+    elif name == "empty_domain":
+        assert laws == [(1, 1, True, (0.0, 0.0), (math.inf, math.inf))]
 
 
 # --------------------------------------------------------------------------
@@ -1221,16 +1140,15 @@ def test_compose_builders_match_row_loop(name):
 
 @pytest.mark.parametrize("name", sorted(COMPOSITION_CASES))
 def test_bit_mask_matches_label_mask(name):
+    # Every mask of the library is read from ``bits``, and every reference
+    # mask from the labels; they agree on composed, partial and unsorted
+    # domains too.
     spec = COMPOSITION_CASES[name]
-    rng = np.random.default_rng(3)
     for f in (spec.composed.function, spec.outer, *spec.inner):
-        a = rng.uniform(0.5, 1.0, (len(f.domain), len(f.domain)))
-        gamma = AdversaryMatrix(f, SymMatrix(f.domain, a + a.T))
         for i in range(1, f.arity + 1):
-            got = adversary._masked(gamma, i)
-            want = hadamard(gamma.matrix, difference_mask(f.domain, i))
-            assert got.function == f
-            assert same_bits(got.matrix.entries, want.entries), (f, i)
+            bit = f.bits[:, i - 1]
+            want = difference_mask(f.domain, i).entries
+            assert np.array_equal(bit[:, None] != bit, want != 0), (f, i)
 
 
 @pytest.fixture(scope="module")

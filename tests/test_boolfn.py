@@ -28,7 +28,6 @@ from advbound.boolfn import (
     leaf_indices,
     make_family,
     parse_formula,
-    split_input,
 )
 from conftest import (
     composition_cases,
@@ -36,6 +35,7 @@ from conftest import (
     loop_composition,
     random_function,
     random_read_once_ast,
+    split_input,
 )
 
 COMPOSITION_CASES = composition_cases()
@@ -181,11 +181,6 @@ def test_split_input():
     blocks, tilde = split_input("011", spec)
     assert blocks == ("01", "1") and tilde == "11"
     assert spec.offsets == (1, 3)
-    assert spec.block_of(1) == (1, 1)
-    assert spec.block_of(2) == (1, 2)
-    assert spec.block_of(3) == (2, 1)
-    with pytest.raises(ValueError):
-        spec.block_of(4)
     with pytest.raises(ValueError, match="outer arity 2 but 1 inner functions"):
         CompositionSpec(make_family("and", 2), (make_family("or", 2),))
 

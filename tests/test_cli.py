@@ -636,6 +636,25 @@ def test_deep_formula_is_usage_error(capsys, argv, formula):
     assert "nests deeper" in err
 
 
+@pytest.mark.parametrize("outer", ["and", "or"])
+def test_verify_composition_rejects_a_constant_inner_function(capsys, monkeypatch, tmp_path, outer):
+    # ADV of a constant is 0, which cannot be a cost of the outer function;
+    # this exited 2 only after certifying the inner functions, with a
+    # message about costs.
+    def no_work(*args, **kwargs):
+        raise AssertionError("a constant inner function must be rejected before any certify")
+
+    monkeypatch.setattr(solver, "certify", no_work)
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(function_to_dict(boolfn.BooleanFunction.total(2, lambda x: False))))
+    argv = ["verify-composition", "--outer", f"family:{outer}:2"]
+    code = run([*argv, "--inner", f"table:{path}", "--inner", "family:or:2"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == "error: inner function 1 is constant: its value 0 cannot be an outer cost\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
